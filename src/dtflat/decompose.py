@@ -561,7 +561,8 @@ class CascadeResult:
         return len(self.steps)
 
 
-_LEVEL_LETTERS = "bcdefghijklmnopqrstuvwyz"
+# no i or p: the prefixes xi and xp would generate reserved chart names
+_LEVEL_LETTERS = "bcdefghjklmnoqrstuvwyz"
 
 
 def decompose_cascade(sys: DiscreteSystem, chart: AdaptedChart | None = None,

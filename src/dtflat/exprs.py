@@ -20,6 +20,7 @@ which exists only for cross-checks against finite differences.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -353,18 +354,9 @@ def _as_uni(p: Poly, x: str) -> dict:
                 deg = e
                 rest = mono[:idx] + mono[idx + 1:]
                 break
-        coeff = out.get(deg)
-        if coeff is None:
-            out[deg] = Poly({rest: c})
-        else:
-            t = dict(coeff.terms)
-            s = t.get(rest, _F0) + c
-            if s:
-                t[rest] = s
-            else:
-                del t[rest]
-            out[deg] = Poly(t)
-    return {d: q for d, q in out.items() if not q.is_zero()}
+        # distinct monomials of p stay distinct once x is removed
+        out.setdefault(deg, {})[rest] = c
+    return {d: Poly(t) for d, t in out.items()}
 
 
 def _from_uni(u: dict, x: str) -> Poly:
@@ -425,18 +417,48 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         return _P0
     if b.is_const():
         return a.scale(1 / b.const_value())
+    # The remainder's leading term comes from a heap keyed on
+    # (-total degree, -exponent vector over the name-sorted variables):
+    # the smallest key is the largest monomial under _mono_cmp.  A monomial
+    # that cancels keeps a stale heap entry, skipped when popped.
+    index = {n: i for i, n in enumerate(sorted(a.vars() | b.vars()), start=1)}
+
+    def key(mono: Mono) -> tuple:
+        vec = [0] * (len(index) + 1)
+        for n, e in mono:
+            vec[0] -= e
+            vec[index[n]] = -e
+        return tuple(vec)
+
     lb_mono, lb_coeff = b.leading()
+    tail = [(m, c) for m, c in b.terms.items() if m != lb_mono]
+    r = dict(a.terms)
+    heap = [(key(m), m) for m in r]
+    heapq.heapify(heap)
     q_terms: dict = {}
-    r = a
-    while not r.is_zero():
-        lr_mono, lr_coeff = r.leading()
+    while heap:
+        lr_mono = heapq.heappop(heap)[1]
+        lr_coeff = r.pop(lr_mono, None)
+        if lr_coeff is None:
+            continue
         if not _mono_divides(lb_mono, lr_mono):
             raise ArithmeticError("inexact polynomial division")
         qm = _mono_div(lr_mono, lb_mono)
         qc = lr_coeff / lb_coeff
-        q_terms[qm] = q_terms.get(qm, _F0) + qc
-        r = r - b * Poly({qm: qc})
-    return Poly({m: c for m, c in q_terms.items() if c})
+        q_terms[qm] = qc
+        for mb, cb in tail:
+            m = _mono_mul(qm, mb)
+            c = r.get(m)
+            if c is None:
+                r[m] = -qc * cb
+                heapq.heappush(heap, (key(m), m))
+            else:
+                c -= qc * cb
+                if c:
+                    r[m] = c
+                else:
+                    del r[m]
+    return Poly(q_terms)
 
 
 def _int_split(p: Poly) -> tuple:
@@ -687,7 +709,9 @@ class Scalar:
         return self.num.vars() | self.den.vars()
 
     def depends_on(self, name: str) -> bool:
-        return not self.diff(name).is_zero()
+        # For reduced p/q over Q, (p/q)' = 0 gives p'q = pq', so q | q'
+        # (gcd(p, q) = 1) and then q' = 0 by degree, hence p' = 0.
+        return name in self.vars()
 
     # -------------------------------------------------------- arithmetic
 
@@ -779,20 +803,12 @@ class Scalar:
             return Scalar(dn, self.den)
         return Scalar(dn * self.den - self.num * dd, self.den * self.den)
 
-    def subs(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
-        if not bindings:
-            return self
-        relevant = {k: Scalar.of(v) for k, v in bindings.items()
-                    if k in self.vars()}
-        if not relevant:
-            return self
-        cache: dict = {}
-        num = _poly_subs(self.num, relevant, cache)
-        den = _poly_subs(self.den, relevant, cache)
-        if den.is_zero():
-            raise SubstitutionSingular(
-                "substitution makes the denominator identically zero")
-        return num / den
+    def subs(self, bindings: Mapping[str, "Scalar"] | "Substitution") -> "Scalar":
+        """Simultaneous substitution; bindings is a Mapping of names to
+        Scalars, or a Substitution that keeps its powers across calls."""
+        sub = bindings if isinstance(bindings, Substitution) \
+            else Substitution(bindings)
+        return sub.apply(self)
 
     def rename(self, mapping: Mapping[str, str]) -> "Scalar":
         num = self.num.rename(mapping)
@@ -855,22 +871,82 @@ def _den_atomic(p: Poly) -> bool:
     return c == 1 and len(mono) == 1
 
 
-def _poly_subs(p: Poly, bindings: Mapping[str, Scalar], cache: dict) -> Scalar:
-    total = _S0
-    for mono in sorted(p.terms, key=functools.cmp_to_key(_mono_cmp)):
-        term = Scalar(p.terms[mono])
-        for name, exp in mono:
-            key = (name, exp)
-            power = cache.get(key)
-            if power is None:
-                base = bindings.get(name)
-                if base is None:
-                    base = Scalar.var(name)
-                power = base ** exp
-                cache[key] = power
-            term = term * power
-        total = total + term
-    return total
+class Substitution:
+    """A simultaneous substitution v -> a_v/b_v (canonical Scalars) that
+    memoizes the polynomial powers it builds, so that a map applied many
+    times, such as an adapted chart's, builds each power once.
+
+    For p with d_v = deg_v p, multiplying p(a/b) by prod_v b_v^d_v clears
+    every denominator:
+
+        p(a/b) * prod_v b_v^d_v
+            = sum_t c_t * m_t * prod_v a_v^e_v * b_v^(d_v - e_v)
+
+    where term t is c_t * m_t * prod_v v^e_v with m_t free of the bound
+    names.  So num/den, of degrees dn_v and dd_v in v, maps to
+    (N / prod_v b_v^dn_v) / (D / prod_v b_v^dd_v) with N and D built from
+    polynomial products only; the b_v powers of the two sides cancel down
+    to one side per name.  One Scalar normalization at the end yields the
+    canonical form, which is unique, so the result equals the term-by-term
+    composition exactly.
+    """
+
+    __slots__ = ("bindings", "_nums", "_dens", "_factors")
+
+    def __init__(self, bindings: Mapping[str, "Scalar"]):
+        self.bindings = {k: Scalar.of(v) for k, v in bindings.items()}
+        # a_v^k and b_v^k at index k, grown on demand
+        self._nums = {k: [_P1, s.num] for k, s in self.bindings.items()}
+        self._dens = {k: [_P1, s.den] for k, s in self.bindings.items()}
+        self._factors: dict = {}    # (v, e, d) -> a_v^e * b_v^(d - e)
+
+    def apply(self, s: "Scalar") -> "Scalar":
+        names = sorted(s.vars() & self.bindings.keys())
+        if not names:
+            return s
+        dn = {v: s.num.degree_in(v) for v in names}
+        dd = {v: s.den.degree_in(v) for v in names}
+        num = self._compose(s.num, names, dn)
+        den = self._compose(s.den, names, dd)
+        if den.is_zero():
+            raise SubstitutionSingular(
+                "substitution makes the denominator identically zero")
+        for v in names:
+            k = dd[v] - dn[v]
+            if k > 0:
+                num = num * _power(self._dens[v], k)
+            elif k < 0:
+                den = den * _power(self._dens[v], -k)
+        return Scalar(num, den)
+
+    def _compose(self, p: Poly, names: list, degs: dict) -> Poly:
+        """sum_t c_t * m_t * prod_v a_v^e_v * b_v^(d_v - e_v) over the terms
+        of p, one bound name per level of recursion."""
+        if not names:
+            return p
+        v, rest = names[0], names[1:]
+        total = _P0
+        for e, coeff in _as_uni(p, v).items():
+            total = total + self._compose(coeff, rest, degs) \
+                * self._factor(v, e, degs[v])
+        return total
+
+    def _factor(self, v: str, e: int, d: int) -> Poly:
+        key = (v, e, d)
+        got = self._factors.get(key)
+        if got is None:
+            got = _power(self._nums[v], e)
+            if d > e:
+                got = got * _power(self._dens[v], d - e)
+            self._factors[key] = got
+        return got
+
+
+def _power(powers: list, k: int) -> Poly:
+    """powers[k] of a table [1, base, base^2, ...], extended as needed."""
+    while k >= len(powers):
+        powers.append(powers[-1] * powers[1])
+    return powers[k]
 
 
 _S0 = Scalar(0)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decompose import CascadeResult
+from .errors import EvalSingular
 from .exprs import Scalar
 from .flatness import FlatnessVerdict, ProjectabilityReport
 from .geometry import generic_rank
@@ -304,7 +305,7 @@ def point_check(report: AnalysisReport, seed: int) -> list:
             try:
                 rows = [[Scalar(c.eval_at(point)) for c in b.coeffs]
                         for b in space.basis]
-            except Exception:
+            except EvalSingular:
                 continue
             ok = True
             rank = generic_rank(rows)

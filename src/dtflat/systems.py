@@ -25,7 +25,7 @@ from .errors import (
     SubmersivityFailed,
     UnsupportedShift,
 )
-from .exprs import ONE, ZERO, Scalar
+from .exprs import ONE, ZERO, Scalar, Substitution
 from .geometry import (
     Chart,
     Codistribution,
@@ -130,7 +130,7 @@ def _rank_at_point(matrix, point) -> int | None:
     some entry is singular there."""
     try:
         rows = [[Scalar(c.eval_at(point)) for c in row] for row in matrix]
-    except Exception:
+    except EvalSingular:
         return None
     return generic_rank(rows)
 
@@ -156,6 +156,9 @@ class AdaptedChart:
             self.forward[f"xi{j}"] = Scalar.var(h)
         # inverse map: each original coordinate as a function on (th, xi)
         self.inverse = dict(inverse)
+        # both maps are fixed, so their powers are built once per chart
+        self._into = Substitution(self.inverse)
+        self._out = Substitution(self.forward)
         self._jac_forward = [
             [self.forward[a].diff(b) for b in sys.chart.names]
             for a in self.chart.names]
@@ -166,10 +169,10 @@ class AdaptedChart:
     # ------------------------------------------------------------ scalars
 
     def scalar_to_adapted(self, g: Scalar) -> Scalar:
-        return g.subs(self.inverse)
+        return g.subs(self._into)
 
     def scalar_from_adapted(self, g: Scalar) -> Scalar:
-        return g.subs(self.forward)
+        return g.subs(self._out)
 
     # ------------------------------------------------------------- fields
 
@@ -378,6 +381,7 @@ def _verify_inverse(sys: DiscreteSystem, h_names: tuple,
     forward = {f"th{i}": g for i, g in enumerate(sys.f, start=1)}
     for j, h in enumerate(h_names, start=1):
         forward[f"xi{j}"] = Scalar.var(h)
+    forward = Substitution(forward)
     for v in sys.chart.names:
         expr = inverse.get(v)
         if expr is None:

@@ -2,16 +2,19 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from dtflat.cli import parse_system, parse_system_file, run
 from dtflat.errors import (
     EquilibriumMismatch,
+    EvalSingular,
     NonRationalExpression,
     ParseError,
     SubmersivityFailed,
 )
+from dtflat.reporting import point_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,6 +191,24 @@ class TestRun:
     def test_point_check_flag(self, capsys):
         assert run([str(ACADEMIC), "--point-check", "--seed", "3"]) == 0
 
+    def test_point_check_warns_when_denominators_vanish(self):
+        class Singular:
+            def eval_at(self, point):
+                raise EvalSingular("denominator vanishes")
+
+        chart = SimpleNamespace(names=("x1", "u1"))
+        space = SimpleNamespace(chart=chart, dim=1,
+                                basis=[SimpleNamespace(coeffs=[Singular()])])
+        report = SimpleNamespace(
+            system=SimpleNamespace(equilibrium=None, chart=chart),
+            verdict=SimpleNamespace(
+                distribution=None,
+                codistribution=SimpleNamespace(
+                    steps=[SimpleNamespace(k=1, P=space)])))
+        assert point_check(report, seed=0) == [
+            "P_1: could not evaluate the basis near the equilibrium "
+            "(denominators vanish)"]
+
     def test_seed_does_not_change_verdict(self, tmp_path):
         docs = []
         for seed in (1, 2):
@@ -205,6 +226,21 @@ class TestRun:
     def test_integrals_hint_flag(self, capsys):
         assert run([str(ACADEMIC), "--decompose", "--integrals-hint",
                     "x1;x3;x2+3*x4"]) == 0
+
+    def test_decompose_deep_cascade_avoids_reserved_names(self, tmp_path):
+        # level 8 of the cascade must not take the reserved prefix xi
+        n = 9
+        states = [f"x{i}" for i in range(1, n + 1)]
+        dynamics = "\n".join(f"  x{i}+ = x{i + 1}" for i in range(1, n)) \
+            + f"\n  x{n}+ = u1\n"
+        path = write(tmp_path, f"name: chain{n}\nstates: {' '.join(states)}\n"
+                     f"inputs: u1\ndynamics:\n{dynamics}"
+                     f"equilibrium: {' '.join(['0'] * (n + 1))}\n")
+        out_path = tmp_path / "report.json"
+        assert run([str(path), "--decompose", "--json", str(out_path)]) == 0
+        cascade = json.loads(out_path.read_text())["decomposition"]
+        assert cascade["blocked"] is None
+        assert cascade["depth"] == n
 
     def test_decompose_on_nonflat_warns(self, capsys):
         assert run([str(NONFLAT), "--decompose"]) == 0

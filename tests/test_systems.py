@@ -33,6 +33,7 @@ from dtflat.systems import (
     pullback_pi,
     pushforward_projectable,
     triangular_solve,
+    _rank_at_point,
 )
 
 
@@ -70,6 +71,11 @@ class TestConstruction:
         # Jacobian rank drops to 0 at the origin but is 1 generically
         s = mk(["x1"], ["u1"], ["x1*u1 + x1*x1"])
         assert any("equilibrium" in w for w in s.warnings)
+
+    def test_rank_at_singular_point_is_none(self):
+        inv = ONE / Scalar.var("x1")
+        assert _rank_at_point([[inv]], {"x1": Fraction(0)}) is None
+        assert _rank_at_point([[inv]], {"x1": Fraction(1)}) == 1
 
 
 class TestAdaptedChart:
