@@ -540,7 +540,7 @@ def _check_straightened(transformed: DiscreteSystem, u1_names: list):
     e0 = Distribution(transformed.chart,
                       [VectorField.unit(transformed.chart, u)
                        for u in transformed.input_names])
-    d0, _ = largest_projectable_subdistribution(e0, chart)
+    d0, _, _ = largest_projectable_subdistribution(e0, chart)
     target = Distribution(transformed.chart,
                           [VectorField.unit(transformed.chart, u)
                            for u in u1_names])

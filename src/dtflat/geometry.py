@@ -43,10 +43,13 @@ def _require_same_chart(a, b):
         raise ChartMismatch(f"charts differ: {a.chart} vs {b.chart}")
 
 
-class VectorField:
-    """Coordinate-indexed coefficients along the partial derivatives."""
+class Row:
+    """Coordinate-indexed coefficients on one chart.  A subclass only sets
+    the prefix that names the basis it is written in; rows of different
+    kinds never compare equal."""
 
     __slots__ = ("chart", "coeffs")
+    prefix: str
 
     def __init__(self, chart: Chart, coeffs: Sequence[Scalar]):
         if len(coeffs) != chart.dim:
@@ -55,7 +58,7 @@ class VectorField:
         self.coeffs = tuple(Scalar.of(c) for c in coeffs)
 
     @classmethod
-    def unit(cls, chart: Chart, name: str) -> "VectorField":
+    def unit(cls, chart: Chart, name: str):
         i = chart.index(name)
         return cls(chart, [ONE if j == i else ZERO for j in range(chart.dim)])
 
@@ -63,48 +66,30 @@ class VectorField:
         return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, VectorField)
+        return (type(other) is type(self)
                 and self.chart == other.chart and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.chart, self.coeffs))
+        return hash((self.prefix, self.chart, self.coeffs))
 
     def __str__(self) -> str:
-        return _combo_str(self.chart, self.coeffs, "d/d")
+        return _combo_str(self.chart, self.coeffs, self.prefix)
 
     __repr__ = __str__
 
 
-class OneForm:
-    """Coordinate-indexed coefficients along the coordinate differentials."""
+class VectorField(Row):
+    """Coefficients along the partial derivatives."""
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ()
+    prefix = "d/d"
 
-    def __init__(self, chart: Chart, coeffs: Sequence[Scalar]):
-        if len(coeffs) != chart.dim:
-            raise ValueError("coefficient count does not match chart dimension")
-        self.chart = chart
-        self.coeffs = tuple(Scalar.of(c) for c in coeffs)
 
-    @classmethod
-    def unit(cls, chart: Chart, name: str) -> "OneForm":
-        i = chart.index(name)
-        return cls(chart, [ONE if j == i else ZERO for j in range(chart.dim)])
+class OneForm(Row):
+    """Coefficients along the coordinate differentials."""
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OneForm)
-                and self.chart == other.chart and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.chart, self.coeffs))
-
-    def __str__(self) -> str:
-        return _combo_str(self.chart, self.coeffs, "d")
-
-    __repr__ = __str__
+    __slots__ = ()
+    prefix = "d"
 
 
 class TwoForm:
@@ -228,39 +213,49 @@ def nullspace(rows: Iterable[Sequence[Scalar]]) -> list:
 
 # ---------------------------------------------------------- span carriers
 
-class Distribution:
-    """Span of vector fields with a generically independent basis."""
+class Span:
+    """Span of rows with a generically independent basis.  A subclass
+    names its row class (element) and the span class of its annihilator
+    (dual)."""
 
     __slots__ = ("chart", "basis")
+    element: type
+    dual: type
 
-    def __init__(self, chart: Chart, basis: Sequence[VectorField]):
+    def __init__(self, chart: Chart, basis: Sequence[Row]):
         basis = list(basis)
+        kind = self.element.__name__
         for v in basis:
             if v.chart != chart:
-                raise ChartMismatch("basis field on a different chart")
+                raise ChartMismatch(f"basis {kind} on a different chart")
         if basis and generic_rank([v.coeffs for v in basis]) != len(basis):
-            raise ValueError("basis fields are generically dependent")
+            raise ValueError(f"basis {kind}s are generically dependent")
         self.chart = chart
         self.basis = tuple(basis)
 
     @classmethod
-    def span(cls, chart: Chart, fields: Sequence[VectorField]) -> "Distribution":
-        """Reduce an arbitrary generating set to the canonical basis."""
-        rows, _ = rref([v.coeffs for v in fields])
-        return cls(chart, [VectorField(chart, r) for r in rows])
+    def span(cls, chart: Chart, rows: Sequence[Row]):
+        """Reduce an arbitrary generating set to the canonical basis.  The
+        reduced rows are independent by construction, so they are not
+        ranked again as in __init__."""
+        reduced, _ = rref([v.coeffs for v in rows])
+        out = object.__new__(cls)
+        out.chart = chart
+        out.basis = tuple(cls.element(chart, r) for r in reduced)
+        return out
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: VectorField) -> bool:
+    def contains(self, v: Row) -> bool:
         _require_same_chart(self, v)
         if v.is_zero():
             return True
         if not self.basis:
             return False
         rows = [w.coeffs for w in self.basis]
-        return generic_rank(list(rows) + [v.coeffs]) == len(self.basis)
+        return generic_rank(rows + [v.coeffs]) == len(self.basis)
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(v) for v in self.basis) + "}"
@@ -268,50 +263,28 @@ class Distribution:
     __repr__ = __str__
 
 
-class Codistribution:
-    """Span of 1-forms with a generically independent basis."""
+class Distribution(Span):
+    """Span of vector fields."""
 
-    __slots__ = ("chart", "basis")
+    __slots__ = ()
+    element = VectorField
 
-    def __init__(self, chart: Chart, basis: Sequence[OneForm]):
-        basis = list(basis)
-        for w in basis:
-            if w.chart != chart:
-                raise ChartMismatch("basis form on a different chart")
-        if basis and generic_rank([w.coeffs for w in basis]) != len(basis):
-            raise ValueError("basis forms are generically dependent")
-        self.chart = chart
-        self.basis = tuple(basis)
 
-    @classmethod
-    def span(cls, chart: Chart, forms: Sequence[OneForm]) -> "Codistribution":
-        rows, _ = rref([w.coeffs for w in forms])
-        return cls(chart, [OneForm(chart, r) for r in rows])
+class Codistribution(Span):
+    """Span of 1-forms."""
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    __slots__ = ()
+    element = OneForm
+    dual = Distribution
 
-    def contains(self, w: OneForm) -> bool:
-        _require_same_chart(self, w)
-        if w.is_zero():
-            return True
-        if not self.basis:
-            return False
-        rows = [f.coeffs for f in self.basis]
-        return generic_rank(list(rows) + [w.coeffs]) == len(self.basis)
 
-    def __str__(self) -> str:
-        return "span{" + ", ".join(str(w) for w in self.basis) + "}"
-
-    __repr__ = __str__
+Distribution.dual = Codistribution
 
 
 def same_span(a, b) -> bool:
     """Span equality by mutual membership: the comparison contract for all
     golden values (elimination order legitimately changes printed bases)."""
-    if a.chart != b.chart:
-        raise ChartMismatch(f"charts differ: {a.chart} vs {b.chart}")
+    _require_same_chart(a, b)
     if a.dim != b.dim:
         return False
     rows = [v.coeffs for v in a.basis] + [v.coeffs for v in b.basis]
@@ -386,28 +359,21 @@ def lie_derivative(v: VectorField, w: OneForm) -> OneForm:
 
 # ------------------------------------------------------------ annihilators
 
-def annihilator(space):
+def annihilator(space: Span) -> Span:
     """Annihilator of a distribution (a codistribution) or of a
     codistribution (a distribution); kernel of the coefficient matrix."""
     chart = space.chart
-    rows = [b.coeffs for b in space.basis]
-    if not rows:
-        if isinstance(space, Distribution):
-            return Codistribution(chart, [OneForm.unit(chart, n)
-                                          for n in chart.names])
-        return Distribution(chart, [VectorField.unit(chart, n)
-                                    for n in chart.names])
-    kernel = nullspace(rows)
-    if isinstance(space, Distribution):
-        return Codistribution.span(chart, [OneForm(chart, k) for k in kernel])
-    return Distribution.span(chart, [VectorField(chart, k) for k in kernel])
+    dual = space.dual
+    if not space.basis:
+        return dual(chart, [dual.element.unit(chart, n) for n in chart.names])
+    kernel = nullspace([b.coeffs for b in space.basis])
+    return dual.span(chart, [dual.element(chart, k) for k in kernel])
 
 
 def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
     """Forms expressible with rational-function coefficients in both bases,
     found by solving the stacked linear system over the function field."""
-    if p.chart != q.chart:
-        raise ChartMismatch(f"charts differ: {p.chart} vs {q.chart}")
+    _require_same_chart(p, q)
     chart = p.chart
     if not p.basis or not q.basis:
         return Codistribution(chart, [])
@@ -431,8 +397,7 @@ def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
 
 
 def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:
-    if p.chart != q.chart:
-        raise ChartMismatch(f"charts differ: {p.chart} vs {q.chart}")
+    _require_same_chart(p, q)
     return Codistribution.span(p.chart, list(p.basis) + list(q.basis))
 
 
@@ -440,8 +405,7 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
     """Smallest codistribution containing p0 and closed under Lie
     derivatives along every field of d.  Terminates because the rank can
     grow at most chart-dimension times."""
-    if p0.chart != d.chart:
-        raise ChartMismatch(f"charts differ: {p0.chart} vs {d.chart}")
+    _require_same_chart(p0, d)
     current = Codistribution.span(p0.chart, list(p0.basis))
     while True:
         added = False

@@ -31,6 +31,8 @@ from .geometry import (
     Codistribution,
     Distribution,
     OneForm,
+    Row,
+    Span,
     VectorField,
     generic_rank,
     rref,
@@ -89,10 +91,13 @@ class DiscreteSystem:
             + tuple(f"xi{j}" for j in range(1, self.m + 1)))
 
         self.jacobian = [[g.diff(v) for v in self.chart.names] for g in self.f]
-        if generic_rank(self.jacobian) != self.n:
+        # span{df}: the row space of the update-map Jacobian as 1-forms
+        self.differentials = Codistribution.span(
+            self.chart, [OneForm(self.chart, row) for row in self.jacobian])
+        if self.differentials.dim != self.n:
             raise SubmersivityFailed(
                 f"rank of the update-map Jacobian is "
-                f"{generic_rank(self.jacobian)} < n = {self.n}; the system "
+                f"{self.differentials.dim} < n = {self.n}; the system "
                 f"is not submersive")
 
         if equilibrium is None:
@@ -133,10 +138,6 @@ def _rank_at_point(matrix, point) -> int | None:
     except EvalSingular:
         return None
     return generic_rank(rows)
-
-
-def check_submersive(sys: DiscreteSystem) -> bool:
-    return generic_rank(sys.jacobian) == sys.n
 
 
 class AdaptedChart:
@@ -242,29 +243,23 @@ class AdaptedChart:
         if isinstance(obj, Scalar):
             return self.scalar_to_adapted(obj) if into \
                 else self.scalar_from_adapted(obj)
-        if isinstance(obj, VectorField):
-            return self.field_to_adapted(obj) if into \
-                else self.field_from_adapted(obj)
-        if isinstance(obj, OneForm):
-            return self.form_to_adapted(obj) if into \
-                else self.form_from_adapted(obj)
-        if isinstance(obj, Distribution):
-            mapped = [self._transport(v, into) for v in obj.basis]
-            out = Distribution.span(mapped[0].chart if mapped else
-                                    (self.chart if into else self.sys.chart),
-                                    mapped)
+        if isinstance(obj, Span):
+            move = self._row_map(obj.element, into)
+            out = type(obj).span(self.chart if into else self.sys.chart,
+                                 [move(v) for v in obj.basis])
             if out.dim != obj.dim:
                 raise ValueError("coordinate change did not preserve rank")
             return out
-        if isinstance(obj, Codistribution):
-            mapped = [self._transport(w, into) for w in obj.basis]
-            chart = self.chart if into else self.sys.chart
-            out = Codistribution.span(chart, mapped) if mapped \
-                else Codistribution(chart, [])
-            if out.dim != obj.dim:
-                raise ValueError("coordinate change did not preserve rank")
-            return out
+        if isinstance(obj, Row):
+            return self._row_map(type(obj), into)(obj)
         raise TypeError(f"cannot transport {type(obj).__name__}")
+
+    def _row_map(self, kind: type, into: bool):
+        """The one of the four row transports that moves rows of this kind
+        in this direction."""
+        if kind is VectorField:
+            return self.field_to_adapted if into else self.field_from_adapted
+        return self.form_to_adapted if into else self.form_from_adapted
 
 
 def build_adapted_chart(sys: DiscreteSystem,
@@ -465,8 +460,3 @@ def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:
             f"{sorted(bad)} are not states")
     return g.subs({x: gi for x, gi in zip(sys.state_names, sys.f)})
 
-
-def differentials_of_map(sys: DiscreteSystem) -> Codistribution:
-    """span{df}: the row space of the update-map Jacobian as 1-forms."""
-    forms = [OneForm(sys.chart, row) for row in sys.jacobian]
-    return Codistribution.span(sys.chart, forms)

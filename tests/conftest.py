@@ -18,3 +18,18 @@ def acad_chart(acad):
 def acad_verdict(acad, acad_chart):
     from dtflat.flatness import analyze
     return analyze(acad, acad_chart)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """One entry per call of geometry.rref made while the test runs."""
+    import dtflat.geometry as geometry
+    calls = []
+    real = geometry.rref
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(geometry, "rref", counting)
+    return calls

@@ -363,7 +363,7 @@ class TestProjectableSubdistribution:
         ch = acad.chart
         d = Distribution(ch, [field6(ch, ("x2", -3), ("x4", 1)),
                               field6(ch, ("u1", 1)), field6(ch, ("u2", 1))])
-        sub, rep = largest_projectable_subdistribution(d, acad_chart)
+        sub, _, rep = largest_projectable_subdistribution(d, acad_chart)
         assert rep.rank == 0
         assert same_span(sub, d)
 
@@ -371,12 +371,12 @@ class TestProjectableSubdistribution:
         s = nonflat2()
         chart = build_adapted_chart(s)
         e0 = Distribution(s.chart, [VectorField.unit(s.chart, "u1")])
-        sub, rep = largest_projectable_subdistribution(e0, chart)
+        sub, _, rep = largest_projectable_subdistribution(e0, chart)
         assert sub.dim == 0
         assert rep.rank == 1 == rep.dbar
 
     def test_dimension_formula(self, acad, acad_chart):
         e0 = Distribution(acad.chart, [VectorField.unit(acad.chart, u)
                                        for u in acad.input_names])
-        sub, rep = largest_projectable_subdistribution(e0, acad_chart)
+        sub, _, rep = largest_projectable_subdistribution(e0, acad_chart)
         assert sub.dim == rep.dim - rep.rank == 1

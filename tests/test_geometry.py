@@ -115,6 +115,58 @@ class TestMembership:
             P.contains(unit_w(CH6, "x1"))
 
 
+KINDS = [(Distribution, VectorField), (Codistribution, OneForm)]
+
+
+class TestRowsAndSpans:
+    @pytest.mark.parametrize("span_cls, row_cls", KINDS)
+    def test_dependent_basis_rejected(self, span_cls, row_cls):
+        v = row_cls(CH3, [ONE, u, ZERO])
+        w = row_cls(CH3, [u, u * u, ZERO])
+        with pytest.raises(ValueError):
+            span_cls(CH3, [v, w])
+
+    @pytest.mark.parametrize("row_cls", [VectorField, OneForm])
+    def test_wrong_coefficient_count_rejected(self, row_cls):
+        with pytest.raises(ValueError):
+            row_cls(CH3, [ONE, ZERO])
+
+    @pytest.mark.parametrize("span_cls, row_cls", KINDS)
+    def test_basis_on_other_chart_rejected(self, span_cls, row_cls):
+        with pytest.raises(ChartMismatch):
+            span_cls(CH3, [row_cls.unit(CH6, "x1")])
+
+    def test_field_never_equals_form(self):
+        coeffs = [ONE, u, ZERO]
+        v, w = VectorField(CH3, coeffs), OneForm(CH3, coeffs)
+        assert v != w and w != v
+        assert v == VectorField(CH3, coeffs) and w == OneForm(CH3, coeffs)
+        assert len({v, w}) == 2
+
+    def test_str_of_both_kinds(self):
+        coeffs = [ONE, -u, ZERO]
+        assert str(VectorField(CH3, coeffs)) == "d/dx1 + (-u)*d/dx2"
+        assert str(OneForm(CH3, coeffs)) == "dx1 + (-u)*dx2"
+        assert str(OneForm(CH3, [ZERO] * 3)) == "0"
+        assert str(Distribution(CH3, [unit_f(CH3, "u")])) == "span{d/du}"
+        assert str(Codistribution(CH3, [])) == "span{}"
+
+    @pytest.mark.parametrize("span_cls, row_cls", KINDS)
+    def test_span_keeps_kind_and_reduces(self, span_cls, row_cls):
+        rows = [row_cls(CH3, [u, u * u, ZERO]), row_cls(CH3, [ONE, u, ZERO]),
+                row_cls.unit(CH3, "u")]
+        got = span_cls.span(CH3, rows)
+        assert type(got) is span_cls
+        assert all(type(v) is row_cls for v in got.basis)
+        assert got.basis == (row_cls(CH3, [ONE, u, ZERO]),
+                             row_cls.unit(CH3, "u"))
+
+    def test_span_reduces_once(self, rref_calls):
+        Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
+                                  unit_w(CH3, "x2")])
+        assert len(rref_calls) == 1
+
+
 class TestBracket:
     def test_coordinate_fields_commute(self):
         assert lie_bracket(unit_f(CH6, "u1"), unit_f(CH6, "u2")).is_zero()
@@ -255,6 +307,15 @@ class TestAnnihilator:
                     assert interior_product(v, w).is_zero()
             DD = annihilator(P)
             assert same_span(DD, D)
+
+    @pytest.mark.parametrize("span_cls, dual_cls, dual_row", [
+        (Distribution, Codistribution, OneForm),
+        (Codistribution, Distribution, VectorField)])
+    def test_annihilator_of_empty_span_is_everything(self, span_cls, dual_cls,
+                                                     dual_row):
+        got = annihilator(span_cls(CH3, []))
+        assert type(got) is dual_cls and got.chart == CH3
+        assert got.basis == tuple(dual_row.unit(CH3, n) for n in CH3.names)
 
 
 class TestIntersect:

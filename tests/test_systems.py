@@ -27,8 +27,6 @@ from dtflat.systems import (
     DiscreteSystem,
     backward_shift_codistribution,
     build_adapted_chart,
-    check_submersive,
-    differentials_of_map,
     forward_shift,
     pullback_pi,
     pushforward_projectable,
@@ -39,15 +37,20 @@ from dtflat.systems import (
 
 class TestConstruction:
     def test_academic_is_submersive(self, acad):
-        assert check_submersive(acad)
+        assert acad.differentials.dim == acad.n
 
     def test_autonomous_submersive(self):
         s = mk(["x1"], ["u1"], ["x1"], name="autonomous")
-        assert check_submersive(s)
+        assert s.differentials.dim == s.n
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(SubmersivityFailed):
             mk(["x1", "x2", "x3"], ["u1", "u2"], ["u1", "u2", "u1*u2"])
+
+    def test_rank_deficient_ranked_once(self, rref_calls):
+        with pytest.raises(SubmersivityFailed, match="rank .* is 1 < n = 2"):
+            mk(["x1", "x2"], ["u1"], ["u1", "u1^2"])
+        assert len(rref_calls) == 1
 
     def test_equilibrium_mismatch(self):
         with pytest.raises(EquilibriumMismatch):
@@ -183,6 +186,16 @@ class TestTransport:
         w3 = OneForm.unit(ch, "xi1")
         w4 = OneForm.unit(ch, "xi2")
         assert same_span(got, Codistribution(ch, [w1, w2, w3, w4]))
+
+    @pytest.mark.parametrize("span_cls", [Distribution, Codistribution])
+    def test_empty_span_keeps_kind_and_target_chart(self, acad, acad_chart,
+                                                   span_cls):
+        into = acad_chart.to_adapted(span_cls(acad.chart, []))
+        assert type(into) is span_cls and into.dim == 0
+        assert into.chart == acad.chart_adapted
+        back = acad_chart.from_adapted(span_cls(acad.chart_adapted, []))
+        assert type(back) is span_cls and back.dim == 0
+        assert back.chart == acad.chart
 
     def test_scalar_identity_chart(self):
         s = mk(["x1"], ["u1"], ["u1"])
@@ -330,7 +343,10 @@ class TestSubmersivityInvariance:
         f2 = [g.subs(mix) for g in acad.f]
         s2 = DiscreteSystem(acad.state_names, acad.input_names, f2,
                             acad.equilibrium, name="mixed")
-        assert check_submersive(s2)
+        assert s2.differentials.dim == s2.n
 
     def test_span_df_dimension(self, acad):
-        assert differentials_of_map(acad).dim == acad.n
+        # span{df} is the row space of the Jacobian, as 1-forms
+        assert acad.differentials.dim == acad.n
+        for row in acad.jacobian:
+            assert acad.differentials.contains(OneForm(acad.chart, row))
