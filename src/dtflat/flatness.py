@@ -286,6 +286,7 @@ class CodistributionStep:
     P_adapted: Codistribution
     added_forms: list             # rho-forms on the adapted chart
     Pplus: Codistribution         # P_{k+1}^+ on the adapted chart
+    Pplus_xu: Codistribution      # P_{k+1}^+ on (x, u)
     P_next: Codistribution        # P_{k+1} on (x, u)
     report: ProjectabilityReport  # from the annihilator of P_k
 
@@ -329,22 +330,26 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
                 coeffs[pivot_col] = coeffs[pivot_col] - c
         added.append(OneForm(sys.chart_adapted, coeffs))
 
-    span_dtheta = Codistribution(
+    span_dtheta = Codistribution.reduced(
         sys.chart_adapted,
-        [OneForm.unit(sys.chart_adapted, f"th{i}") for i in range(1, sys.n + 1)])
+        [OneForm.unit(sys.chart_adapted, f"th{i}").coeffs
+         for i in range(1, sys.n + 1)])
     inter_adapted = intersect(P_adapted, span_dtheta)
     if inter_adapted.dim != inter.dim:
         raise InternalInvariantError(
             "intersection dimensions disagree between charts")
     Pplus = Codistribution.span(sys.chart_adapted,
                                 list(inter_adapted.basis) + added)
+    Pplus_xu = chart.from_adapted(Pplus)
 
     if cross_check:
         # Coordinate-free route: smallest codistribution containing the
         # intersection and invariant under the kernel of the update map.
+        # The chart change maps spans to spans one to one, so comparing on
+        # (x, u) is the same check as comparing on the adapted chart.
         kernel = annihilator(span_df)
         closure = invariant_closure(inter, kernel)
-        if not same_span(chart.to_adapted(closure), Pplus):
+        if not same_span(closure, Pplus_xu):
             raise InternalInvariantError(
                 "adapted-chart closure and coordinate-free closure disagree")
 
@@ -356,7 +361,8 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
             raise InternalInvariantError(f"nesting fails: P_{k+1} not in P_{k}")
     return CodistributionStep(k=k, P=P, intersection=inter,
                               P_adapted=P_adapted, added_forms=added,
-                              Pplus=Pplus, P_next=P_next, report=report)
+                              Pplus=Pplus, Pplus_xu=Pplus_xu, P_next=P_next,
+                              report=report)
 
 
 def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None,
@@ -476,8 +482,7 @@ def verify_duality(sys: DiscreteSystem, chart: AdaptedChart,
                 f"{estep.E_prev.dim + pstep.P.dim} != {n_plus_m}",
                 k=k, check="dims")
         # (c) the projectable subdistribution annihilates Pplus + P
-        pplus_xu = chart.from_adapted(pstep.Pplus)
-        union = sum_codistributions(pplus_xu, pstep.P)
+        union = sum_codistributions(pstep.Pplus_xu, pstep.P)
         proj_pairing = all(
             interior_product(v, w).is_zero()
             for v in estep.D.basis for w in union.basis)

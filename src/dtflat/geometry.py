@@ -187,6 +187,22 @@ def rref(rows: Iterable[Sequence[Scalar]]) -> tuple:
     return work[:prow], pivots
 
 
+def is_reduced(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether rows are their own reduced row echelon form: each row leads
+    with 1, right of the leading column of the row before it, and every
+    other row is zero in that column.  Only zero tests, no elimination."""
+    last = -1
+    for i, row in enumerate(rows):
+        lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
+        if lead is None or lead <= last or row[lead] != ONE:
+            return False
+        if any(not other[lead].is_zero()
+               for k, other in enumerate(rows) if k != i):
+            return False
+        last = lead
+    return True
+
+
 def generic_rank(rows: Iterable[Sequence[Scalar]]) -> int:
     """Rank over the field of rational functions."""
     return len(rref(rows)[0])
@@ -239,9 +255,16 @@ class Span:
         reduced rows are independent by construction, so they are not
         ranked again as in __init__."""
         reduced, _ = rref([v.coeffs for v in rows])
+        return cls.reduced(chart, reduced)
+
+    @classmethod
+    def reduced(cls, chart: Chart, rows: Sequence[Sequence[Scalar]]):
+        """The span whose basis is these coefficient rows, which the caller
+        guarantees to be in reduced row echelon form (so independent and
+        canonical); they are taken as they are."""
         out = object.__new__(cls)
         out.chart = chart
-        out.basis = tuple(cls.element(chart, r) for r in reduced)
+        out.basis = tuple(cls.element(chart, r) for r in rows)
         return out
 
     @property

@@ -35,6 +35,7 @@ from .geometry import (
     Span,
     VectorField,
     generic_rank,
+    is_reduced,
     rref,
 )
 
@@ -160,12 +161,18 @@ class AdaptedChart:
         # both maps are fixed, so their powers are built once per chart
         self._into = Substitution(self.inverse)
         self._out = Substitution(self.forward)
+        # one coefficient row per map component: row a is d(forward_a) on
+        # (x, u), row b is d(inverse_b) on (th, xi).  Forms move with these
+        # rows; fields move with the rows of the transposes, which are the
+        # coordinate fields d/dx_b and d/dth_a written on the other chart.
         self._jac_forward = [
             [self.forward[a].diff(b) for b in sys.chart.names]
             for a in self.chart.names]
         self._jac_inverse = [
             [self.inverse[b].diff(a) for a in self.chart.names]
             for b in sys.chart.names]
+        self._jac_forward_t = [list(col) for col in zip(*self._jac_forward)]
+        self._jac_inverse_t = [list(col) for col in zip(*self._jac_inverse)]
 
     # ------------------------------------------------------------ scalars
 
@@ -175,59 +182,56 @@ class AdaptedChart:
     def scalar_from_adapted(self, g: Scalar) -> Scalar:
         return g.subs(self._out)
 
-    # ------------------------------------------------------------- fields
+    # ------------------------------------------------------ fields, forms
 
     def field_to_adapted(self, v: VectorField) -> VectorField:
         if v.chart != self.sys.chart:
             raise ValueError("field is not on the system chart")
-        out = []
-        for a in range(self.chart.dim):
-            total = ZERO
-            for b in range(self.sys.chart.dim):
-                if not v.coeffs[b].is_zero():
-                    total = total + v.coeffs[b] * self._jac_forward[a][b]
-            out.append(self.scalar_to_adapted(total))
-        return VectorField(self.chart, out)
+        return VectorField(self.chart, [
+            self.scalar_to_adapted(c)
+            for c in _combine(v.coeffs, self._jac_forward_t)])
 
     def field_from_adapted(self, v: VectorField) -> VectorField:
         if v.chart != self.chart:
             raise ValueError("field is not on the adapted chart")
-        out = []
-        for b in range(self.sys.chart.dim):
-            total = ZERO
-            for a in range(self.chart.dim):
-                if not v.coeffs[a].is_zero():
-                    total = total + v.coeffs[a] * self._jac_inverse[b][a]
-            out.append(self.scalar_from_adapted(total))
-        return VectorField(self.sys.chart, out)
-
-    # -------------------------------------------------------------- forms
+        return VectorField(self.sys.chart, [
+            self.scalar_from_adapted(c)
+            for c in _combine(v.coeffs, self._jac_inverse_t)])
 
     def form_to_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.sys.chart:
             raise ValueError("form is not on the system chart")
-        out = []
-        for a in range(self.chart.dim):
-            total = ZERO
-            for b in range(self.sys.chart.dim):
-                if not w.coeffs[b].is_zero():
-                    total = total + self.scalar_to_adapted(w.coeffs[b]) \
-                        * self._jac_inverse[b][a]
-            out.append(total)
-        return OneForm(self.chart, out)
+        coeffs = [c if c.is_zero() else self.scalar_to_adapted(c)
+                  for c in w.coeffs]
+        return OneForm(self.chart, _combine(coeffs, self._jac_inverse))
 
     def form_from_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.chart:
             raise ValueError("form is not on the adapted chart")
-        out = []
-        for b in range(self.sys.chart.dim):
-            total = ZERO
-            for a in range(self.chart.dim):
-                if not w.coeffs[a].is_zero():
-                    total = total + self.scalar_from_adapted(w.coeffs[a]) \
-                        * self._jac_forward[a][b]
-            out.append(total)
-        return OneForm(self.sys.chart, out)
+        coeffs = [c if c.is_zero() else self.scalar_from_adapted(c)
+                  for c in w.coeffs]
+        return OneForm(self.sys.chart, _combine(coeffs, self._jac_forward))
+
+    def _distribution_to_adapted(self, dist: Distribution) -> Distribution:
+        """Push the basis fields forward on (x, u), reduce them there, and
+        only then compose each entry of the reduced rows with the inverse
+        map.
+
+        Composing with the inverse map, g -> g o F^-1, is an isomorphism
+        of the function fields of (x, u) and of (th, xi): it respects sums,
+        products and quotients, and g is identically zero exactly when
+        g o F^-1 is.  Elimination only does field operations and zero
+        tests, so reducing on (x, u) and then composing gives the same
+        pivots and the same rows as composing first and reducing on
+        (th, xi).  The reduced echelon basis is canonical, so the result is
+        the basis Distribution.span would build on the adapted chart, with
+        the elimination run on the small coefficients of (x, u)."""
+        if dist.chart != self.sys.chart:
+            raise ValueError("distribution is not on the system chart")
+        rows, _ = rref([_combine(v.coeffs, self._jac_forward_t)
+                        for v in dist.basis])
+        return Distribution.reduced(self.chart, [
+            [self.scalar_to_adapted(c) for c in row] for row in rows])
 
     # -------------------------------------------------------------- spans
 
@@ -244,9 +248,12 @@ class AdaptedChart:
             return self.scalar_to_adapted(obj) if into \
                 else self.scalar_from_adapted(obj)
         if isinstance(obj, Span):
-            move = self._row_map(obj.element, into)
-            out = type(obj).span(self.chart if into else self.sys.chart,
-                                 [move(v) for v in obj.basis])
+            if into and obj.element is VectorField:
+                out = self._distribution_to_adapted(obj)
+            else:
+                move = self._row_map(obj.element, into)
+                out = type(obj).span(self.chart if into else self.sys.chart,
+                                     [move(v) for v in obj.basis])
             if out.dim != obj.dim:
                 raise ValueError("coordinate change did not preserve rank")
             return out
@@ -260,6 +267,18 @@ class AdaptedChart:
         if kind is VectorField:
             return self.field_to_adapted if into else self.field_from_adapted
         return self.form_to_adapted if into else self.form_from_adapted
+
+
+def _combine(coeffs: Sequence[Scalar], rows: list) -> list:
+    """The combination sum_i coeffs[i] * rows[i] of equally long rows."""
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c.is_zero():
+            continue
+        for a, r in enumerate(row):
+            if not r.is_zero():
+                out[a] = out[a] + c * r
+    return out
 
 
 def build_adapted_chart(sys: DiscreteSystem,
@@ -426,12 +445,14 @@ def backward_shift_codistribution(pplus: Codistribution,
     """Backward shift of a codistribution inside span{dth} with a
     xi-independent basis: rename th -> x.  The reduced echelon basis is
     canonical, so a xi-free basis exists exactly when that basis is
-    xi-free."""
+    xi-free.  A basis built by Codistribution.span is already reduced and
+    is used as it is; renaming th -> x keeps its pivot columns and its
+    1/0 entries, so the shifted basis is reduced as well."""
     if pplus.chart != sys.chart_adapted:
         raise ValueError("codistribution is not on the adapted chart")
-    if not pplus.basis:
-        return Codistribution(sys.chart, [])
-    rows, _ = rref([w.coeffs for w in pplus.basis])
+    rows = [w.coeffs for w in pplus.basis]
+    if not is_reduced(rows):
+        rows, _ = rref(rows)
     xi_names = sys.chart_adapted.names[sys.n:]
     for row in rows:
         for j in range(sys.n, sys.n + sys.m):
@@ -444,11 +465,9 @@ def backward_shift_codistribution(pplus: Codistribution,
                     raise NotShiftable(
                         f"no xi-free basis: coefficient {c} depends on {xi}")
     ren = {f"th{i}": sys.state_names[i - 1] for i in range(1, sys.n + 1)}
-    forms = []
-    for row in rows:
-        coeffs = [c.rename(ren) for c in row[:sys.n]] + [ZERO] * sys.m
-        forms.append(OneForm(sys.chart, coeffs))
-    return Codistribution(sys.chart, forms)
+    return Codistribution.reduced(sys.chart, [
+        [c.rename(ren) for c in row[:sys.n]] + [ZERO] * sys.m
+        for row in rows])
 
 
 def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:

@@ -21,6 +21,7 @@ DATA = Path(__file__).parent / "data"
 ACADEMIC = DATA / "academic4.sys"
 NONFLAT = DATA / "nonflat2.sys"
 CHAIN = DATA / "chain2.sys"
+GOLDEN = DATA / "golden"
 
 
 def write(tmp_path, text, name="sys.sys"):
@@ -187,6 +188,21 @@ class TestRun:
         second_text = capsys.readouterr().out
         assert p1.read_bytes() == p2.read_bytes()
         assert first_text == second_text
+
+    @pytest.mark.parametrize("name, path, flags", [
+        ("rat4", GOLDEN / "rat4.sys", []),
+        ("nlchain5", GOLDEN / "nlchain5.sys", []),
+        ("academic4-decompose", ACADEMIC, ["--decompose"]),
+        ("mixed2-decompose", DATA / "mixed2.sys", ["--decompose"]),
+    ])
+    def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
+        # tests/data/golden/NAME.txt and NAME.json are the text and --json
+        # reports of `dtflat PATH FLAGS --json NAME.json`, kept byte for byte
+        out_path = tmp_path / "report.json"
+        assert run([str(path), *flags, "--json", str(out_path)]) == 0
+        text = capsys.readouterr().out.encode("utf-8")
+        assert text == (GOLDEN / f"{name}.txt").read_bytes()
+        assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_point_check_flag(self, capsys):
         assert run([str(ACADEMIC), "--point-check", "--seed", "3"]) == 0

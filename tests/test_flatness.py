@@ -1,6 +1,8 @@
 """Both flatness tests and the duality verifier against the worked
 example, hand-derived fixtures, and randomized systems."""
 
+import pytest
+
 from corpus import (
     academic4,
     base_corpus,
@@ -11,10 +13,12 @@ from corpus import (
     nonflat3,
     random_flat_corpus,
 )
+from dtflat.errors import InternalInvariantError
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
     _xi_derivative_closure,
     analyze,
+    codistribution_step,
     distribution_step,
     largest_projectable_subdistribution,
     normalize_distribution_basis,
@@ -243,6 +247,19 @@ class TestDuality:
             assert verdict.flat is True, system.name
             assert verdict.duality_ok is True
             assert verdict.tests_agree is True
+
+
+class TestCrossCheck:
+    def test_fires_when_closures_disagree(self, acad, acad_chart, monkeypatch):
+        import dtflat.flatness as flatness
+        monkeypatch.setattr(flatness, "invariant_closure", lambda p0, d: p0)
+        ch = acad.chart
+        P1 = Codistribution(ch, [OneForm.unit(ch, x) for x in acad.state_names])
+        # without the check the step goes through
+        codistribution_step(acad, acad_chart, 1, P1, cross_check=False)
+        with pytest.raises(InternalInvariantError, match="adapted-chart closure "
+                           "and coordinate-free closure disagree"):
+            codistribution_step(acad, acad_chart, 1, P1)
 
 
 class TestFixtures:

@@ -24,6 +24,7 @@ from dtflat.geometry import (
     invariant_closure,
     is_integrable,
     is_involutive,
+    is_reduced,
     lie_bracket,
     lie_derivative,
     nullspace,
@@ -160,6 +161,16 @@ class TestRowsAndSpans:
         assert all(type(v) is row_cls for v in got.basis)
         assert got.basis == (row_cls(CH3, [ONE, u, ZERO]),
                              row_cls.unit(CH3, "u"))
+
+    def test_is_reduced(self):
+        rows = [[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]]
+        reduced, _ = rref(rows)
+        assert is_reduced(reduced) and is_reduced([])
+        assert not is_reduced(rows)
+        assert not is_reduced(reduced[::-1])                # pivots out of order
+        assert not is_reduced([[u, ZERO, ZERO]])            # pivot is not 1
+        assert not is_reduced([[ONE, u, ZERO], [ZERO, ONE, ZERO]])  # not cleared
+        assert not is_reduced([[ONE, ZERO, ZERO], [ZERO] * 3])     # zero row
 
     def test_span_reduces_once(self, rref_calls):
         Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),

@@ -15,6 +15,7 @@ from dtflat.errors import (
     UnsupportedShift,
 )
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
+from dtflat.flatness import analyze
 from dtflat.geometry import (
     Codistribution,
     Distribution,
@@ -300,6 +301,50 @@ class TestShifts:
         w = OneForm(ch, [ONE, ZERO, ZERO, ZERO, ONE, ZERO])
         with pytest.raises(NotShiftable):
             backward_shift_codistribution(Codistribution(ch, [w]), acad)
+
+    def test_backward_shift_in_analysis_ranks_nothing(self, acad, acad_chart,
+                                                      monkeypatch):
+        # the step hands over Pplus with its reduced basis, so the shift
+        # only renames: no elimination, no validating constructor
+        import dtflat.flatness as flatness
+        import dtflat.geometry as geometry
+        import dtflat.systems as systems
+        inside, shifts, ranked = [], [], []
+
+        def counting(real):
+            def rref(rows):
+                if inside:
+                    ranked.append(1)
+                return real(rows)
+            return rref
+
+        real_shift = flatness.backward_shift_codistribution
+
+        def shift(pplus, sys):
+            inside.append(1)
+            shifts.append(1)
+            try:
+                return real_shift(pplus, sys)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(geometry, "rref", counting(geometry.rref))
+        monkeypatch.setattr(systems, "rref", counting(systems.rref))
+        monkeypatch.setattr(flatness, "backward_shift_codistribution", shift)
+        assert analyze(acad, acad_chart).flat is True
+        assert len(shifts) == 4
+        assert ranked == []
+
+    def test_backward_shift_reduces_a_basis_given_unreduced(self, acad):
+        # dth1 + xi1*dth2 depends on xi, but the span has the xi-free
+        # reduced basis dth1, dth2
+        ch = acad.chart_adapted
+        pplus = Codistribution(ch, [
+            OneForm(ch, [ONE, Scalar.var("xi1"), ZERO, ZERO, ZERO, ZERO]),
+            OneForm.unit(ch, "th2")])
+        P = backward_shift_codistribution(pplus, acad)
+        assert P.basis == (OneForm.unit(acad.chart, "x1"),
+                           OneForm.unit(acad.chart, "x2"))
 
     def test_shift_round_trip(self, acad, acad_chart):
         # forward-substituting a backward-shifted basis lands inside the

@@ -1,0 +1,108 @@
+"""Transport of rows and spans into and out of the adapted chart, checked
+against the row-by-row transport that substitutes every Jacobian
+combination through the chart maps."""
+
+from pathlib import Path
+
+import pytest
+
+from corpus import academic4
+from dtflat.cli import parse_system
+from dtflat.exprs import ZERO, Scalar
+from dtflat.flatness import analyze
+from dtflat.geometry import OneForm, VectorField
+from dtflat.systems import build_adapted_chart
+
+DATA = Path(__file__).parent / "data"
+FILES = {"rat4": DATA / "golden" / "rat4.sys",
+         "nlchain5": DATA / "golden" / "nlchain5.sys",
+         "mixed2": DATA / "mixed2.sys"}
+
+
+def reference_field_to_adapted(chart, v):
+    """Each component of the pushed-forward field, composed with the
+    inverse map."""
+    out = []
+    for a in chart.chart.names:
+        total = ZERO
+        for b, c in zip(chart.sys.chart.names, v.coeffs):
+            if not c.is_zero():
+                total = total + c * chart.forward[a].diff(b)
+        out.append(total.subs(chart.inverse))
+    return VectorField(chart.chart, out)
+
+
+def reference_form_to_adapted(chart, w):
+    """Each coefficient composed with the inverse map, once per output
+    column, times the differential of the inverse map."""
+    out = []
+    for a in chart.chart.names:
+        total = ZERO
+        for b, c in zip(chart.sys.chart.names, w.coeffs):
+            if not c.is_zero():
+                total = total + c.subs(chart.inverse) * chart.inverse[b].diff(a)
+        out.append(total)
+    return OneForm(chart.chart, out)
+
+
+@pytest.fixture(scope="module", params=["academic4", *FILES])
+def analyzed(request):
+    name = request.param
+    system = academic4() if name == "academic4" else parse_system(FILES[name])[0]
+    chart = build_adapted_chart(system)
+    return chart, analyze(system, chart)
+
+
+class TestSpanTransport:
+    def test_distributions_match_row_by_row(self, analyzed):
+        chart, verdict = analyzed
+        for step in verdict.distribution.steps:
+            E = step.E_prev
+            want = type(E).span(chart.chart, [
+                reference_field_to_adapted(chart, v) for v in E.basis])
+            assert chart.to_adapted(E).basis == want.basis
+
+    def test_codistributions_match_row_by_row(self, analyzed):
+        chart, verdict = analyzed
+        for step in verdict.codistribution.steps:
+            P = step.P
+            want = type(P).span(chart.chart, [
+                reference_form_to_adapted(chart, w) for w in P.basis])
+            assert chart.to_adapted(P).basis == want.basis
+
+    def test_round_trip_gives_back_the_span(self, analyzed):
+        chart, verdict = analyzed
+        spans = ([st.E_prev for st in verdict.distribution.steps]
+                 + [st.P for st in verdict.codistribution.steps])
+        for S in spans:
+            back = chart.from_adapted(chart.to_adapted(S))
+            assert type(back) is type(S) and back.basis == S.basis
+
+    def test_kept_pplus_on_original_chart(self, analyzed):
+        chart, verdict = analyzed
+        for step in verdict.codistribution.steps:
+            assert step.Pplus_xu.basis == chart.from_adapted(step.Pplus).basis
+
+
+class TestRowTransport:
+    def test_form_substitutes_each_coefficient_once(self, acad, acad_chart,
+                                                    monkeypatch):
+        w = OneForm(acad.chart, [Scalar.var(v) + 1 for v in acad.chart.names])
+        want = reference_form_to_adapted(acad_chart, w)
+        calls = []
+        real = Scalar.subs
+
+        def counting(self, bindings):
+            calls.append(self)
+            return real(self, bindings)
+
+        monkeypatch.setattr(Scalar, "subs", counting)
+        got = acad_chart.form_to_adapted(w)
+        assert got == want
+        assert calls == list(w.coeffs)
+
+    def test_field_matches_reference(self, acad, acad_chart):
+        v = VectorField(acad.chart, [Scalar.var(x) for x in acad.chart.names])
+        assert acad_chart.field_to_adapted(v) == \
+            reference_field_to_adapted(acad_chart, v)
+        assert acad_chart.field_from_adapted(acad_chart.field_to_adapted(v)) == v
