@@ -26,13 +26,16 @@ from .geometry import (
     OneForm,
     VectorField,
     annihilator,
+    combine,
     generic_rank,
     interior_product,
     intersect,
     invariant_closure,
     is_integrable,
     is_involutive,
+    is_reduced,
     nullspace,
+    reduced_pivots,
     rref,
     same_span,
     sum_codistributions,
@@ -66,9 +69,16 @@ class NormalizedBasis:
 
 def normalize_distribution_basis(dist: Distribution, n_states: int) -> NormalizedBasis:
     """Gaussian elimination with deterministic pivoting over the function
-    field; the span is unchanged and the output is canonical."""
-    rows, pivots = rref([v.coeffs for v in dist.basis])
-    fields = [VectorField(dist.chart, r) for r in rows]
+    field; the span is unchanged and the output is canonical.  A basis that
+    already is its reduced echelon form (as Span.span, the transport into
+    the adapted chart and annihilator build it) is taken as it is, with its
+    leading columns as the pivots."""
+    pivots = reduced_pivots([v.coeffs for v in dist.basis])
+    if pivots is not None:
+        fields = list(dist.basis)
+    else:
+        rows, pivots = rref([v.coeffs for v in dist.basis])
+        fields = [VectorField(dist.chart, r) for r in rows]
     theta_pivots = [p for p in pivots if p < n_states]
     xi_pivots = [p for p in pivots if p >= n_states]
     return NormalizedBasis(fields, theta_pivots, xi_pivots)
@@ -100,6 +110,20 @@ class ProjectabilityReport:
     @property
     def projectable_dim(self) -> int:
         return self.dim - self.rank
+
+    def added_forms(self, chart: Chart) -> list:
+        """The rho-forms on the adapted chart, one per independent row:
+        -sum_col row[col] dth_{theta_pivots[col]}.  The codistribution test
+        adds them to the intersection to reach P_{k+1}^+."""
+        forms = []
+        for row in self.independent_rows:
+            coeffs = [ZERO] * chart.dim
+            for col, c in enumerate(row):
+                if not c.is_zero():
+                    pivot_col = self.theta_pivots[col]
+                    coeffs[pivot_col] = coeffs[pivot_col] - c
+            forms.append(OneForm(chart, coeffs))
+        return forms
 
 
 def _xi_derivative_closure(mixed_block: list, xi_names: tuple) -> tuple:
@@ -166,16 +190,9 @@ def _projectable_core(dist_adapted: Distribution, chart: AdaptedChart):
     sys = chart.sys
     norm = normalize_distribution_basis(dist_adapted, sys.n)
     report = projectability_report(norm, sys.chart_adapted, sys.n)
-    theta_fields = norm.fields[:norm.dbar]
-    fields = []
-    for vec in report.kernel_basis:
-        coeffs = [ZERO] * sys.chart_adapted.dim
-        for k, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for i in range(sys.chart_adapted.dim):
-                coeffs[i] = coeffs[i] + c * theta_fields[k].coeffs[i]
-        fields.append(VectorField(sys.chart_adapted, coeffs))
+    theta_rows = [v.coeffs for v in norm.fields[:norm.dbar]]
+    fields = [VectorField(sys.chart_adapted, combine(vec, theta_rows))
+              for vec in report.kernel_basis]
     fields.extend(norm.fields[norm.dbar:])
     dbar_dist = Distribution.span(sys.chart_adapted, fields)
     if dbar_dist.dim != report.projectable_dim:
@@ -189,15 +206,46 @@ def largest_projectable_subdistribution(dist: Distribution,
                                         chart: AdaptedChart):
     """Largest projectable subdistribution of a distribution given on the
     original chart; returns it on the original chart, on the adapted chart,
-    and the certificate."""
+    and the certificate.
+
+    The adapted chart is used for the certificate and the core only; the
+    subdistribution on (x, u) is built on (x, u), as the part of dist that
+    the rho-forms of the certificate annihilate.  On the adapted chart the
+    normalized basis of dist has theta-pivot fields theta_k, which carry 1
+    at their own pivot and 0 at the other pivots, and xi-only fields.  A
+    rho-form lives on the theta-pivot columns, so rho_j(theta_k) =
+    -row_j[k] and rho_j vanishes on the xi-only fields: a field
+    sum_k c_k theta_k + (xi-only part) pairs to zero with every rho_j
+    exactly when c lies in the kernel of the derivative rows, i.e. exactly
+    on the core.  The interior product does not depend on the chart, so on
+    (x, u) the combinations sum_i a_i v_i of dist's basis with a in the
+    kernel of the pairing matrix [rho_j(v_i)] span the core, and their
+    reduced basis is the canonical one that pulling the core back through
+    the chart would give.  Without derivative rows nothing is annihilated
+    and the subdistribution is dist itself."""
     dist_adapted = chart.to_adapted(dist)
     core, report = _projectable_core(dist_adapted, chart)
-    back = chart.from_adapted(core)
-    for v in back.basis:
+    rows = [v.coeffs for v in dist.basis]
+    if not report.independent_rows:
+        D = dist if is_reduced(rows) else Distribution.span(dist.chart,
+                                                              dist.basis)
+    else:
+        rhos = [chart.form_from_adapted(w)
+                for w in report.added_forms(chart.chart)]
+        pairing = [[interior_product(v, rho) for v in dist.basis]
+                   for rho in rhos]
+        D = Distribution.span(dist.chart, [
+            VectorField(dist.chart, combine(a, rows))
+            for a in nullspace(pairing)])
+    for v in D.basis:
         if not dist.contains(v):
             raise InternalInvariantError(
                 "projectable subdistribution escaped the input span")
-    return back, core, report
+    if D.dim != report.projectable_dim:
+        raise InternalInvariantError(
+            f"projectable dimension on (x, u) {D.dim} does not match "
+            f"dim - rank = {report.projectable_dim}")
+    return D, core, report
 
 
 # ------------------------------------------------------ distribution test
@@ -319,16 +367,7 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     ann = annihilator(P_adapted)
     norm = normalize_distribution_basis(ann, sys.n)
     report = projectability_report(norm, sys.chart_adapted, sys.n)
-    theta_units = [OneForm.unit(sys.chart_adapted, f"th{p + 1}")
-                   for p in report.theta_pivots]
-    added = []
-    for row in report.independent_rows:
-        coeffs = [ZERO] * sys.chart_adapted.dim
-        for col, c in enumerate(row):
-            if not c.is_zero():
-                pivot_col = report.theta_pivots[col]
-                coeffs[pivot_col] = coeffs[pivot_col] - c
-        added.append(OneForm(sys.chart_adapted, coeffs))
+    added = report.added_forms(sys.chart_adapted)
 
     span_dtheta = Codistribution.reduced(
         sys.chart_adapted,

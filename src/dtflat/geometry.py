@@ -187,20 +187,39 @@ def rref(rows: Iterable[Sequence[Scalar]]) -> tuple:
     return work[:prow], pivots
 
 
-def is_reduced(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether rows are their own reduced row echelon form: each row leads
-    with 1, right of the leading column of the row before it, and every
-    other row is zero in that column.  Only zero tests, no elimination."""
-    last = -1
+def reduced_pivots(rows: Sequence[Sequence[Scalar]]) -> list | None:
+    """The pivot columns of rows that are their own reduced row echelon
+    form, or None when they are not.  Reduced means each row leads with 1,
+    right of the leading column of the row before it, and every other row
+    is zero in that column; the leading columns are then the pivots rref
+    would return.  Only zero tests, no elimination."""
+    pivots: list = []
     for i, row in enumerate(rows):
         lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
-        if lead is None or lead <= last or row[lead] != ONE:
-            return False
+        if lead is None or (pivots and lead <= pivots[-1]) or row[lead] != ONE:
+            return None
         if any(not other[lead].is_zero()
                for k, other in enumerate(rows) if k != i):
-            return False
-        last = lead
-    return True
+            return None
+        pivots.append(lead)
+    return pivots
+
+
+def is_reduced(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether rows are their own reduced row echelon form."""
+    return reduced_pivots(rows) is not None
+
+
+def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]) -> list:
+    """The combination sum_i coeffs[i] * rows[i] of equally long rows."""
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c.is_zero():
+            continue
+        for a, r in enumerate(row):
+            if not r.is_zero():
+                out[a] = out[a] + c * r
+    return out
 
 
 def generic_rank(rows: Iterable[Sequence[Scalar]]) -> int:

@@ -34,6 +34,7 @@ from .geometry import (
     Row,
     Span,
     VectorField,
+    combine,
     generic_rank,
     is_reduced,
     rref,
@@ -189,28 +190,28 @@ class AdaptedChart:
             raise ValueError("field is not on the system chart")
         return VectorField(self.chart, [
             self.scalar_to_adapted(c)
-            for c in _combine(v.coeffs, self._jac_forward_t)])
+            for c in combine(v.coeffs, self._jac_forward_t)])
 
     def field_from_adapted(self, v: VectorField) -> VectorField:
         if v.chart != self.chart:
             raise ValueError("field is not on the adapted chart")
         return VectorField(self.sys.chart, [
             self.scalar_from_adapted(c)
-            for c in _combine(v.coeffs, self._jac_inverse_t)])
+            for c in combine(v.coeffs, self._jac_inverse_t)])
 
     def form_to_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.sys.chart:
             raise ValueError("form is not on the system chart")
         coeffs = [c if c.is_zero() else self.scalar_to_adapted(c)
                   for c in w.coeffs]
-        return OneForm(self.chart, _combine(coeffs, self._jac_inverse))
+        return OneForm(self.chart, combine(coeffs, self._jac_inverse))
 
     def form_from_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.chart:
             raise ValueError("form is not on the adapted chart")
         coeffs = [c if c.is_zero() else self.scalar_from_adapted(c)
                   for c in w.coeffs]
-        return OneForm(self.sys.chart, _combine(coeffs, self._jac_forward))
+        return OneForm(self.sys.chart, combine(coeffs, self._jac_forward))
 
     def _distribution_to_adapted(self, dist: Distribution) -> Distribution:
         """Push the basis fields forward on (x, u), reduce them there, and
@@ -228,7 +229,7 @@ class AdaptedChart:
         the elimination run on the small coefficients of (x, u)."""
         if dist.chart != self.sys.chart:
             raise ValueError("distribution is not on the system chart")
-        rows, _ = rref([_combine(v.coeffs, self._jac_forward_t)
+        rows, _ = rref([combine(v.coeffs, self._jac_forward_t)
                         for v in dist.basis])
         return Distribution.reduced(self.chart, [
             [self.scalar_to_adapted(c) for c in row] for row in rows])
@@ -267,18 +268,6 @@ class AdaptedChart:
         if kind is VectorField:
             return self.field_to_adapted if into else self.field_from_adapted
         return self.form_to_adapted if into else self.form_from_adapted
-
-
-def _combine(coeffs: Sequence[Scalar], rows: list) -> list:
-    """The combination sum_i coeffs[i] * rows[i] of equally long rows."""
-    out = [ZERO] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c.is_zero():
-            continue
-        for a, r in enumerate(row):
-            if not r.is_zero():
-                out[a] = out[a] + c * r
-    return out
 
 
 def build_adapted_chart(sys: DiscreteSystem,

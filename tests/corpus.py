@@ -59,6 +59,26 @@ def nonflat3() -> DiscreteSystem:
               name="nonflat3")
 
 
+def rat_n(n: int) -> DiscreteSystem:
+    """Rational tower x_i+ = x_{i+1}/(1 + x_i^2), x_n+ = u1*(1 + x1).  Each
+    equation solves linearly for x_{i+1} (the last for u1), so the tower
+    is flat with distribution dims [1..n+1] and codistribution dims
+    [n..0]."""
+    states = [f"x{i}" for i in range(1, n + 1)]
+    return mk(states, ["u1"],
+              [f"x{i + 1}/(1 + x{i}^2)" for i in range(1, n)] + ["u1*(1 + x1)"],
+              name=f"rat{n}")
+
+
+def nlchain_n(n: int) -> DiscreteSystem:
+    """Polynomial chain x_i+ = x_{i+1} + x1*x_i, x_n+ = u1 + x1^2; flat
+    for the same reason as rat_n, with the same dims."""
+    states = [f"x{i}" for i in range(1, n + 1)]
+    return mk(states, ["u1"],
+              [f"x{i + 1} + x1*x{i}" for i in range(1, n)] + ["u1 + x1^2"],
+              name=f"nlchain{n}")
+
+
 def base_corpus() -> list:
     return [academic4(), integrator1(), chain2(), chain3(), mimo3(),
             nonflat2(), nonflat3()]

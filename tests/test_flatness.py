@@ -1,5 +1,8 @@
 """Both flatness tests and the duality verifier against the worked
-example, hand-derived fixtures, and randomized systems."""
+example, hand-derived fixtures, scaling families, and randomized
+systems."""
+
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +12,17 @@ from corpus import (
     chain2,
     integrator1,
     mimo3,
+    nlchain_n,
     nonflat2,
     nonflat3,
     random_flat_corpus,
+    rat_n,
 )
+from dtflat.cli import parse_system
 from dtflat.errors import InternalInvariantError
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
+    ProjectabilityReport,
     _xi_derivative_closure,
     analyze,
     codistribution_step,
@@ -35,9 +42,16 @@ from dtflat.geometry import (
     interior_product,
     is_integrable,
     is_involutive,
+    rref,
     same_span,
 )
-from dtflat.systems import build_adapted_chart, pushforward_projectable
+from dtflat.systems import (
+    AdaptedChart,
+    build_adapted_chart,
+    pushforward_projectable,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def field6(chart, *pairs):
@@ -361,6 +375,21 @@ class TestNormalizeBasis:
         assert norm.dbar == 0
         assert norm.xi_pivots == [4]
 
+    def test_reduced_basis_taken_as_is(self, acad, acad_chart, monkeypatch):
+        import dtflat.flatness as flatness
+        e1 = Distribution(acad.chart, [field6(acad.chart, ("x2", -3), ("x4", 1)),
+                                       field6(acad.chart, ("u1", 1)),
+                                       field6(acad.chart, ("u2", 1))])
+        d = acad_chart.to_adapted(e1)
+        rows, pivots = rref([v.coeffs for v in d.basis])
+        calls = []
+        monkeypatch.setattr(flatness, "rref",
+                            lambda rows: calls.append(1) or rref(rows))
+        norm = normalize_distribution_basis(d, acad.n)
+        assert calls == []
+        assert [v.coeffs for v in norm.fields] == [tuple(r) for r in rows]
+        assert norm.theta_pivots + norm.xi_pivots == pivots == [0, 1, 3]
+
     def test_identity_blocks(self, acad, acad_chart):
         # normalized theta-pivot fields carry 1 at their own pivot and 0 at
         # the other pivots; trailing fields have no theta components
@@ -397,3 +426,88 @@ class TestProjectableSubdistribution:
                                        for u in acad.input_names])
         sub, _, rep = largest_projectable_subdistribution(e0, acad_chart)
         assert sub.dim == rep.dim - rep.rank == 1
+
+
+class TestProjectableOnOriginalChart:
+    """D_{k-1} is built on (x, u) as the part of E_{k-1} that the rho-forms
+    annihilate; the reference pulls the adapted-chart core back field by
+    field, substituting th = f into every component."""
+
+    SYSTEMS = {
+        "academic4": academic4, "nonflat2": nonflat2, "nonflat3": nonflat3,
+        "mixed2": lambda: parse_system(DATA / "mixed2.sys")[0],
+        "mimo3": mimo3, "rat4": lambda: rat_n(4), "nlchain5": lambda: nlchain_n(5),
+    }
+    # steps whose certificate has derivative rows, so D is a proper part
+    RANKED = {"academic4": [1], "nonflat2": [1], "nonflat3": [2]}
+
+    @staticmethod
+    def reference_D(chart, core):
+        return Distribution.span(chart.sys.chart, [
+            chart.field_from_adapted(v) for v in core.basis])
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_matches_pulled_back_core(self, name):
+        system = self.SYSTEMS[name]()
+        chart = build_adapted_chart(system)
+        verdict = analyze(system, chart)
+        assert verdict.duality_ok is True
+        for st in verdict.distribution.steps:
+            assert st.D.basis == self.reference_D(chart, st.D_adapted).basis
+        ranked = [st.k for st in verdict.distribution.steps if st.report.rank]
+        assert ranked == self.RANKED.get(name, [])
+
+    def test_analysis_pulls_no_field_back(self, acad, acad_chart, monkeypatch):
+        # the codistribution test moves only forms, so over the whole
+        # analysis every field_from_adapted call would be the distribution
+        # test pulling D back through the chart
+        calls = []
+        real = AdaptedChart.field_from_adapted
+
+        def counting(self, v):
+            calls.append(v)
+            return real(self, v)
+
+        monkeypatch.setattr(AdaptedChart, "field_from_adapted", counting)
+        verdict = analyze(acad, acad_chart)
+        assert verdict.flat is True and verdict.duality_ok is True
+        assert calls == []
+
+    def test_dimension_mismatch_is_an_internal_error(self, acad, acad_chart,
+                                                     monkeypatch):
+        # without rho-forms nothing is annihilated and D keeps both input
+        # directions, one more than the certificate allows
+        monkeypatch.setattr(ProjectabilityReport, "added_forms",
+                            lambda self, chart: [])
+        e0 = Distribution(acad.chart, [VectorField.unit(acad.chart, u)
+                                       for u in acad.input_names])
+        with pytest.raises(InternalInvariantError,
+                           match="projectable dimension on"):
+            largest_projectable_subdistribution(e0, acad_chart)
+
+    def test_rank_zero_keeps_the_input_basis(self, acad, acad_chart):
+        ch = acad.chart
+        d = Distribution(ch, [field6(ch, ("x2", -3), ("x4", 1)),
+                              field6(ch, ("u1", 2)), field6(ch, ("u2", 1))])
+        sub, _, rep = largest_projectable_subdistribution(d, acad_chart)
+        assert rep.rank == 0
+        assert sub.basis == Distribution.span(ch, d.basis).basis
+
+
+class TestScalingFamilies:
+    """Flat by construction, with distribution dims [1..n+1] and
+    codistribution dims [n..0]; every certificate has rank 0, so each
+    D_{k-1} is E_{k-1} itself."""
+
+    @pytest.mark.parametrize("system", [rat_n(n) for n in range(3, 7)]
+                             + [nlchain_n(n) for n in range(3, 7)],
+                             ids=lambda s: s.name)
+    def test_flat_with_known_dims(self, system):
+        n = system.n
+        verdict = analyze(system)
+        assert verdict.flat is True
+        assert verdict.distribution.dims == list(range(1, n + 2))
+        assert verdict.codistribution.dims == list(range(n, -1, -1))
+        assert verdict.duality_ok is True
+        for st in verdict.distribution.steps:
+            assert st.D.basis == st.E_prev.basis

@@ -28,6 +28,7 @@ from dtflat.geometry import (
     lie_bracket,
     lie_derivative,
     nullspace,
+    reduced_pivots,
     rref,
     same_span,
 )
@@ -171,6 +172,15 @@ class TestRowsAndSpans:
         assert not is_reduced([[u, ZERO, ZERO]])            # pivot is not 1
         assert not is_reduced([[ONE, u, ZERO], [ZERO, ONE, ZERO]])  # not cleared
         assert not is_reduced([[ONE, ZERO, ZERO], [ZERO] * 3])     # zero row
+
+    def test_reduced_pivots_are_those_of_rref(self):
+        for rows in ([[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]],
+                     [[ZERO, u, ONE], [ZERO, ONE, ZERO]],
+                     [[u, ONE, ZERO, u]]):
+            reduced, pivots = rref(rows)
+            assert reduced_pivots(reduced) == pivots
+            assert reduced_pivots(rows) is None
+        assert reduced_pivots([]) == []
 
     def test_span_reduces_once(self, rref_calls):
         Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
