@@ -35,8 +35,9 @@ from .geometry import (
     OneForm,
     VectorField,
     d_scalar,
-    exterior_derivative,
     generic_rank,
+    is_closed,
+    is_integrable,
     rref,
     same_span,
 )
@@ -118,7 +119,7 @@ def _integral_of_form(w: OneForm, factor_vars: list):
     if cleared.coeffs != w.coeffs:
         bases.append(cleared)
     for base in bases:
-        if exterior_derivative(base).is_zero():
+        if is_closed(base):
             g = _potential(base)
             if g is not None:
                 return g, "integrating-factor"
@@ -134,7 +135,7 @@ def _integral_of_form(w: OneForm, factor_vars: list):
             if scaled.coeffs in seen:
                 continue
             seen.append(scaled.coeffs)
-            if exterior_derivative(scaled).is_zero():
+            if is_closed(scaled):
                 g = _potential(scaled)
                 if g is not None:
                     return g, "integrating-factor"
@@ -150,8 +151,6 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
     forms (term-by-term rational antiderivative), monomial integrating
     factors; finally user hints.  Fails with the residual forms attached.
     """
-    from .geometry import is_integrable
-
     state_set = set(sys.state_names)
     for w in p.basis:
         for j in range(sys.n, sys.n + sys.m):
@@ -265,26 +264,37 @@ class TriangularDecomposition:
         return self.subsystem is None or self.subsystem.n == 0
 
 
+def _units(k: int) -> list:
+    """The k coordinate unit rows of length k."""
+    return [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
+
+
+def _raise_rank(rows: list, rank: int, candidates: list, target: int) -> list:
+    """Indices of the candidates that, tried in order, raise the generic
+    rank of rows (currently rank) by one each, until it reaches target.
+    One rank computation per candidate tried."""
+    rows = list(rows)
+    picks = []
+    for i, cand in enumerate(candidates):
+        if rank == target:
+            break
+        if generic_rank(rows + [cand]) > rank:
+            rows.append(cand)
+            rank += 1
+            picks.append(i)
+    return picks
+
+
 def _complete_states(diffs: list, sys: DiscreteSystem) -> list:
     """Lowest-index completion of a partial state transformation by
     original state coordinates, keeping the Jacobian at full generic rank."""
     rows = [list(d.coeffs[:sys.n]) for d in diffs]
-    chosen = []
     rank = generic_rank(rows) if rows else 0
-    for i, x in enumerate(sys.state_names):
-        if rank == sys.n:
-            break
-        unit = [ONE if j == i else ZERO for j in range(sys.n)]
-        cand = rows + [unit]
-        r = generic_rank(cand)
-        if r > rank:
-            rows = cand
-            rank = r
-            chosen.append(x)
-    if rank != sys.n:
+    picks = _raise_rank(rows, rank, _units(sys.n), sys.n)
+    if rank + len(picks) != sys.n:
         raise NormalizationFailed(
             "no coordinate completion of the state transformation found")
-    return chosen
+    return [sys.state_names[i] for i in picks]
 
 
 def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
@@ -345,15 +355,7 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
     sub_rows = f_mid[:n2]
     sub_jac = [[g.diff(u) for u in sys.input_names] for g in sub_rows]
     r2 = generic_rank(sub_jac)
-    normalized: list = []
-    rows_so_far: list = []
-    for i, row in enumerate(sub_jac):
-        if len(normalized) == r2:
-            break
-        cand = rows_so_far + [row]
-        if generic_rank(cand) > len(rows_so_far):
-            rows_so_far = cand
-            normalized.append(i)
+    normalized = _raise_rank([], 0, sub_jac, r2)
 
     # input transformation: normalized equations first, then original
     # inputs completing an invertible map
@@ -362,14 +364,8 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
                                      zip(state_names, state_funcs)})
                    for i in normalized]
     jac_rows = [[g.diff(u) for u in sys.input_names] for g in input_funcs]
-    for j, u in enumerate(sys.input_names):
-        if len(input_funcs) == m:
-            break
-        unit = [ONE if jj == j else ZERO for jj in range(m)]
-        cand = jac_rows + [unit]
-        if generic_rank(cand) > len(jac_rows):
-            jac_rows = cand
-            input_funcs.append(Scalar.var(u))
+    input_funcs += [Scalar.var(sys.input_names[j])
+                    for j in _raise_rank(jac_rows, len(jac_rows), _units(m), m)]
     if len(input_funcs) != m:
         raise NormalizationFailed(
             "no invertible completion of the input transformation among "

@@ -92,39 +92,6 @@ class OneForm(Row):
     prefix = "d"
 
 
-class TwoForm:
-    """Antisymmetric matrix of coefficients; entry(i, j) is the component
-    on dx^i wedge dx^j for i < j."""
-
-    __slots__ = ("chart", "upper")
-
-    def __init__(self, chart: Chart, upper: dict):
-        self.chart = chart
-        self.upper = {k: v for k, v in upper.items() if not v.is_zero()}
-
-    def entry(self, i: int, j: int) -> Scalar:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.upper.get((i, j), ZERO)
-        return -self.upper.get((j, i), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.upper
-
-    def __str__(self) -> str:
-        if not self.upper:
-            return "0"
-        names = self.chart.names
-        parts = []
-        for (i, j) in sorted(self.upper):
-            parts.append(f"{_coeff_str(self.upper[(i, j)])}"
-                         f"d{names[i]}^d{names[j]}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
 def _coeff_str(c: Scalar) -> str:
     if c == ONE:
         return ""
@@ -333,7 +300,7 @@ def same_span(a, b) -> bool:
     return generic_rank(rows) == a.dim
 
 
-# ------------------------------------------------------- Cartan calculus
+# ------------------------------------- Lie calculus of fields and 1-forms
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^i = sum_j (v^j d_j w^i - w^j d_j v^i)."""
@@ -356,18 +323,6 @@ def d_scalar(chart: Chart, g: Scalar) -> OneForm:
     return OneForm(chart, [g.diff(n) for n in chart.names])
 
 
-def exterior_derivative(w: OneForm) -> TwoForm:
-    """(dw)_{ij} = d_i w_j - d_j w_i."""
-    names = w.chart.names
-    upper = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            c = w.coeffs[j].diff(names[i]) - w.coeffs[i].diff(names[j])
-            if not c.is_zero():
-                upper[(i, j)] = c
-    return TwoForm(w.chart, upper)
-
-
 def interior_product(v: VectorField, w: OneForm) -> Scalar:
     """v contracted with a 1-form: sum_i v^i w_i."""
     _require_same_chart(v, w)
@@ -378,25 +333,34 @@ def interior_product(v: VectorField, w: OneForm) -> Scalar:
     return total
 
 
-def interior_product2(v: VectorField, omega: TwoForm) -> OneForm:
-    """v contracted with a 2-form: (v . W)_j = sum_i v^i W_{ij}."""
-    _require_same_chart(v, omega)
-    n = v.chart.dim
-    out = [ZERO] * n
-    for (i, j), c in omega.upper.items():
-        if not v.coeffs[i].is_zero():
-            out[j] = out[j] + v.coeffs[i] * c
-        if not v.coeffs[j].is_zero():
-            out[i] = out[i] - v.coeffs[j] * c
-    return OneForm(v.chart, out)
-
-
 def lie_derivative(v: VectorField, w: OneForm) -> OneForm:
-    """Cartan formula: L_v w = v . dw + d(v . w)."""
+    """Cartan formula in coordinates, L_v w = v . dw + d(v . w):
+    (L_v w)_j = sum_i v^i (d_i w_j - d_j w_i) + d_j(v . w).  Each component
+    d_i w_j - d_j w_i (i < j) is formed once, and only when v^i or v^j is
+    nonzero."""
     _require_same_chart(v, w)
-    first = interior_product2(v, exterior_derivative(w))
-    second = d_scalar(w.chart, interior_product(v, w))
-    return OneForm(w.chart, [a + b for a, b in zip(first.coeffs, second.coeffs)])
+    names, vc, wc = w.chart.names, v.coeffs, w.coeffs
+    out = [ZERO] * len(names)
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            if vc[i].is_zero() and vc[j].is_zero():
+                continue
+            c = wc[j].diff(names[i]) - wc[i].diff(names[j])
+            if c.is_zero():
+                continue
+            if not vc[i].is_zero():
+                out[j] = out[j] + vc[i] * c
+            if not vc[j].is_zero():
+                out[i] = out[i] - vc[j] * c
+    exact = d_scalar(w.chart, interior_product(v, w))
+    return OneForm(w.chart, [a + b for a, b in zip(out, exact.coeffs)])
+
+
+def is_closed(w: OneForm) -> bool:
+    """dw = 0: d_i w_j == d_j w_i for every pair i < j."""
+    names, c = w.chart.names, w.coeffs
+    return all(c[j].diff(names[i]) == c[i].diff(names[j])
+               for i in range(len(names)) for j in range(i + 1, len(names)))
 
 
 # ------------------------------------------------------------ annihilators
@@ -419,22 +383,13 @@ def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
     chart = p.chart
     if not p.basis or not q.basis:
         return Codistribution(chart, [])
-    np_, nq = len(p.basis), len(q.basis)
     # Columns: coefficients a of p-basis and b of q-basis with
     # sum a_i p_i - sum b_j q_j = 0, one row per chart coordinate.
-    rows = []
-    for c in range(chart.dim):
-        row = [p.basis[i].coeffs[c] for i in range(np_)]
-        row += [-q.basis[j].coeffs[c] for j in range(nq)]
-        rows.append(row)
-    forms = []
-    for vec in nullspace(rows):
-        coeffs = [ZERO] * chart.dim
-        for i in range(np_):
-            if not vec[i].is_zero():
-                for c in range(chart.dim):
-                    coeffs[c] = coeffs[c] + vec[i] * p.basis[i].coeffs[c]
-        forms.append(OneForm(chart, coeffs))
+    rows = [[w.coeffs[c] for w in p.basis] + [-w.coeffs[c] for w in q.basis]
+            for c in range(chart.dim)]
+    p_rows = [w.coeffs for w in p.basis]
+    forms = [OneForm(chart, combine(vec[:len(p_rows)], p_rows))
+             for vec in nullspace(rows)]
     return Codistribution.span(chart, forms)
 
 
@@ -474,19 +429,17 @@ def is_involutive(d: Distribution) -> bool:
 
 
 def is_integrable(p: Codistribution) -> bool:
-    """Frobenius condition, evaluated as the residual of dw modulo the
-    ideal of the basis: dw restricted to the annihilator distribution must
-    vanish for every basis form w."""
+    """Frobenius condition: dw vanishes on the annihilator of p for every
+    basis form w.  For b, a in the annihilator w(b) is identically zero, so
+    L_b w = b . dw and its value on a is dw(b, a)."""
     if not p.basis:
         return True
-    ann = annihilator(p)
+    ann = annihilator(p).basis
     for w in p.basis:
-        dw = exterior_derivative(w)
-        if dw.is_zero():
+        if is_closed(w):
             continue
-        for a in range(len(ann.basis)):
-            half = interior_product2(ann.basis[a], dw)
-            for b in range(a + 1, len(ann.basis)):
-                if not interior_product(ann.basis[b], half).is_zero():
-                    return False
+        for i in range(len(ann) - 1):
+            lw = lie_derivative(ann[i], w)
+            if any(not interior_product(a, lw).is_zero() for a in ann[i + 1:]):
+                return False
     return True

@@ -124,9 +124,6 @@ class DiscreteSystem:
                     f"drops to {point_rank} at the equilibrium; proceeding "
                     f"with generic ranks")
 
-    def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
-
     def __str__(self) -> str:
         rows = ", ".join(f"{x}+ = {g}" for x, g in zip(self.state_names, self.f))
         return f"DiscreteSystem(n={self.n}, m={self.m}: {rows})"

@@ -1,27 +1,29 @@
-"""Geometry layer: exact linear algebra, Cartan calculus, annihilators,
-closures, Frobenius."""
+"""Geometry layer: exact linear algebra, Lie brackets, Lie derivatives and
+closedness of 1-forms (checked against the direct coordinate formula),
+annihilators, closures, and Frobenius (checked against involutivity of the
+annihilator)."""
 
 import random
 
 import pytest
 
+from corpus import academic4, rat_n
 from dtflat.errors import ChartMismatch
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
+from dtflat.flatness import run_codistribution_test
 from dtflat.geometry import (
     Chart,
     Codistribution,
     Distribution,
     OneForm,
-    TwoForm,
     VectorField,
     annihilator,
     d_scalar,
-    exterior_derivative,
     generic_rank,
     interior_product,
-    interior_product2,
     intersect,
     invariant_closure,
+    is_closed,
     is_integrable,
     is_involutive,
     is_reduced,
@@ -234,22 +236,14 @@ class TestBracket:
 
 class TestCartan:
     def test_d_of_constant_form(self):
-        assert exterior_derivative(OneForm(CH3, [Scalar(2), Scalar(-1), ZERO])).is_zero()
-
-    def test_d_quotient(self):
-        chart = Chart(("x1", "x2", "x3"))
-        w = OneForm(chart, [parse_scalar("(x3+1)/x1"), ZERO, ONE])
-        dw = exterior_derivative(w)
-        assert dw.entry(0, 2) == parse_scalar("-1/x1")
-        assert dw.entry(2, 0) == parse_scalar("1/x1")
-        assert dw.entry(0, 1).is_zero()
+        assert is_closed(OneForm(CH3, [Scalar(2), Scalar(-1), ZERO]))
 
     def test_d_exactness_of_product(self):
         # x1*omega = d(x1*(x3+1)) for the same omega
         chart = Chart(("x1", "x2", "x3"))
         g = Scalar.var("x1") * (Scalar.var("x3") + 1)
         dg = d_scalar(chart, g)
-        assert exterior_derivative(dg).is_zero()
+        assert is_closed(dg)
 
     def test_interior_product_pairing(self):
         v = VectorField(CH6, [ZERO] * 4 + [Scalar(-2), ONE])
@@ -384,6 +378,14 @@ class TestClosure:
             assert same_span(again, closed)
 
 
+def integrable_agrees_with_involutive_annihilator(p):
+    """is_integrable(p), checked against the involutivity of the
+    annihilator of p (the Frobenius duality)."""
+    got = is_integrable(p)
+    assert got == is_involutive(annihilator(p))
+    return got
+
+
 class TestFrobenius:
     def test_one_dim_distribution_always_involutive(self):
         rng = random.Random(31)
@@ -397,18 +399,21 @@ class TestFrobenius:
             assert is_involutive(Distribution(CH3, [v]))
 
     def test_coordinate_span_integrable(self):
-        assert is_integrable(Codistribution(CH3, [unit_w(CH3, "x1")]))
+        assert integrable_agrees_with_involutive_annihilator(
+            Codistribution(CH3, [unit_w(CH3, "x1")]))
 
     def test_rational_one_form_integrable(self):
         chart = CH6
         w = OneForm(chart, [parse_scalar("(x3+1)/x1"), ZERO, ONE,
                             ZERO, ZERO, ZERO])
-        assert is_integrable(Codistribution(chart, [w]))
+        assert integrable_agrees_with_involutive_annihilator(
+            Codistribution(chart, [w]))
 
     def test_contact_form_not_integrable(self):
         chart = Chart(("x", "y", "z"))
         w = OneForm(chart, [-Scalar.var("y"), ZERO, ONE])
-        assert not is_integrable(Codistribution(chart, [w]))
+        assert not integrable_agrees_with_involutive_annihilator(
+            Codistribution(chart, [w]))
 
     def test_involutive_with_rational_coefficients(self):
         E2 = Distribution(CH6, [
@@ -425,16 +430,121 @@ class TestFrobenius:
         assert not is_involutive(Distribution(chart, [v, w]))
 
 
-class TestTwoForm:
-    def test_antisymmetry_contract(self):
-        w = OneForm(CH3, [u * Scalar.var("x2"), Scalar.var("x1"), ZERO])
-        dw = exterior_derivative(w)
-        for i in range(CH3.dim):
-            assert dw.entry(i, i).is_zero()
-            for j in range(CH3.dim):
-                assert (dw.entry(i, j) + dw.entry(j, i)).is_zero()
+def rand_poly(rng, names):
+    """c + c' a b^e for two of the names; zero one time in four."""
+    if rng.random() < 0.25:
+        return ZERO
+    a, b = (Scalar.var(x) for x in rng.sample(names, 2))
+    return (Scalar(rng.randint(-2, 2))
+            + Scalar(rng.choice([-2, -1, 1, 3])) * a * b ** rng.randint(0, 2))
 
-    def test_interior_product2(self):
-        dw = TwoForm(CH3, {(0, 1): u})
-        v = VectorField(CH3, [ONE, ZERO, ZERO])
-        assert interior_product2(v, dw) == OneForm(CH3, [ZERO, u, ZERO])
+
+def rand_rational(rng, names):
+    """rand_poly over 1, x or 1 + x^2 for one of the names."""
+    x = Scalar.var(rng.choice(names))
+    return rand_poly(rng, names) / rng.choice([ONE, x, x * x + 1])
+
+
+def direct_lie_derivative(v, w):
+    """(L_v w)_j = sum_i v^i d_i w_j + w_i d_j v^i, the coordinate formula
+    without exterior derivatives."""
+    names = v.chart.names
+    out = []
+    for nj, wj in zip(names, w.coeffs):
+        total = ZERO
+        for ni, vi, wi in zip(names, v.coeffs, w.coeffs):
+            total = total + vi * wj.diff(ni) + wi * vi.diff(nj)
+        out.append(total)
+    return OneForm(v.chart, out)
+
+
+class TestClosedness:
+    def test_quotient_form_and_its_integrating_factor(self):
+        # omega = (x3+1)/x1 dx1 + dx3 has d omega = -1/x1 dx1^dx3, while
+        # x1*omega = d(x1*(x3+1))
+        chart = Chart(("x1", "x2", "x3"))
+        x1 = Scalar.var("x1")
+        w = OneForm(chart, [parse_scalar("(x3+1)/x1"), ZERO, ONE])
+        assert not is_closed(w)
+        scaled = OneForm(chart, [c * x1 for c in w.coeffs])
+        assert is_closed(scaled)
+        assert scaled == d_scalar(chart, x1 * (Scalar.var("x3") + 1))
+
+    def test_every_pair_is_tested(self):
+        # x_i dx_j has d(x_i dx_j) = dx_i^dx_j: one nonzero entry per pair,
+        # in either order
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        for i, ni in enumerate(chart.names):
+            for j in range(chart.dim):
+                if j == i:
+                    continue
+                coeffs = [ZERO] * chart.dim
+                coeffs[j] = Scalar.var(ni)
+                assert not is_closed(OneForm(chart, coeffs))
+
+    def test_exact_forms_closed_and_perturbed_ones_not(self):
+        rng = random.Random(41)
+        names = list(CH3.names)
+        for _ in range(15):
+            g = rand_rational(rng, names)
+            dg = d_scalar(CH3, g)
+            assert is_closed(dg)
+            bent = OneForm(CH3, [dg.coeffs[0] + Scalar.var("x2")]
+                           + list(dg.coeffs[1:]))
+            assert not is_closed(bent)
+
+
+class TestLieDerivativeOracle:
+    def test_matches_direct_formula_on_random_rational_pairs(self):
+        rng = random.Random(43)
+        chart = Chart(("x1", "x2", "x3", "u"))
+        names = list(chart.names)
+        contracted = 0
+        for _ in range(30):
+            v = VectorField(chart, [rand_rational(rng, names) for _ in names])
+            w = OneForm(chart, [rand_rational(rng, names) for _ in names])
+            contracted += not interior_product(v, w).is_zero()
+            assert lie_derivative(v, w) == direct_lie_derivative(v, w)
+        assert contracted >= 10
+
+    def test_matches_direct_formula_on_sparse_fields(self):
+        # fields with one or two nonzero entries skip most pairs of dw
+        rng = random.Random(47)
+        chart = Chart(("x1", "x2", "x3", "u"))
+        names = list(chart.names)
+        for _ in range(20):
+            coeffs = [ZERO] * chart.dim
+            for i in rng.sample(range(chart.dim), rng.randint(1, 2)):
+                coeffs[i] = rand_rational(rng, names) + ONE
+            v = VectorField(chart, coeffs)
+            w = OneForm(chart, [rand_rational(rng, names) for _ in names])
+            assert lie_derivative(v, w) == direct_lie_derivative(v, w)
+
+
+class TestFrobeniusDuality:
+    def test_random_codistributions(self):
+        rng = random.Random(53)
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        names = list(chart.names)
+        verdicts = []
+        for _ in range(20):
+            k = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                # span of differentials: integrable by construction
+                forms = [d_scalar(chart, rand_rational(rng, names))
+                         for _ in range(k)]
+            else:
+                forms = [OneForm(chart, [rand_poly(rng, names)
+                                         for _ in names]) for _ in range(k)]
+            p = Codistribution.span(chart, forms)
+            if p.dim == 0:
+                continue
+            verdicts.append(integrable_agrees_with_involutive_annihilator(p))
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("make", [academic4, lambda: rat_n(4)],
+                             ids=["academic4", "rat4"])
+    def test_every_P_of_the_sequence(self, make):
+        result = run_codistribution_test(make())
+        for q in result.sequence:
+            assert integrable_agrees_with_involutive_annihilator(q)
