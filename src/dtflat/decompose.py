@@ -38,6 +38,7 @@ from .geometry import (
     generic_rank,
     is_closed,
     is_integrable,
+    is_reduced,
     rref,
     same_span,
 )
@@ -151,7 +152,6 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
     forms (term-by-term rational antiderivative), monomial integrating
     factors; finally user hints.  Fails with the residual forms attached.
     """
-    state_set = set(sys.state_names)
     for w in p.basis:
         for j in range(sys.n, sys.n + sys.m):
             if not w.coeffs[j].is_zero():
@@ -160,10 +160,21 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
         raise IntegralsNotFound(
             "codistribution fails the Frobenius condition; no first "
             "integrals exist")
+    return _first_integrals(p, sys, hints)
+
+
+def _first_integrals(p: Codistribution, sys: DiscreteSystem,
+                     hints: list | None) -> FirstIntegralSet:
+    """find_first_integrals for a p already known to lie in span{dx} and
+    to pass the Frobenius test, as the P_2 that codistribution_step
+    returns does."""
+    state_set = set(sys.state_names)
     if not p.basis:
         return FirstIntegralSet([], "coordinate-pick")
 
-    rows, _ = rref([w.coeffs for w in p.basis])
+    rows = [w.coeffs for w in p.basis]
+    if not is_reduced(rows):
+        rows, _ = rref(rows)
     forms = [OneForm(p.chart, r) for r in rows]
     integrals: list = []
     methods: list = []
@@ -331,7 +342,9 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
             f"the normalization route requires generic rank m = {m} of the "
             f"input Jacobian; it is {generic_rank(input_jac)}")
 
-    integrals = find_first_integrals(p2, sys, hints=integral_hints)
+    # codistribution_step has checked that P_2 is integrable, and its
+    # basis is reduced
+    integrals = _first_integrals(p2, sys, integral_hints)
     n2 = p2.dim
     completion = _complete_states(
         [d_scalar(sys.chart, g) for g in integrals.functions], sys)

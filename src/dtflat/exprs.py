@@ -110,8 +110,27 @@ def _mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(sorted((n, e) for n, e in exps.items() if e))
 
 
+def _vars_of(terms) -> set:
+    """The variables of a term map."""
+    return {name for mono in terms for name, _ in mono}
+
+
+def _leading(terms) -> Mono:
+    """The largest monomial of a nonempty term map."""
+    it = iter(terms)
+    best = next(it)
+    for mono in it:
+        if _mono_cmp(mono, best) > 0:
+            best = mono
+    return best
+
+
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with Fraction coefficients.
+
+    Coefficients are always Fractions, never ints: the quotient of two int
+    coefficients would be a float.  Only the heuristic gcd works on plain
+    int term maps of its own, which never become Polys."""
 
     __slots__ = ("terms",)
 
@@ -153,11 +172,7 @@ class Poly:
         return self.terms[_MONO_ONE]
 
     def vars(self) -> set:
-        out: set = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                out.add(name)
-        return out
+        return _vars_of(self.terms)
 
     def degree_in(self, name: str) -> int:
         best = 0
@@ -169,11 +184,7 @@ class Poly:
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the largest term; requires nonzero."""
-        it = iter(self.terms)
-        best = next(it)
-        for mono in it:
-            if _mono_cmp(mono, best) > 0:
-                best = mono
+        best = _leading(self.terms)
         return best, self.terms[best]
 
     # -------------------------------------------------------- arithmetic
@@ -336,12 +347,14 @@ def _mono_str(mono: Mono) -> str:
 #
 # poly_gcd drives everything: canonical Scalars reduce num/den by it on
 # every construction.  The fast path is the evaluation-homomorphism
-# heuristic (map one variable to a large integer, recurse, reconstruct the
-# candidate from balanced digits, verify by exact trial division, retry
-# with a larger point on failure).  Acceptance is by exact division, so a
-# wrong candidate is never returned; if the heuristic gives up, a primitive
-# pseudo-remainder sequence takes over, with its content computations
-# routed back through the fast path.
+# heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): map
+# one variable to a large integer, recurse, reconstruct the candidate from
+# balanced digits, verify by exact trial division, retry with a larger
+# point on failure.  It runs on plain integers (see _heu_gcd).  Acceptance
+# is by exact division, so a wrong candidate is never returned; if the
+# heuristic gives up, a primitive pseudo-remainder sequence over Fraction
+# polynomials takes over, with its content computations routed back
+# through the fast path.
 
 def _as_uni(p: Poly, x: str) -> dict:
     """View p as a univariate polynomial in x: degree -> Poly coefficient."""
@@ -417,11 +430,22 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         return _P0
     if b.is_const():
         return a.scale(1 / b.const_value())
+    q = _divide(a.terms, b.terms, integral=False)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    return Poly(q)
+
+
+def _divide(a: dict, b: dict, integral: bool) -> dict | None:
+    """Quotient term map of a / b (both nonzero), or None when b does not
+    divide a.  With integral set, a and b hold ints and a division of
+    coefficients that leaves a remainder also answers None."""
     # The remainder's leading term comes from a heap keyed on
     # (-total degree, -exponent vector over the name-sorted variables):
     # the smallest key is the largest monomial under _mono_cmp.  A monomial
     # that cancels keeps a stale heap entry, skipped when popped.
-    index = {n: i for i, n in enumerate(sorted(a.vars() | b.vars()), start=1)}
+    index = {n: i for i, n in enumerate(sorted(_vars_of(a) | _vars_of(b)),
+                                        start=1)}
 
     def key(mono: Mono) -> tuple:
         vec = [0] * (len(index) + 1)
@@ -430,9 +454,10 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
             vec[index[n]] = -e
         return tuple(vec)
 
-    lb_mono, lb_coeff = b.leading()
-    tail = [(m, c) for m, c in b.terms.items() if m != lb_mono]
-    r = dict(a.terms)
+    lb_mono = _leading(b)
+    lb_coeff = b[lb_mono]
+    tail = [(m, c) for m, c in b.items() if m != lb_mono]
+    r = dict(a)
     heap = [(key(m), m) for m in r]
     heapq.heapify(heap)
     q_terms: dict = {}
@@ -442,9 +467,14 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         if lr_coeff is None:
             continue
         if not _mono_divides(lb_mono, lr_mono):
-            raise ArithmeticError("inexact polynomial division")
+            return None
         qm = _mono_div(lr_mono, lb_mono)
-        qc = lr_coeff / lb_coeff
+        if integral:
+            qc, rem = divmod(lr_coeff, lb_coeff)
+            if rem:
+                return None
+        else:
+            qc = lr_coeff / lb_coeff
         q_terms[qm] = qc
         for mb, cb in tail:
             m = _mono_mul(qm, mb)
@@ -458,41 +488,56 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
                     r[m] = c
                 else:
                     del r[m]
-    return Poly(q_terms)
+    return q_terms
 
 
-def _int_split(p: Poly) -> tuple:
-    """Split an integer-coefficient polynomial into (positive integer
-    content, primitive part)."""
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, abs(int(c)))
-        if g == 1:
-            return 1, p
-    return g, p.scale(Fraction(1, g))
+# The heuristic runs on integer term maps {mono: int}: GCDHEU is defined
+# over Z[x], so its evaluation values, balanced digits and trial divisions
+# need no rational number.  A map enters through _to_int_primitive and
+# leaves through _from_int: the accepted gcd, or both inputs when the
+# pseudo-remainder sequence takes over.  Every Poly keeps Fraction
+# coefficients.
+
+_I1 = {_MONO_ONE: 1}
 
 
-def _to_int_primitive(p: Poly) -> Poly:
-    """Scale a rational polynomial to integer coefficients with content 1
-    and positive leading coefficient."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scaled = p.scale(Fraction(den_lcm, num_gcd))
-    _, lc = scaled.leading()
-    return scaled.scale(-1) if lc < 0 else scaled
+def _to_int_primitive(p: Poly) -> dict:
+    """Integer term map of p scaled to content 1 and a positive leading
+    coefficient."""
+    coeffs = p.terms.values()
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    num_gcd = math.gcd(*(c.numerator for c in coeffs))
+    if p.terms[_leading(p.terms)] < 0:
+        num_gcd = -num_gcd
+    return {m: c.numerator * (den_lcm // c.denominator) // num_gcd
+            for m, c in p.terms.items()}
 
 
-def _int_norm(p: Poly) -> int:
-    return max(abs(int(c)) for c in p.terms.values())
+def _from_int(t: dict) -> Poly:
+    return Poly({m: Fraction(c) for m, c in t.items()})
 
 
-def _eval_var_int(p: Poly, x: str, xi: int) -> Poly:
+def _is_int_const(t: dict) -> bool:
+    return len(t) == 1 and _MONO_ONE in t
+
+
+def _int_split(t: dict) -> tuple:
+    """Split a nonzero integer term map into (positive content, primitive
+    part)."""
+    g = math.gcd(*t.values())
+    if g == 1:
+        return 1, t
+    return g, {m: c // g for m, c in t.items()}
+
+
+def _int_norm(t: dict) -> int:
+    return max(abs(c) for c in t.values())
+
+
+def _eval_var_int(t: dict, x: str, xi: int) -> dict:
     """Substitute x := xi (a large integer) exactly."""
     terms: dict = {}
-    for mono, c in p.terms.items():
+    for mono, c in t.items():
         deg = 0
         rest = mono
         for idx, (n, e) in enumerate(mono):
@@ -500,75 +545,72 @@ def _eval_var_int(p: Poly, x: str, xi: int) -> Poly:
                 deg = e
                 rest = mono[:idx] + mono[idx + 1:]
                 break
-        v = terms.get(rest, _F0) + c * xi ** deg
+        v = terms.get(rest, 0) + c * xi ** deg
         if v:
             terms[rest] = v
         else:
             terms.pop(rest, None)
-    return Poly(terms)
+    return terms
 
 
-def _interp_digits(gamma: Poly, x: str, xi: int):
+def _interp_digits(gamma: dict, x: str, xi: int) -> dict | None:
     """Reconstruct a candidate polynomial in x from the base-xi balanced
     digits of gamma's coefficients."""
     terms: dict = {}
     cur = gamma
     half = xi // 2
     for power in range(0, 2000):
-        if cur.is_zero():
-            return Poly(terms)
-        digit_terms = {}
-        next_terms = {}
-        for mono, c in cur.terms.items():
-            c = int(c)
+        if not cur:
+            return terms
+        nxt: dict = {}
+        for mono, c in cur.items():
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                digit_terms[mono] = Fraction(r)
+                terms[_mono_mul(mono, ((x, power),)) if power else mono] = r
             q = (c - r) // xi
             if q:
-                next_terms[mono] = Fraction(q)
-        for mono, c in digit_terms.items():
-            new = _mono_mul(mono, ((x, power),)) if power else mono
-            terms[new] = c
-        cur = Poly(next_terms)
+                nxt[mono] = q
+        cur = nxt
     return None
 
 
-def _try_divides(a: Poly, b: Poly):
-    """a / b when exact, else None."""
-    try:
-        return poly_divexact(a, b)
-    except ArithmeticError:
-        return None
+def _heu_gcd(a: dict, b: dict) -> dict | None:
+    """Heuristic gcd of integer-primitive term maps; a verified exact
+    divisor or None.
 
-
-def _heu_gcd(a: Poly, b: Poly) -> Poly | None:
-    """Heuristic gcd of integer-primitive polynomials; a verified exact
-    divisor or None.  Exact trial division makes acceptance sound."""
-    common = sorted(a.vars() & b.vars())
+    A candidate is accepted when it divides both inputs exactly in Z[x].
+    That is the same test as division over Q: the candidate is primitive,
+    so by Gauss's lemma a quotient over Q of an integer polynomial by it
+    has integer coefficients.  Every quotient coefficient is then an
+    integer, and a leading-coefficient division that leaves a remainder
+    already proves that the candidate is not a divisor.  A constant
+    candidate divides everything and is accepted without a division."""
+    common = sorted(_vars_of(a) & _vars_of(b))
     if not common:
-        return _P1
+        return _I1
     x = common[-1]
     xi = 2 * min(_int_norm(a), _int_norm(b)) + 29
     for _ in range(6):
         A = _eval_var_int(a, x, xi)
         B = _eval_var_int(b, x, xi)
-        if not A.is_zero() and not B.is_zero():
+        if A and B:
             ca, pa = _int_split(A)
             cb, pb = _int_split(B)
-            if pa.is_const() or pb.is_const():
-                sub = _P1
+            if _is_int_const(pa) or _is_int_const(pb):
+                sub = _I1
             else:
                 sub = _heu_gcd(pa, pb)
             if sub is not None:
-                gamma = sub.scale(Fraction(math.gcd(ca, cb)))
-                cand = _interp_digits(gamma, x, xi)
-                if cand is not None and not cand.is_zero():
+                g = math.gcd(ca, cb)
+                cand = _interp_digits({m: c * g for m, c in sub.items()},
+                                      x, xi)
+                if cand:
                     _, cand = _int_split(cand)
-                    if _try_divides(a, cand) is not None \
-                            and _try_divides(b, cand) is not None:
+                    if _is_int_const(cand) or (
+                            _divide(a, cand, integral=True) is not None
+                            and _divide(b, cand, integral=True) is not None):
                         return cand
         xi = 2 * xi + 29
     return None
@@ -600,8 +642,8 @@ def _gcd_inner(a: Poly, b: Poly) -> Poly:
     zb = _to_int_primitive(b)
     got = _heu_gcd(za, zb)
     if got is not None:
-        return got
-    return _prs_gcd(za, zb)
+        return _from_int(got)
+    return _prs_gcd(_from_int(za), _from_int(zb))
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:

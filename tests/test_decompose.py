@@ -185,6 +185,30 @@ class TestDecomposeStep:
         with pytest.raises(NormalizationFailed):
             decompose_step(s)
 
+    def test_p2_checked_and_reduced_once(self, acad, monkeypatch):
+        # codistribution_step has passed P_2 through the Frobenius test and
+        # built its basis reduced, so the first-integral search repeats
+        # neither the test nor the reduction
+        import dtflat.decompose as decompose
+        import dtflat.flatness as flatness
+        import dtflat.geometry as geometry
+        frobenius, reductions = [], []
+
+        def counting(real, calls):
+            def wrapped(arg):
+                calls.append(1)
+                return real(arg)
+            return wrapped
+
+        frobenius_test = counting(geometry.is_integrable, frobenius)
+        for module in (geometry, flatness, decompose):
+            monkeypatch.setattr(module, "is_integrable", frobenius_test)
+        monkeypatch.setattr(decompose, "rref",
+                            counting(geometry.rref, reductions))
+        decompose_step(acad)
+        assert len(frobenius) == 1
+        assert reductions == []
+
 
 class TestProp9:
     def test_forward_direction_on_corpus(self):

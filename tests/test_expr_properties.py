@@ -192,12 +192,14 @@ def test_gcd_maximality_via_cofactors():
 def test_heuristic_gcd_matches_remainder_sequence():
     # dual-route check of the kernel primitive: the evaluation heuristic
     # and the pseudo-remainder sequence must agree up to a constant
+    # on the same inputs; the heuristic takes integer term maps, the
+    # remainder sequence the Fraction polynomials made from them
     from dtflat.exprs import (
+        _from_int,
         _heu_gcd,
         _monic,
         _prs_gcd,
         _to_int_primitive,
-        poly_gcd,
     )
     rng = random.Random(31337)
     agreements = 0
@@ -209,15 +211,53 @@ def test_heuristic_gcd_matches_remainder_sequence():
             continue
         A = _to_int_primitive(a * g0)
         B = _to_int_primitive(b * g0)
-        if A.is_const() or B.is_const() or not (A.vars() & B.vars()):
+        pa, pb = _from_int(A), _from_int(B)
+        if pa.is_const() or pb.is_const() or not (pa.vars() & pb.vars()):
             continue
         heu = _heu_gcd(A, B)
         if heu is None:
             continue
-        prs = _prs_gcd(A, B)
-        assert _monic(heu) == _monic(prs)
+        prs = _prs_gcd(pa, pb)
+        assert _monic(_from_int(heu)) == _monic(prs)
         agreements += 1
     assert agreements >= 40
+
+
+def test_integer_trial_division_agrees_with_division_over_q():
+    # Gauss's lemma: a primitive divisor b divides an integer polynomial
+    # over Q exactly when the quotient is integral, so the division in
+    # Z[x] may stop at the first coefficient remainder
+    from dtflat.exprs import (
+        _divide,
+        _from_int,
+        _to_int_primitive,
+        poly_divexact,
+    )
+    rng = random.Random(27182)
+    exact = inexact = 0
+    for _ in range(80):
+        a, b = random_poly(rng), random_poly(rng, 4)
+        if a.is_zero() or b.is_zero() or b.is_const():
+            continue
+        zb = _to_int_primitive(b)
+        pb = _from_int(zb)
+        for p in (a * pb, a * pb + random_poly(rng, 2)):
+            if p.is_zero():
+                continue
+            za = _to_int_primitive(p)
+            got = _divide(za, zb, integral=True)
+            try:
+                want = poly_divexact(_from_int(za), pb)
+            except ArithmeticError:
+                assert got is None
+                inexact += 1
+            else:
+                assert got is not None and _from_int(got) == want
+                exact += 1
+    # 3*x1 + 1 over 2*x1 + 1: the leading coefficients leave a remainder
+    x = (("x1", 1),)
+    assert _divide({x: 3, (): 1}, {x: 2, (): 1}, integral=True) is None
+    assert exact >= 40 and inexact >= 20
 
 
 @st.composite
