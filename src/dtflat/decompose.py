@@ -32,13 +32,13 @@ from .flatness import codistribution_step, distribution_step
 from .geometry import (
     Codistribution,
     Distribution,
+    Echelon,
     OneForm,
     VectorField,
     d_scalar,
     generic_rank,
     is_closed,
     is_integrable,
-    is_reduced,
     rref,
     same_span,
 )
@@ -172,9 +172,7 @@ def _first_integrals(p: Codistribution, sys: DiscreteSystem,
     if not p.basis:
         return FirstIntegralSet([], "coordinate-pick")
 
-    rows = [w.coeffs for w in p.basis]
-    if not is_reduced(rows):
-        rows, _ = rref(rows)
+    rows, _ = rref(w.coeffs for w in p.basis)
     forms = [OneForm(p.chart, r) for r in rows]
     integrals: list = []
     methods: list = []
@@ -237,9 +235,10 @@ def _verify_integrals(s: FirstIntegralSet, p: Codistribution,
     if len(diffs) != p.dim:
         raise InternalInvariantError(
             f"{len(diffs)} integrals for a {p.dim}-dimensional codistribution")
-    if generic_rank([d.coeffs for d in diffs]) != len(diffs):
+    span = Codistribution.span(p.chart, diffs)
+    if span.dim != len(diffs):
         raise InternalInvariantError("integrals are functionally dependent")
-    if p.dim and not same_span(Codistribution.span(p.chart, diffs), p):
+    if p.dim and not same_span(span, p):
         raise InternalInvariantError(
             "differentials of the integrals do not span the codistribution")
 
@@ -280,18 +279,16 @@ def _units(k: int) -> list:
     return [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
 
 
-def _raise_rank(rows: list, rank: int, candidates: list, target: int) -> list:
+def _raise_rank(rows: list, candidates: list, target: int) -> list:
     """Indices of the candidates that, tried in order, raise the generic
-    rank of rows (currently rank) by one each, until it reaches target.
-    One rank computation per candidate tried."""
-    rows = list(rows)
+    rank of rows by one each, until it reaches target.  One reduction step
+    per candidate tried."""
+    ech = Echelon(rows)
     picks = []
     for i, cand in enumerate(candidates):
-        if rank == target:
+        if len(ech.rows) == target:
             break
-        if generic_rank(rows + [cand]) > rank:
-            rows.append(cand)
-            rank += 1
+        if ech.add(cand):
             picks.append(i)
     return picks
 
@@ -299,10 +296,9 @@ def _raise_rank(rows: list, rank: int, candidates: list, target: int) -> list:
 def _complete_states(diffs: list, sys: DiscreteSystem) -> list:
     """Lowest-index completion of a partial state transformation by
     original state coordinates, keeping the Jacobian at full generic rank."""
-    rows = [list(d.coeffs[:sys.n]) for d in diffs]
-    rank = generic_rank(rows) if rows else 0
-    picks = _raise_rank(rows, rank, _units(sys.n), sys.n)
-    if rank + len(picks) != sys.n:
+    rows = [d.coeffs[:sys.n] for d in diffs]
+    picks = _raise_rank(rows, _units(sys.n), sys.n)
+    if len(rows) + len(picks) != sys.n:
         raise NormalizationFailed(
             "no coordinate completion of the state transformation found")
     return [sys.state_names[i] for i in picks]
@@ -337,10 +333,11 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
         return _terminal_step(sys, state_prefix, input_prefix)
 
     input_jac = [[g.diff(u) for u in sys.input_names] for g in sys.f]
-    if generic_rank(input_jac) != m:
+    input_rank = generic_rank(input_jac)
+    if input_rank != m:
         raise NormalizationFailed(
             f"the normalization route requires generic rank m = {m} of the "
-            f"input Jacobian; it is {generic_rank(input_jac)}")
+            f"input Jacobian; it is {input_rank}")
 
     # codistribution_step has checked that P_2 is integrable, and its
     # basis is reduced
@@ -368,7 +365,7 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
     sub_rows = f_mid[:n2]
     sub_jac = [[g.diff(u) for u in sys.input_names] for g in sub_rows]
     r2 = generic_rank(sub_jac)
-    normalized = _raise_rank([], 0, sub_jac, r2)
+    normalized = _raise_rank([], sub_jac, r2)
 
     # input transformation: normalized equations first, then original
     # inputs completing an invertible map
@@ -378,7 +375,7 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
                    for i in normalized]
     jac_rows = [[g.diff(u) for u in sys.input_names] for g in input_funcs]
     input_funcs += [Scalar.var(sys.input_names[j])
-                    for j in _raise_rank(jac_rows, len(jac_rows), _units(m), m)]
+                    for j in _raise_rank(jac_rows, _units(m), m)]
     if len(input_funcs) != m:
         raise NormalizationFailed(
             "no invertible completion of the input transformation among "

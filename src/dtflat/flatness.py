@@ -18,24 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DualityViolation, InternalInvariantError
-from .exprs import ONE, ZERO
+from .exprs import ZERO
 from .geometry import (
     Chart,
     Codistribution,
     Distribution,
+    Echelon,
     OneForm,
     VectorField,
     annihilator,
     combine,
-    generic_rank,
     interior_product,
     intersect,
     invariant_closure,
     is_integrable,
     is_involutive,
-    is_reduced,
     nullspace,
-    reduced_pivots,
     rref,
     same_span,
     sum_codistributions,
@@ -68,17 +66,12 @@ class NormalizedBasis:
 
 
 def normalize_distribution_basis(dist: Distribution, n_states: int) -> NormalizedBasis:
-    """Gaussian elimination with deterministic pivoting over the function
-    field; the span is unchanged and the output is canonical.  A basis that
-    already is its reduced echelon form (as Span.span, the transport into
-    the adapted chart and annihilator build it) is taken as it is, with its
-    leading columns as the pivots."""
-    pivots = reduced_pivots([v.coeffs for v in dist.basis])
-    if pivots is not None:
-        fields = list(dist.basis)
-    else:
-        rows, pivots = rref([v.coeffs for v in dist.basis])
-        fields = [VectorField(dist.chart, r) for r in rows]
+    """The reduced echelon basis of the distribution: the span is unchanged
+    and the output is canonical.  A basis that is already reduced (as
+    Span.span, the transport into the adapted chart and annihilator build
+    it) costs no arithmetic, only tests for zero."""
+    rows, pivots = rref(v.coeffs for v in dist.basis)
+    fields = [VectorField(dist.chart, r) for r in rows]
     theta_pivots = [p for p in pivots if p < n_states]
     xi_pivots = [p for p in pivots if p >= n_states]
     return NormalizedBasis(fields, theta_pivots, xi_pivots)
@@ -127,24 +120,22 @@ class ProjectabilityReport:
 
 
 def _xi_derivative_closure(mixed_block: list, xi_names: tuple) -> tuple:
-    """Stack xi-derivative levels of the mixed block until the generic rank
-    stops growing; returns (rows, rank)."""
+    """Stack xi-derivative levels of the mixed block until a level adds no
+    rank; returns the stacked rows and their reduced echelon form."""
     rows: list = []
-    rank = 0
-    level = [row for row in mixed_block]
+    ech = Echelon()
+    level = mixed_block
     while True:
-        nxt = []
-        for xi in xi_names:
-            for row in level:
-                nxt.append([c.diff(xi) for c in row])
-        candidate = rows + [r for r in nxt if any(not c.is_zero() for c in r)]
-        new_rank = generic_rank(candidate) if candidate else 0
-        if new_rank == rank:
-            break
-        rows = candidate
-        rank = new_rank
+        nxt = [[c.diff(xi) for c in row] for xi in xi_names for row in level]
+        nonzero = [r for r in nxt if any(not c.is_zero() for c in r)]
+        grew = False
+        for r in nonzero:
+            if ech.add(r):
+                grew = True
+        if not grew:
+            return rows, ech
+        rows += nonzero
         level = nxt
-    return rows, rank
 
 
 def projectability_report(norm: NormalizedBasis, chart: Chart,
@@ -156,18 +147,12 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
     theta_fields = norm.fields[:dbar]
     mixed_block = [[theta_fields[k].coeffs[i] for k in range(dbar)]
                    for i in nonpivot_theta]
-    rows, rank = _xi_derivative_closure(mixed_block, xi_names)
+    rows, ech = _xi_derivative_closure(mixed_block, xi_names)
     independent = []
     for row in rows:
-        if all(c.is_zero() for c in row):
-            continue
         if row not in independent:
             independent.append(row)
-    if rows:
-        kernel = nullspace(rows)
-    else:
-        kernel = [[ONE if i == k else ZERO for i in range(dbar)]
-                  for k in range(dbar)]
+    kernel = ech.kernel(dbar)
     for vec in kernel:
         for c in vec:
             for xi in xi_names:
@@ -177,7 +162,8 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
     report = ProjectabilityReport(
         dbar=dbar, dim=len(norm.fields), theta_pivots=list(norm.theta_pivots),
         mixed_block=mixed_block, derivative_rows=rows,
-        independent_rows=independent, rank=rank, kernel_basis=kernel)
+        independent_rows=independent, rank=len(ech.rows),
+        kernel_basis=kernel)
     if report.rank + len(kernel) != dbar:
         raise InternalInvariantError("kernel dimension bookkeeping is off")
     return report
@@ -225,20 +211,20 @@ def largest_projectable_subdistribution(dist: Distribution,
     and the subdistribution is dist itself."""
     dist_adapted = chart.to_adapted(dist)
     core, report = _projectable_core(dist_adapted, chart)
-    rows = [v.coeffs for v in dist.basis]
     if not report.independent_rows:
-        D = dist if is_reduced(rows) else Distribution.span(dist.chart,
-                                                              dist.basis)
+        D = Distribution.span(dist.chart, dist.basis)
     else:
         rhos = [chart.form_from_adapted(w)
                 for w in report.added_forms(chart.chart)]
         pairing = [[interior_product(v, rho) for v in dist.basis]
                    for rho in rhos]
+        rows = [v.coeffs for v in dist.basis]
         D = Distribution.span(dist.chart, [
             VectorField(dist.chart, combine(a, rows))
             for a in nullspace(pairing)])
+    inside = dist.echelon()
     for v in D.basis:
-        if not dist.contains(v):
+        if not inside.contains(v.coeffs):
             raise InternalInvariantError(
                 "projectable subdistribution escaped the input span")
     if D.dim != report.projectable_dim:
@@ -288,8 +274,9 @@ def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     E = pullback_pi(Delta, sys)
     if not is_involutive(E):
         raise InternalInvariantError(f"E_{k} is not involutive")
+    inside = E.echelon()
     for v in E_prev.basis:
-        if not E.contains(v):
+        if not inside.contains(v.coeffs):
             raise InternalInvariantError(f"nesting fails: E_{k-1} not in E_{k}")
     return DistributionStep(k=k, E_prev=E_prev, D=D, D_adapted=D_adapted,
                             Delta=Delta, E=E, report=report)
@@ -395,8 +382,9 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     P_next = backward_shift_codistribution(Pplus, sys)
     if not is_integrable(P_next):
         raise InternalInvariantError(f"P_{k + 1} is not integrable")
+    inside = P.echelon()
     for w in P_next.basis:
-        if not P.contains(w):
+        if not inside.contains(w.coeffs):
             raise InternalInvariantError(f"nesting fails: P_{k+1} not in P_{k}")
     return CodistributionStep(k=k, P=P, intersection=inter,
                               P_adapted=P_adapted, added_forms=added,

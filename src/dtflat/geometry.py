@@ -2,14 +2,15 @@
 rational function field on a single global chart.
 
 Rank semantics are generic: a rank is computed over the field of rational
-functions, i.e. off the measure-zero locus where pivots vanish.  Pivoting
-always selects the first entry that is not identically zero, so every
-derived basis is deterministic, and the reduced echelon basis of a span is
-canonical (two equal spans reduce to the identical basis).
+functions, i.e. off the measure-zero locus where pivots vanish.  Every rank
+question goes through one incremental reduced echelon form (Echelon), whose
+rows are the canonical basis of their span (two equal spans reduce to the
+identical basis), so every derived basis is deterministic.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,67 +115,80 @@ def _combo_str(chart: Chart, coeffs, prefix: str) -> str:
 
 # ---------------------------------------------------- exact linear algebra
 
+class Echelon:
+    """Reduced row echelon form of a span, grown one row at a time.
+
+    Each of rows leads with 1 in its column of pivots, the other rows are
+    zero in that column, and the pivots ascend.  That form of a span is
+    canonical, so the rows and pivots do not depend on the order in which
+    the rows came in.  On rows that are already reduced nothing is
+    computed, only tested for zero."""
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows: Iterable[Sequence[Scalar]] = ()):
+        self.rows: list = []
+        self.pivots: list = []
+        for row in rows:
+            self.add(row)
+
+    def _reduce(self, row: Sequence[Scalar]) -> list:
+        """row minus its components along the pivot rows."""
+        row = list(row)
+        for prow, col in zip(self.rows, self.pivots):
+            if not row[col].is_zero():
+                row = _eliminate(row, row[col], prow)
+        return row
+
+    def add(self, row: Sequence[Scalar]) -> bool:
+        """Take row into the span; False when it lies there already."""
+        row = self._reduce(row)
+        lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
+        if lead is None:
+            return False
+        if row[lead] != ONE:
+            row = _normalize(row, row[lead])
+        for i, other in enumerate(self.rows):
+            if not other[lead].is_zero():
+                self.rows[i] = _eliminate(other, other[lead], row)
+        at = bisect.bisect(self.pivots, lead)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, lead)
+        return True
+
+    def contains(self, row: Sequence[Scalar]) -> bool:
+        return all(c.is_zero() for c in self._reduce(row))
+
+    def kernel(self, ncols: int) -> list:
+        """Basis of the right kernel, one vector per free column, ordered
+        by free column index."""
+        basis = []
+        for fc in range(ncols):
+            if fc in self.pivots:
+                continue
+            vec = [ZERO] * ncols
+            vec[fc] = ONE
+            for row, pcol in zip(self.rows, self.pivots):
+                vec[pcol] = -row[fc]
+            basis.append(vec)
+        return basis
+
+
+def _eliminate(row: list, factor: Scalar, pivot_row: list) -> list:
+    return [a - factor * b for a, b in zip(row, pivot_row)]
+
+
+def _normalize(row: list, pivot: Scalar) -> list:
+    return [c / pivot for c in row]
+
+
 def rref(rows: Iterable[Sequence[Scalar]]) -> tuple:
     """Reduced row echelon form over the rational function field.
 
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.  The
-    pivot in each column is the first row whose entry is not identically
-    zero; pivots are normalized to 1 and cleared above and below, so the
-    result is the canonical basis of the row span.
-    """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, len(work)):
-            if not work[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[prow], work[sel] = work[sel], work[prow]
-        piv = work[prow][col]
-        if piv != ONE:
-            work[prow] = [c / piv for c in work[prow]]
-        for r in range(len(work)):
-            if r == prow:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(work):
-            break
-    return work[:prow], pivots
-
-
-def reduced_pivots(rows: Sequence[Sequence[Scalar]]) -> list | None:
-    """The pivot columns of rows that are their own reduced row echelon
-    form, or None when they are not.  Reduced means each row leads with 1,
-    right of the leading column of the row before it, and every other row
-    is zero in that column; the leading columns are then the pivots rref
-    would return.  Only zero tests, no elimination."""
-    pivots: list = []
-    for i, row in enumerate(rows):
-        lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
-        if lead is None or (pivots and lead <= pivots[-1]) or row[lead] != ONE:
-            return None
-        if any(not other[lead].is_zero()
-               for k, other in enumerate(rows) if k != i):
-            return None
-        pivots.append(lead)
-    return pivots
-
-
-def is_reduced(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether rows are their own reduced row echelon form."""
-    return reduced_pivots(rows) is not None
+    Returns (reduced_rows, pivot_columns), the canonical basis of the row
+    span; zero rows are dropped."""
+    ech = Echelon(rows)
+    return ech.rows, ech.pivots
 
 
 def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]) -> list:
@@ -195,22 +209,9 @@ def generic_rank(rows: Iterable[Sequence[Scalar]]) -> int:
 
 
 def nullspace(rows: Iterable[Sequence[Scalar]]) -> list:
-    """Basis of the right kernel, one vector per free column, ordered by
-    free column index."""
-    work = [list(r) for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    red, pivots = rref(work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -red[prow][fc]
-        basis.append(vec)
-    return basis
+    """Basis of the right kernel (see Echelon.kernel)."""
+    rows = list(rows)
+    return Echelon(rows).kernel(len(rows[0])) if rows else []
 
 
 # ---------------------------------------------------------- span carriers
@@ -257,14 +258,13 @@ class Span:
     def dim(self) -> int:
         return len(self.basis)
 
+    def echelon(self) -> Echelon:
+        """The reduced echelon form of the basis."""
+        return Echelon(v.coeffs for v in self.basis)
+
     def contains(self, v: Row) -> bool:
         _require_same_chart(self, v)
-        if v.is_zero():
-            return True
-        if not self.basis:
-            return False
-        rows = [w.coeffs for w in self.basis]
-        return generic_rank(rows + [v.coeffs]) == len(self.basis)
+        return self.echelon().contains(v.coeffs)
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(v) for v in self.basis) + "}"
@@ -296,8 +296,8 @@ def same_span(a, b) -> bool:
     _require_same_chart(a, b)
     if a.dim != b.dim:
         return False
-    rows = [v.coeffs for v in a.basis] + [v.coeffs for v in b.basis]
-    return generic_rank(rows) == a.dim
+    ech = a.echelon()
+    return all(ech.contains(v.coeffs) for v in b.basis)
 
 
 # ------------------------------------- Lie calculus of fields and 1-forms
@@ -403,29 +403,26 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
     derivatives along every field of d.  Terminates because the rank can
     grow at most chart-dimension times."""
     _require_same_chart(p0, d)
-    current = Codistribution.span(p0.chart, list(p0.basis))
+    chart = p0.chart
+    ech = p0.echelon()
     while True:
         added = False
         for v in d.basis:
-            for w in list(current.basis):
-                lw = lie_derivative(v, w)
-                if not current.contains(lw):
-                    current = Codistribution.span(
-                        current.chart, list(current.basis) + [lw])
+            for row in list(ech.rows):
+                if ech.add(lie_derivative(v, OneForm(chart, row)).coeffs):
                     added = True
         if not added:
-            return current
+            return Codistribution.reduced(chart, ech.rows)
 
 
 # ------------------------------------------------- involutivity, Frobenius
 
 def is_involutive(d: Distribution) -> bool:
     """All pairwise Lie brackets of basis fields remain in the span."""
-    for i in range(len(d.basis)):
-        for j in range(i + 1, len(d.basis)):
-            if not d.contains(lie_bracket(d.basis[i], d.basis[j])):
-                return False
-    return True
+    ech = d.echelon()
+    return all(ech.contains(lie_bracket(d.basis[i], d.basis[j]).coeffs)
+               for i in range(len(d.basis))
+               for j in range(i + 1, len(d.basis)))
 
 
 def is_integrable(p: Codistribution) -> bool:

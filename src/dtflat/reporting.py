@@ -68,7 +68,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
             "states": list(sys.state_names),
             "inputs": list(sys.input_names),
             "dynamics": {x: str(g) for x, g in zip(sys.state_names, sys.f)},
-            "equilibrium": ({k: _frac(sys.equilibrium[k])
+            "equilibrium": ({k: str(sys.equilibrium[k])
                              for k in sys.chart.names}
                             if sys.equilibrium is not None else None),
         },
@@ -168,10 +168,6 @@ def _cascade_json(cascade: CascadeResult) -> dict:
             "warnings": st.warnings,
         })
     return {"depth": cascade.depth, "blocked": cascade.blocked, "steps": steps}
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def render_json(report: AnalysisReport) -> str:

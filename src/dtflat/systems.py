@@ -36,7 +36,6 @@ from .geometry import (
     VectorField,
     combine,
     generic_rank,
-    is_reduced,
     rref,
 )
 
@@ -234,17 +233,15 @@ class AdaptedChart:
     # -------------------------------------------------------------- spans
 
     def to_adapted(self, obj):
-        """Change of coordinates into the adapted chart; accepts Scalar,
-        VectorField, OneForm, Distribution, Codistribution."""
+        """Change of coordinates into the adapted chart; accepts
+        VectorField, OneForm, Distribution, Codistribution (scalars move
+        with scalar_to_adapted and scalar_from_adapted)."""
         return self._transport(obj, True)
 
     def from_adapted(self, obj):
         return self._transport(obj, False)
 
     def _transport(self, obj, into: bool):
-        if isinstance(obj, Scalar):
-            return self.scalar_to_adapted(obj) if into \
-                else self.scalar_from_adapted(obj)
         if isinstance(obj, Span):
             if into and obj.element is VectorField:
                 out = self._distribution_to_adapted(obj)
@@ -431,14 +428,13 @@ def backward_shift_codistribution(pplus: Codistribution,
     """Backward shift of a codistribution inside span{dth} with a
     xi-independent basis: rename th -> x.  The reduced echelon basis is
     canonical, so a xi-free basis exists exactly when that basis is
-    xi-free.  A basis built by Codistribution.span is already reduced and
-    is used as it is; renaming th -> x keeps its pivot columns and its
-    1/0 entries, so the shifted basis is reduced as well."""
+    xi-free.  Reducing a basis built by Codistribution.span costs no
+    arithmetic, only tests for zero; renaming th -> x keeps its pivot
+    columns and its 1/0 entries, so the shifted basis is reduced as
+    well."""
     if pplus.chart != sys.chart_adapted:
         raise ValueError("codistribution is not on the adapted chart")
-    rows = [w.coeffs for w in pplus.basis]
-    if not is_reduced(rows):
-        rows, _ = rref(rows)
+    rows, _ = rref(w.coeffs for w in pplus.basis)
     xi_names = sys.chart_adapted.names[sys.n:]
     for row in rows:
         for j in range(sys.n, sys.n + sys.m):

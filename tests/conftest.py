@@ -33,3 +33,21 @@ def rref_calls(monkeypatch):
 
     monkeypatch.setattr(geometry, "rref", counting)
     return calls
+
+
+@pytest.fixture
+def row_operations(monkeypatch):
+    """One entry per row elimination or normalization that an Echelon makes
+    while the test runs."""
+    import dtflat.geometry as geometry
+    ops = []
+
+    def counting(real):
+        def op(*args):
+            ops.append(1)
+            return real(*args)
+        return op
+
+    monkeypatch.setattr(geometry, "_eliminate", counting(geometry._eliminate))
+    monkeypatch.setattr(geometry, "_normalize", counting(geometry._normalize))
+    return ops

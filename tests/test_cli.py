@@ -194,6 +194,7 @@ class TestRun:
         ("nlchain5", GOLDEN / "nlchain5.sys", []),
         ("academic4-decompose", ACADEMIC, ["--decompose"]),
         ("mixed2-decompose", DATA / "mixed2.sys", ["--decompose"]),
+        ("nonflat2-decompose", DATA / "nonflat2.sys", ["--decompose"]),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json

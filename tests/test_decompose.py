@@ -185,14 +185,16 @@ class TestDecomposeStep:
         with pytest.raises(NormalizationFailed):
             decompose_step(s)
 
-    def test_p2_checked_and_reduced_once(self, acad, monkeypatch):
+    def test_p2_checked_and_reduced_once(self, acad, monkeypatch,
+                                         row_operations):
         # codistribution_step has passed P_2 through the Frobenius test and
         # built its basis reduced, so the first-integral search repeats
-        # neither the test nor the reduction
+        # neither the test nor the reduction: its echelon form of P_2 makes
+        # no row operation
         import dtflat.decompose as decompose
         import dtflat.flatness as flatness
         import dtflat.geometry as geometry
-        frobenius, reductions = [], []
+        frobenius, reductions, ranked = [], [], []
 
         def counting(real, calls):
             def wrapped(arg):
@@ -200,14 +202,21 @@ class TestDecomposeStep:
                 return real(arg)
             return wrapped
 
+        def reduce(rows):
+            before = len(row_operations)
+            reductions.append(1)
+            try:
+                return geometry.rref(rows)
+            finally:
+                ranked.extend(row_operations[before:])
+
         frobenius_test = counting(geometry.is_integrable, frobenius)
         for module in (geometry, flatness, decompose):
             monkeypatch.setattr(module, "is_integrable", frobenius_test)
-        monkeypatch.setattr(decompose, "rref",
-                            counting(geometry.rref, reductions))
+        monkeypatch.setattr(decompose, "rref", reduce)
         decompose_step(acad)
         assert len(frobenius) == 1
-        assert reductions == []
+        assert len(reductions) == 1 and row_operations and ranked == []
 
 
 class TestProp9:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from corpus import academic4, rat_n
+from corpus import academic4, nlchain_n, rat_n
 from dtflat.errors import ChartMismatch
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
 from dtflat.flatness import run_codistribution_test
@@ -15,9 +15,11 @@ from dtflat.geometry import (
     Chart,
     Codistribution,
     Distribution,
+    Echelon,
     OneForm,
     VectorField,
     annihilator,
+    combine,
     d_scalar,
     generic_rank,
     interior_product,
@@ -26,11 +28,9 @@ from dtflat.geometry import (
     is_closed,
     is_integrable,
     is_involutive,
-    is_reduced,
     lie_bracket,
     lie_derivative,
     nullspace,
-    reduced_pivots,
     rref,
     same_span,
 )
@@ -87,6 +87,109 @@ class TestRank:
         ra, _ = rref(rows_a)
         rb, _ = rref(rows_b)
         assert ra == rb
+
+
+def random_affine(rng: random.Random) -> Scalar:
+    return (Scalar(rng.randint(-3, 3)) + Scalar(rng.randint(-2, 2)) * u
+            + Scalar(rng.randint(-2, 2)) * v)
+
+
+def random_entry(rng: random.Random) -> Scalar:
+    """A small rational function in u and v; zero one time in four."""
+    if rng.random() < 0.25:
+        return ZERO
+    num, den = random_affine(rng), random_affine(rng)
+    return num if den.is_zero() else num / den
+
+
+def random_span_rows(rng: random.Random) -> list:
+    """Up to four rows of up to four columns: some random rows, then
+    combinations of them with affine coefficients, shuffled."""
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+    rows = [[random_entry(rng) for _ in range(ncols)]
+            for _ in range(rng.randint(1, nrows))]
+    base = list(rows)
+    while len(rows) < nrows:
+        rows.append(combine([random_affine(rng) for _ in base], base))
+    rng.shuffle(rows)
+    return rows
+
+
+v = Scalar.var("v")
+ECHELON_CASES = [random_span_rows(random.Random(seed)) for seed in range(16)]
+
+
+def assert_reduced(rows, pivots):
+    """Each row leads with 1 in its pivot column, the other rows are zero
+    there, and the pivots ascend."""
+    assert pivots == sorted(set(pivots))
+    for row, col in zip(rows, pivots):
+        assert all(c.is_zero() for c in row[:col]) and row[col] == ONE
+        assert all(other[col].is_zero() for other in rows if other is not row)
+
+
+class TestEchelon:
+    def test_rows_and_pivots_do_not_depend_on_order(self):
+        ranks = set()
+        for i, rows in enumerate(ECHELON_CASES):
+            ech = Echelon(rows)
+            assert_reduced(ech.rows, ech.pivots)
+            assert rref(rows) == (ech.rows, ech.pivots)
+            rng = random.Random(i)
+            for _ in range(3):
+                shuffled = rng.sample(rows, len(rows))
+                other = Echelon(shuffled)
+                assert (other.rows, other.pivots) == (ech.rows, ech.pivots)
+            ranks.add((len(ech.rows), len(rows)))
+        assert len({r for r, _ in ranks}) >= 3
+        assert any(r < n for r, n in ranks)
+
+    def test_matches_sympy(self):
+        # sympy's reduced form over the fraction field of Q[u, v] shares
+        # no code with the kernel; add and contains against its ranks
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(rows):
+            return sympy.Matrix([[sympy.sympify(str(c).replace("^", "**"))
+                                  for c in row] for row in rows])
+
+        def rank(rows):
+            return to_sympy(rows).to_DM().to_field().rank() if rows else 0
+
+        grown = refused = 0
+        for i, rows in enumerate(ECHELON_CASES):
+            ranks = [rank(rows[:k]) for k in range(len(rows) + 1)]
+            ech = Echelon()
+            for k, row in enumerate(rows):
+                grows = ranks[k + 1] > ranks[k]
+                assert ech.add(row) == grows
+                grown += grows
+                refused += not grows
+            theirs, pivots = to_sympy(rows).to_DM().to_field().rref()
+            assert list(pivots) == ech.pivots
+            if ech.rows:
+                diff = to_sympy(ech.rows) - theirs.to_Matrix()[:len(pivots), :]
+                assert diff.applyfunc(sympy.cancel).is_zero_matrix
+            rng = random.Random(100 + i)
+            probes = [[random_entry(rng) for _ in rows[0]],
+                      combine([random_affine(rng) for _ in rows], rows)]
+            for probe in probes:
+                assert ech.contains(probe) == (rank(rows + [probe]) == ranks[-1])
+        assert grown >= 15 and refused >= 5
+
+    def test_reduced_rows_cost_no_arithmetic(self, monkeypatch):
+        calls = []
+        for op in ("__mul__", "__sub__", "__truediv__"):
+            real = getattr(Scalar, op)
+            monkeypatch.setattr(Scalar, op, lambda a, b, real=real:
+                                calls.append(1) or real(a, b))
+        for rows in ECHELON_CASES:
+            reduced = Echelon(rows).rows
+            done = len(calls)
+            again = Echelon(reduced)
+            assert len(calls) == done
+            assert again.rows == reduced
+        assert calls  # the unreduced inputs did cost arithmetic
 
 
 class TestMembership:
@@ -164,25 +267,6 @@ class TestRowsAndSpans:
         assert all(type(v) is row_cls for v in got.basis)
         assert got.basis == (row_cls(CH3, [ONE, u, ZERO]),
                              row_cls.unit(CH3, "u"))
-
-    def test_is_reduced(self):
-        rows = [[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]]
-        reduced, _ = rref(rows)
-        assert is_reduced(reduced) and is_reduced([])
-        assert not is_reduced(rows)
-        assert not is_reduced(reduced[::-1])                # pivots out of order
-        assert not is_reduced([[u, ZERO, ZERO]])            # pivot is not 1
-        assert not is_reduced([[ONE, u, ZERO], [ZERO, ONE, ZERO]])  # not cleared
-        assert not is_reduced([[ONE, ZERO, ZERO], [ZERO] * 3])     # zero row
-
-    def test_reduced_pivots_are_those_of_rref(self):
-        for rows in ([[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]],
-                     [[ZERO, u, ONE], [ZERO, ONE, ZERO]],
-                     [[u, ONE, ZERO, u]]):
-            reduced, pivots = rref(rows)
-            assert reduced_pivots(reduced) == pivots
-            assert reduced_pivots(rows) is None
-        assert reduced_pivots([]) == []
 
     def test_span_reduces_once(self, rref_calls):
         Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
@@ -376,6 +460,34 @@ class TestClosure:
             assert closed.contains(w)
             again = invariant_closure(closed, D)
             assert same_span(again, closed)
+
+    @pytest.mark.parametrize("system, per_step", [
+        (academic4, [11, 2, 0, 0]),
+        (lambda: nlchain_n(5), [4, 3, 2, 1, 0, 0]),
+    ])
+    def test_lie_derivatives_per_closure(self, monkeypatch, system, per_step):
+        # for each field, L_v w is taken for every row of the basis as it
+        # stood when that field's turn began, round after round until a
+        # round adds nothing: these are the counts on each step
+        import dtflat.flatness as flatness
+        import dtflat.geometry as geometry
+        counts, real_lie = [], geometry.lie_derivative
+
+        def closure(p0, d):
+            counts.append(0)
+            monkeypatch.setattr(geometry, "lie_derivative", lie)
+            try:
+                return invariant_closure(p0, d)
+            finally:
+                monkeypatch.setattr(geometry, "lie_derivative", real_lie)
+
+        def lie(v, w):
+            counts[-1] += 1
+            return real_lie(v, w)
+
+        monkeypatch.setattr(flatness, "invariant_closure", closure)
+        run_codistribution_test(system())
+        assert counts == per_step
 
 
 def integrable_agrees_with_involutive_annihilator(p):

@@ -16,6 +16,7 @@ from dtflat.flatness import analyze
 from dtflat.geometry import (
     Codistribution,
     Distribution,
+    Echelon,
     OneForm,
     VectorField,
     same_span,
@@ -91,6 +92,47 @@ def frac_nullspace(rows):
             vec[pcol] = -red[prow][fc]
         basis.append(vec)
     return basis
+
+
+def random_fraction_rows(rng):
+    """Up to five rows of up to five constant columns, with dependent rows
+    and zero columns."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+             for _ in range(ncols)] for _ in range(rng.randint(1, nrows))]
+    base = list(rows)
+    while len(rows) < nrows:
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in base]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, base))
+                     for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_echelon_matches_fraction_oracle():
+    rng = random.Random(80808)
+    grown = refused = 0
+    for _ in range(60):
+        rows = random_fraction_rows(rng)
+        as_scalars = [[Scalar(c) for c in row] for row in rows]
+        ech = Echelon()
+        for k, row in enumerate(as_scalars):
+            grows = frac_rank(rows[:k + 1]) > frac_rank(rows[:k])
+            assert ech.add(row) == grows
+            grown += grows
+            refused += not grows
+        red = frac_rref(rows)
+        assert ech.rows == [[Scalar(c) for c in row] for row in red]
+        assert ech.pivots == [next(j for j, c in enumerate(row) if c != 0)
+                              for row in red]
+        probe = [Fraction(rng.randint(-2, 2)) for _ in rows[0]]
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        in_span = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                   for j in range(len(rows[0]))]
+        for p in (probe, in_span):
+            assert ech.contains([Scalar(c) for c in p]) == (
+                frac_rank(rows + [p]) == frac_rank(rows))
+    assert grown >= 60 and refused >= 20
 
 
 def matmul(A, B):
