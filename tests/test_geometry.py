@@ -268,6 +268,32 @@ class TestRowsAndSpans:
         assert got.basis == (row_cls(CH3, [ONE, u, ZERO]),
                              row_cls.unit(CH3, "u"))
 
+    def test_is_reduced(self):
+        # reduced rows are exactly those that rref gives back unchanged
+        def is_reduced(rows):
+            return rref(rows)[0] == rows
+
+        rows = [[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]]
+        reduced, pivots = rref(rows)
+        assert_reduced(reduced, pivots)
+        assert is_reduced(reduced) and is_reduced([])
+        assert not is_reduced(rows)
+        assert not is_reduced(reduced[::-1])                # pivots out of order
+        assert not is_reduced([[u, ZERO, ZERO]])            # pivot is not 1
+        assert not is_reduced([[ONE, u, ZERO], [ZERO, ONE, ZERO]])  # not cleared
+        assert not is_reduced([[ONE, ZERO, ZERO], [ZERO] * 3])     # zero row
+
+    def test_reduced_pivots_are_those_of_rref(self):
+        # Echelon takes reduced rows as they are and finds rref's pivots
+        for rows in ([[u, u * u, ZERO], [ONE, u, ONE], [ZERO, ONE, u]],
+                     [[ZERO, u, ONE], [ZERO, ONE, ZERO]],
+                     [[u, ONE, ZERO, u]]):
+            reduced, pivots = rref(rows)
+            again = Echelon(reduced)
+            assert again.pivots == pivots and again.rows == reduced
+            assert Echelon(rows).rows != rows
+        assert Echelon([]).pivots == []
+
     def test_span_reduces_once(self, rref_calls):
         Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
                                   unit_w(CH3, "x2")])
