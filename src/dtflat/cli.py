@@ -272,9 +272,10 @@ def run(argv: list) -> int:
         cascade = None
         if args.decompose:
             if verdict.flat:
+                p2 = (verdict.codistribution.steps[0].P_next
+                      if verdict.codistribution is not None else None)
                 cascade = decompose_cascade(
-                    system, chart,
-                    integral_hints=sf.integral_hints or None)
+                    system, p2, integral_hints=sf.integral_hints or None)
             else:
                 cascade = None
 

@@ -28,7 +28,7 @@ from .errors import (
     NormalizationFailed,
 )
 from .exprs import ONE, ZERO, Poly, Scalar, _as_uni
-from .flatness import codistribution_step, distribution_step
+from .flatness import codistribution_step
 from .geometry import (
     Codistribution,
     Distribution,
@@ -42,12 +42,7 @@ from .geometry import (
     rref,
     same_span,
 )
-from .systems import (
-    AdaptedChart,
-    DiscreteSystem,
-    build_adapted_chart,
-    triangular_solve,
-)
+from .systems import DiscreteSystem, build_adapted_chart, triangular_solve
 
 
 # --------------------------------------------------------- first integrals
@@ -304,29 +299,27 @@ def _complete_states(diffs: list, sys: DiscreteSystem) -> list:
     return [sys.state_names[i] for i in picks]
 
 
-def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
+def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
                    integral_hints: list | None = None,
                    state_prefix: str = "xb",
                    input_prefix: str = "ub") -> TriangularDecomposition:
     """Transform one step into the triangular form: subsystem states from
     first integrals, inputs normalized so the chosen subsystem equations
-    read new-state+ = new-input."""
-    if chart is None:
-        chart = build_adapted_chart(sys)
+    read new-state+ = new-input.  p2 is P_2 of the codistribution test of
+    sys, computed here when not given."""
+    if p2 is None:
+        P1 = Codistribution(sys.chart, [OneForm.unit(sys.chart, x)
+                                        for x in sys.state_names])
+        p2 = codistribution_step(sys, build_adapted_chart(sys), 1, P1).P_next
     warnings: list = []
 
-    # flat at this step: the first grown distribution must exceed the
-    # span of the input directions (whose dimension is m)
-    estep = distribution_step(sys, chart, 1, Distribution(
-        sys.chart, [VectorField.unit(sys.chart, u) for u in sys.input_names]))
-    if estep.E.dim <= sys.m:
+    # flat at this step: by duality dim E_1 + dim P_2 = n + m, so E_1
+    # exceeds the span of the input directions exactly when P_2 is smaller
+    # than P_1 = span{dx}
+    if p2.dim == sys.n:
         raise NormalizationFailed(
             "system is not forward-flat at this step (the distribution "
             "sequence stalls immediately); decomposition is undefined")
-    pstep = codistribution_step(sys, chart, 1, Codistribution(
-        sys.chart, [OneForm.unit(sys.chart, x) for x in sys.state_names]),
-        cross_check=False)
-    p2 = pstep.P_next
 
     n, m = sys.n, sys.m
     if p2.dim == 0:
@@ -364,8 +357,8 @@ def decompose_step(sys: DiscreteSystem, chart: AdaptedChart | None = None,
     # independent input Jacobian rows
     sub_rows = f_mid[:n2]
     sub_jac = [[g.diff(u) for u in sys.input_names] for g in sub_rows]
-    r2 = generic_rank(sub_jac)
-    normalized = _raise_rank([], sub_jac, r2)
+    normalized = _raise_rank([], sub_jac, m)
+    r2 = len(normalized)
 
     # input transformation: normalized equations first, then original
     # inputs completing an invertible map
@@ -571,23 +564,22 @@ class CascadeResult:
 _LEVEL_LETTERS = "bcdefghjklmnoqrstuvwyz"
 
 
-def decompose_cascade(sys: DiscreteSystem, chart: AdaptedChart | None = None,
+def decompose_cascade(sys: DiscreteSystem, p2: Codistribution | None = None,
                       integral_hints: list | None = None) -> CascadeResult:
-    """Repeated decomposition down to an empty subsystem state.  Redundant
-    subsystem inputs (inputs the subsystem does not depend on) are dropped
-    between steps.  Best effort: a failing step returns the partial
-    cascade with the blocking diagnosis."""
+    """Repeated decomposition down to an empty subsystem state.  p2 is
+    P_2 of the codistribution test of sys, when the analysis has it.
+    Redundant subsystem inputs (inputs the subsystem does not depend on)
+    are dropped between steps.  Best effort: a failing step returns the
+    partial cascade with the blocking diagnosis."""
     steps: list = []
     current = sys
-    current_chart = chart
     hints = integral_hints
     for level in range(len(_LEVEL_LETTERS)):
         if current.n == 0:
             break
         letter = _LEVEL_LETTERS[level]
         try:
-            step = decompose_step(current, current_chart,
-                                  integral_hints=hints,
+            step = decompose_step(current, p2, integral_hints=hints,
                                   state_prefix=f"x{letter}",
                                   input_prefix=f"u{letter}")
         except (IntegralsNotFound, NormalizationFailed) as exc:
@@ -596,7 +588,7 @@ def decompose_cascade(sys: DiscreteSystem, chart: AdaptedChart | None = None,
         if step.terminal:
             return CascadeResult(steps=steps)
         current = step.subsystem
-        current_chart = None
+        p2 = None
         hints = None
     return CascadeResult(steps=steps,
                          blocked="cascade exceeded the supported depth")

@@ -318,7 +318,6 @@ class CodistributionStep:
     k: int
     P: Codistribution             # P_k on (x, u)
     intersection: Codistribution  # P_k intersected with span{df}, on (x, u)
-    P_adapted: Codistribution
     added_forms: list             # rho-forms on the adapted chart
     Pplus: Codistribution         # P_{k+1}^+ on the adapted chart
     Pplus_xu: Codistribution      # P_{k+1}^+ on (x, u)
@@ -342,8 +341,7 @@ class CodistributionTestResult:
 
 
 def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
-                        P: Codistribution,
-                        cross_check: bool = True) -> CodistributionStep:
+                        P: Codistribution) -> CodistributionStep:
     span_df = sys.differentials
     inter = intersect(P, span_df)
 
@@ -368,16 +366,15 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
                                 list(inter_adapted.basis) + added)
     Pplus_xu = chart.from_adapted(Pplus)
 
-    if cross_check:
-        # Coordinate-free route: smallest codistribution containing the
-        # intersection and invariant under the kernel of the update map.
-        # The chart change maps spans to spans one to one, so comparing on
-        # (x, u) is the same check as comparing on the adapted chart.
-        kernel = annihilator(span_df)
-        closure = invariant_closure(inter, kernel)
-        if not same_span(closure, Pplus_xu):
-            raise InternalInvariantError(
-                "adapted-chart closure and coordinate-free closure disagree")
+    # Coordinate-free route: smallest codistribution containing the
+    # intersection and invariant under the kernel of the update map.  The
+    # chart change maps spans to spans one to one, so comparing on (x, u)
+    # is the same check as comparing on the adapted chart.
+    kernel = annihilator(span_df)
+    closure = invariant_closure(inter, kernel)
+    if not same_span(closure, Pplus_xu):
+        raise InternalInvariantError(
+            "adapted-chart closure and coordinate-free closure disagree")
 
     P_next = backward_shift_codistribution(Pplus, sys)
     if not is_integrable(P_next):
@@ -387,14 +384,12 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
         if not inside.contains(w.coeffs):
             raise InternalInvariantError(f"nesting fails: P_{k+1} not in P_{k}")
     return CodistributionStep(k=k, P=P, intersection=inter,
-                              P_adapted=P_adapted, added_forms=added,
-                              Pplus=Pplus, Pplus_xu=Pplus_xu, P_next=P_next,
-                              report=report)
+                              added_forms=added, Pplus=Pplus,
+                              Pplus_xu=Pplus_xu, P_next=P_next, report=report)
 
 
 def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None,
-                            max_iterations: int | None = None,
-                            cross_check: bool = True) -> CodistributionTestResult:
+                            max_iterations: int | None = None) -> CodistributionTestResult:
     """Iterate from the span of the state differentials until the sequence
     stagnates; flat exactly when it reaches zero."""
     if chart is None:
@@ -406,7 +401,7 @@ def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = No
     steps: list = []
     sequence = [P]
     for k in range(1, max_iterations + 1):
-        step = codistribution_step(sys, chart, k, P, cross_check=cross_check)
+        step = codistribution_step(sys, chart, k, P)
         steps.append(step)
         # the step checked P_next in P, so equal dims mean equal spans
         if step.P_next.dim == P.dim:
@@ -479,8 +474,7 @@ def _certificates_agree(a: ProjectabilityReport, b: ProjectabilityReport) -> boo
             and a.independent_rows == b.independent_rows)
 
 
-def verify_duality(sys: DiscreteSystem, chart: AdaptedChart,
-                   dres: DistributionTestResult,
+def verify_duality(sys: DiscreteSystem, dres: DistributionTestResult,
                    pres: CodistributionTestResult) -> DualityReport:
     """Machine check of the annihilation between the two sequences; any
     failure is raised as an implementation bug, never reported as a
@@ -579,7 +573,7 @@ def analyze(sys: DiscreteSystem, chart: AdaptedChart | None = None,
                     f"the two tests disagree: flat={dres.flat}/{pres.flat}, "
                     f"kbar={dres.kbar}/{pres.kbar}", k=0, check="agreement")
         if check_duality and dres.converged and pres.converged:
-            duality = verify_duality(sys, chart, dres, pres)
+            duality = verify_duality(sys, dres, pres)
         for estep, pstep in zip(dres.steps, pres.steps):
             reports.append(SequenceStep(
                 k=estep.k, E=estep.E_prev, D=estep.D, Delta=estep.Delta,

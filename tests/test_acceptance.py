@@ -146,7 +146,7 @@ def test_criterion_3_duality_suite(corpus_results):
     t0 = time.time()
     assert len(corpus_results) >= 6
     for system, chart, dres, pres in corpus_results:
-        duality = verify_duality(system, chart, dres, pres)
+        duality = verify_duality(system, dres, pres)
         assert duality.ok, system.name
         n_plus_m = system.n + system.m
         for estep, pstep, check in zip(dres.steps, pres.steps, duality.checks):

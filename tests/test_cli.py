@@ -195,6 +195,8 @@ class TestRun:
         ("academic4-decompose", ACADEMIC, ["--decompose"]),
         ("mixed2-decompose", DATA / "mixed2.sys", ["--decompose"]),
         ("nonflat2-decompose", DATA / "nonflat2.sys", ["--decompose"]),
+        ("academic4-distribution-decompose", ACADEMIC,
+         ["--test", "distribution", "--decompose"]),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json
@@ -204,6 +206,18 @@ class TestRun:
         text = capsys.readouterr().out.encode("utf-8")
         assert text == (GOLDEN / f"{name}.txt").read_bytes()
         assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+    def test_decomposition_independent_of_test(self, tmp_path):
+        # the cascade takes P_2 from the codistribution test when it ran
+        # and computes it otherwise, with the same result
+        trees = []
+        for test in ("both", "codistribution", "distribution"):
+            out_path = tmp_path / f"{test}.json"
+            assert run([str(ACADEMIC), "--test", test, "--decompose",
+                        "--json", str(out_path)]) == 0
+            trees.append(json.loads(out_path.read_text())["decomposition"])
+        assert trees[0]["depth"] == 3
+        assert trees[1] == trees[0] and trees[2] == trees[0]
 
     def test_point_check_flag(self, capsys):
         assert run([str(ACADEMIC), "--point-check", "--seed", "3"]) == 0

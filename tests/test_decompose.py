@@ -11,7 +11,12 @@ from dtflat.decompose import (
     decompose_step,
     find_first_integrals,
 )
-from dtflat.errors import HintInvalid, IntegralsNotFound, NormalizationFailed
+from dtflat.errors import (
+    HintInvalid,
+    IntegralsNotFound,
+    InternalInvariantError,
+    NormalizationFailed,
+)
 from dtflat.exprs import ZERO, Scalar, parse_scalar
 from dtflat.flatness import run_codistribution_test, run_distribution_test
 from dtflat.geometry import (
@@ -286,3 +291,50 @@ class TestCascade:
         for st in cascade.steps[:-1]:
             v = run_distribution_test(st.subsystem)
             assert v.flat is True
+
+    def test_reuses_p2_of_the_analysis(self, acad, acad_verdict, monkeypatch):
+        # given P_2 from the analysis, level 1 runs no step of either test;
+        # each level below it runs one codistribution step and no
+        # distribution step
+        import dtflat.decompose as decompose
+        import dtflat.flatness as flatness
+        calls = {"distribution_step": 0, "codistribution_step": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            for module in (flatness, decompose):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, getattr(module, name)))
+        cascade = decompose_cascade(
+            acad, acad_verdict.codistribution.steps[0].P_next)
+        assert cascade.blocked is None and cascade.depth == 3
+        assert calls == {"distribution_step": 0, "codistribution_step": 2}
+
+    def test_disagreeing_closure_stops_a_sub_level(self, acad, acad_verdict,
+                                                    monkeypatch):
+        # the codistribution step of every level below the first runs the
+        # coordinate-free cross-check, so a closure that disagrees stops the
+        # cascade there (on academic4's subsystems the intersection is
+        # already invariant, so the wrong closure here drops every form)
+        import dtflat.decompose as decompose
+        import dtflat.flatness as flatness
+        real = decompose.codistribution_step
+        levels = []
+
+        def recording(sys, *args):
+            levels.append(sys.name)
+            return real(sys, *args)
+
+        monkeypatch.setattr(decompose, "codistribution_step", recording)
+        monkeypatch.setattr(flatness, "invariant_closure",
+                            lambda p0, d: Codistribution(p0.chart, []))
+        with pytest.raises(InternalInvariantError, match="adapted-chart "
+                           "closure and coordinate-free closure disagree"):
+            decompose_cascade(acad, acad_verdict.codistribution.steps[0].P_next)
+        assert levels == ["academic4/derived"]

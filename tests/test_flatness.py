@@ -251,7 +251,7 @@ class TestDuality:
             pres = run_codistribution_test(system, chart)
             assert dres.flat == pres.flat, system.name
             assert dres.kbar == pres.kbar, system.name
-            report = verify_duality(system, chart, dres, pres)
+            report = verify_duality(system, dres, pres)
             assert report.ok
 
     def test_random_flat_corpus(self):
@@ -265,11 +265,11 @@ class TestDuality:
 class TestCrossCheck:
     def test_fires_when_closures_disagree(self, acad, acad_chart, monkeypatch):
         import dtflat.flatness as flatness
-        monkeypatch.setattr(flatness, "invariant_closure", lambda p0, d: p0)
         ch = acad.chart
         P1 = Codistribution(ch, [OneForm.unit(ch, x) for x in acad.state_names])
-        # without the check the step goes through
-        codistribution_step(acad, acad_chart, 1, P1, cross_check=False)
+        # with the real closure the step goes through
+        codistribution_step(acad, acad_chart, 1, P1)
+        monkeypatch.setattr(flatness, "invariant_closure", lambda p0, d: p0)
         with pytest.raises(InternalInvariantError, match="adapted-chart closure "
                            "and coordinate-free closure disagree"):
             codistribution_step(acad, acad_chart, 1, P1)
