@@ -19,6 +19,7 @@ from .decompose import decompose_cascade
 from .errors import DtflatError, NonRationalExpression, ParseError
 from .exprs import Scalar, parse_scalar
 from .flatness import analyze
+from .geometry import annihilator
 from .reporting import (
     AnalysisReport,
     equilibrium_singularity_warnings,
@@ -222,11 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "duality verification, triangular decomposition.")
     ap.add_argument("file", help="system definition file")
     ap.add_argument("--test", choices=("distribution", "codistribution",
-                                       "both"), default="both")
-    ap.add_argument("--verify-duality", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="verify the annihilation between the sequences "
-                         "(default: on when both tests run)")
+                                       "both"), default="both",
+                    help="which test to run; with both, the duality "
+                         "verifier checks one against the other")
     ap.add_argument("--decompose", action="store_true",
                     help="compute the triangular decomposition cascade")
     ap.add_argument("--json", metavar="PATH",
@@ -258,32 +257,23 @@ def run(argv: list) -> int:
                           if args.integrals_hint else None)
         system, sf = parse_system(args.file, chart_hint, integrals_hint)
 
-        run_dist = args.test in ("distribution", "both")
-        run_codist = args.test in ("codistribution", "both")
-        if args.verify_duality and not (run_dist and run_codist):
-            ap.error("--verify-duality requires --test both")
         chart = build_adapted_chart(system)
-        verdict = analyze(system, chart,
-                          max_iterations=args.max_iterations,
-                          run_distribution=run_dist,
-                          run_codistribution=run_codist,
-                          check_duality=args.verify_duality)
+        verdict = analyze(system, chart, max_iterations=args.max_iterations,
+                          test=args.test)
 
         cascade = None
-        if args.decompose:
-            if verdict.flat:
-                p2 = (verdict.codistribution.steps[0].P_next
-                      if verdict.codistribution is not None else None)
-                cascade = decompose_cascade(
-                    system, p2, integral_hints=sf.integral_hints or None)
-            else:
-                cascade = None
+        if args.decompose and verdict.flat:
+            # P_2 of the test that ran; by duality the annihilator of E_1
+            # is P_2
+            p2 = (verdict.codistribution.sequence[1]
+                  if verdict.codistribution is not None
+                  else annihilator(verdict.distribution.sequence[1]))
+            cascade = decompose_cascade(
+                system, p2, integral_hints=sf.integral_hints or None)
 
         options = {
             "test": args.test,
-            "verify_duality": (args.verify_duality
-                               if args.verify_duality is not None
-                               else run_dist and run_codist),
+            "verify_duality": args.test == "both",
             "decompose": bool(args.decompose),
             "max_iterations": (args.max_iterations
                                if args.max_iterations is not None

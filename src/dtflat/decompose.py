@@ -161,8 +161,7 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
 def _first_integrals(p: Codistribution, sys: DiscreteSystem,
                      hints: list | None) -> FirstIntegralSet:
     """find_first_integrals for a p already known to lie in span{dx} and
-    to pass the Frobenius test, as the P_2 that codistribution_step
-    returns does."""
+    to pass the Frobenius test, as P_2 does."""
     state_set = set(sys.state_names)
     if not p.basis:
         return FirstIntegralSet([], "coordinate-pick")
@@ -305,8 +304,8 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
                    input_prefix: str = "ub") -> TriangularDecomposition:
     """Transform one step into the triangular form: subsystem states from
     first integrals, inputs normalized so the chosen subsystem equations
-    read new-state+ = new-input.  p2 is P_2 of the codistribution test of
-    sys, computed here when not given."""
+    read new-state+ = new-input.  p2 is P_2 of sys as the analysis found
+    it (from either test), computed here when not given."""
     if p2 is None:
         P1 = Codistribution(sys.chart, [OneForm.unit(sys.chart, x)
                                         for x in sys.state_names])
@@ -332,8 +331,9 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
             f"the normalization route requires generic rank m = {m} of the "
             f"input Jacobian; it is {input_rank}")
 
-    # codistribution_step has checked that P_2 is integrable, and its
-    # basis is reduced
+    # P_2 is integrable (codistribution_step checks it; the annihilator of
+    # the involutive E_1 is integrable by Frobenius), and its basis is
+    # reduced
     integrals = _first_integrals(p2, sys, integral_hints)
     n2 = p2.dim
     completion = _complete_states(
@@ -567,7 +567,7 @@ _LEVEL_LETTERS = "bcdefghjklmnoqrstuvwyz"
 def decompose_cascade(sys: DiscreteSystem, p2: Codistribution | None = None,
                       integral_hints: list | None = None) -> CascadeResult:
     """Repeated decomposition down to an empty subsystem state.  p2 is
-    P_2 of the codistribution test of sys, when the analysis has it.
+    P_2 of sys, when the analysis has it.
     Redundant subsystem inputs (inputs the subsystem does not depend on)
     are dropped between steps.  Best effort: a failing step returns the
     partial cascade with the blocking diagnosis."""

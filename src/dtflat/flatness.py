@@ -83,10 +83,10 @@ class ProjectabilityReport:
 
     mixed_block: non-pivot th-coefficients of the theta-pivot fields, one
       row per non-pivot th-coordinate, one column per theta-pivot field.
-    derivative_rows: all xi-derivatives of the mixed block, stacked level
-      by level until a level stops adding rank.
-    independent_rows: the nonzero derivative rows (first occurrence order).
-    rank: generic rank of derivative_rows over the function field.
+    independent_rows: the distinct nonzero xi-derivatives of the mixed
+      block, stacked level by level until a level stops adding rank
+      (first occurrence order).
+    rank: generic rank of independent_rows over the function field.
     kernel_basis: column vectors spanning the kernel; coefficients are
       free of all xi variables.
     """
@@ -95,7 +95,6 @@ class ProjectabilityReport:
     dim: int
     theta_pivots: list
     mixed_block: list
-    derivative_rows: list
     independent_rows: list
     rank: int
     kernel_basis: list
@@ -161,8 +160,8 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
                         "kernel of the derivative matrix depends on xi")
     report = ProjectabilityReport(
         dbar=dbar, dim=len(norm.fields), theta_pivots=list(norm.theta_pivots),
-        mixed_block=mixed_block, derivative_rows=rows,
-        independent_rows=independent, rank=len(ech.rows),
+        mixed_block=mixed_block, independent_rows=independent,
+        rank=len(ech.rows),
         kernel_basis=kernel)
     if report.rank + len(kernel) != dbar:
         raise InternalInvariantError("kernel dimension bookkeeping is off")
@@ -234,6 +233,54 @@ def largest_projectable_subdistribution(dist: Distribution,
     return D, core, report
 
 
+# ---------------------------------------------------- the sequence driver
+
+@dataclass
+class SequenceResult:
+    """One run of either test: the steps taken and the members of the
+    sequence up to the stall (E_0 .. E_{kbar-1} or P_1 .. P_kbar).  kbar
+    and flat are None when the iteration budget ran out first."""
+
+    steps: list
+    sequence: list
+    kbar: int | None
+    flat: bool | None
+
+    @property
+    def dims(self) -> list:
+        return [s.dim for s in self.sequence]
+
+    @property
+    def converged(self) -> bool:
+        return self.kbar is not None
+
+
+def _iterate(sys: DiscreteSystem, chart: AdaptedChart | None, first, step,
+             next_member, flat_dim: int,
+             max_iterations: int | None) -> SequenceResult:
+    """Apply step(sys, chart, k, member) from the first member until the
+    dimension stagnates; the system is flat exactly when the last member
+    has dimension flat_dim.  Each step checks that its next member nests
+    with the current one, so equal dims mean equal spans."""
+    if chart is None:
+        chart = build_adapted_chart(sys)
+    if max_iterations is None:
+        max_iterations = sys.n + sys.m + 1
+    member = first
+    steps: list = []
+    sequence = [member]
+    for k in range(1, max_iterations + 1):
+        steps.append(step(sys, chart, k, member))
+        nxt = next_member(steps[-1])
+        if nxt.dim == member.dim:
+            return SequenceResult(steps=steps, sequence=sequence, kbar=k,
+                                  flat=member.dim == flat_dim)
+        member = nxt
+        sequence.append(member)
+    return SequenceResult(steps=steps, sequence=sequence, kbar=None,
+                          flat=None)
+
+
 # ------------------------------------------------------ distribution test
 
 @dataclass
@@ -245,21 +292,6 @@ class DistributionStep:
     Delta: Distribution           # on the successor chart
     E: Distribution               # E_k on (x, u)
     report: ProjectabilityReport
-
-
-@dataclass
-class DistributionTestResult:
-    steps: list
-    sequence: list                # E_0 .. E_{kbar-1}
-    dims: list
-    kbar: int | None
-    flat: bool | None
-    converged: bool
-
-    @property
-    def stop_reason(self) -> str:
-        return ("dimension stagnation" if self.converged
-                else "iteration budget exhausted")
 
 
 def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
@@ -283,32 +315,14 @@ def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
 
 
 def run_distribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None,
-                          max_iterations: int | None = None) -> DistributionTestResult:
+                          max_iterations: int | None = None) -> SequenceResult:
     """Iterate from span of the input directions until the dimension
     stagnates; flat exactly when the last strictly growing member spans
     everything."""
-    if chart is None:
-        chart = build_adapted_chart(sys)
-    if max_iterations is None:
-        max_iterations = sys.n + sys.m + 1
-    E = Distribution(sys.chart,
-                     [VectorField.unit(sys.chart, u) for u in sys.input_names])
-    steps: list = []
-    sequence = [E]
-    for k in range(1, max_iterations + 1):
-        step = distribution_step(sys, chart, k, E)
-        steps.append(step)
-        if step.E.dim == E.dim:
-            dims = [d.dim for d in sequence]
-            flat = E.dim == sys.n + sys.m
-            return DistributionTestResult(steps=steps, sequence=sequence,
-                                          dims=dims, kbar=k, flat=flat,
-                                          converged=True)
-        E = step.E
-        sequence.append(E)
-    return DistributionTestResult(steps=steps, sequence=sequence,
-                                  dims=[d.dim for d in sequence], kbar=None,
-                                  flat=None, converged=False)
+    first = Distribution(sys.chart, [VectorField.unit(sys.chart, u)
+                                     for u in sys.input_names])
+    return _iterate(sys, chart, first, distribution_step, lambda st: st.E,
+                    sys.n + sys.m, max_iterations)
 
 
 # ---------------------------------------------------- codistribution test
@@ -323,21 +337,6 @@ class CodistributionStep:
     Pplus_xu: Codistribution      # P_{k+1}^+ on (x, u)
     P_next: Codistribution        # P_{k+1} on (x, u)
     report: ProjectabilityReport  # from the annihilator of P_k
-
-
-@dataclass
-class CodistributionTestResult:
-    steps: list
-    sequence: list                # P_1 .. P_kbar
-    dims: list
-    kbar: int | None
-    flat: bool | None
-    converged: bool
-
-    @property
-    def stop_reason(self) -> str:
-        return ("sequence stagnation" if self.converged
-                else "iteration budget exhausted")
 
 
 def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
@@ -389,48 +388,16 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
 
 
 def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None,
-                            max_iterations: int | None = None) -> CodistributionTestResult:
+                            max_iterations: int | None = None) -> SequenceResult:
     """Iterate from the span of the state differentials until the sequence
     stagnates; flat exactly when it reaches zero."""
-    if chart is None:
-        chart = build_adapted_chart(sys)
-    if max_iterations is None:
-        max_iterations = sys.n + sys.m + 1
-    P = Codistribution(sys.chart,
-                       [OneForm.unit(sys.chart, x) for x in sys.state_names])
-    steps: list = []
-    sequence = [P]
-    for k in range(1, max_iterations + 1):
-        step = codistribution_step(sys, chart, k, P)
-        steps.append(step)
-        # the step checked P_next in P, so equal dims mean equal spans
-        if step.P_next.dim == P.dim:
-            dims = [q.dim for q in sequence]
-            flat = P.dim == 0
-            return CodistributionTestResult(steps=steps, sequence=sequence,
-                                            dims=dims, kbar=k, flat=flat,
-                                            converged=True)
-        P = step.P_next
-        sequence.append(P)
-    return CodistributionTestResult(steps=steps, sequence=sequence,
-                                    dims=[q.dim for q in sequence], kbar=None,
-                                    flat=None, converged=False)
+    first = Codistribution(sys.chart, [OneForm.unit(sys.chart, x)
+                                       for x in sys.state_names])
+    return _iterate(sys, chart, first, codistribution_step,
+                    lambda st: st.P_next, 0, max_iterations)
 
 
 # ------------------------------------------------------------ the verdict
-
-@dataclass
-class SequenceStep:
-    """Merged per-iteration record of both tests."""
-
-    k: int
-    E: Distribution               # E_{k-1}
-    D: Distribution               # D_{k-1}
-    Delta: Distribution
-    P: Codistribution             # P_k
-    Pplus: Codistribution         # P_{k+1}^+
-    dims: dict
-
 
 @dataclass
 class DualityCheck:
@@ -460,9 +427,8 @@ class FlatnessVerdict:
     kbar: int | None
     witness: str
     duality_ok: bool | None
-    reports: list                 # SequenceStep list
-    distribution: DistributionTestResult
-    codistribution: CodistributionTestResult
+    distribution: SequenceResult | None
+    codistribution: SequenceResult | None
     duality: DualityReport | None
     tests_agree: bool | None
 
@@ -474,8 +440,8 @@ def _certificates_agree(a: ProjectabilityReport, b: ProjectabilityReport) -> boo
             and a.independent_rows == b.independent_rows)
 
 
-def verify_duality(sys: DiscreteSystem, dres: DistributionTestResult,
-                   pres: CodistributionTestResult) -> DualityReport:
+def verify_duality(sys: DiscreteSystem, dres: SequenceResult,
+                   pres: SequenceResult) -> DualityReport:
     """Machine check of the annihilation between the two sequences; any
     failure is raised as an implementation bug, never reported as a
     property of the system."""
@@ -547,49 +513,38 @@ def verify_duality(sys: DiscreteSystem, dres: DistributionTestResult,
 
 
 def analyze(sys: DiscreteSystem, chart: AdaptedChart | None = None,
-            max_iterations: int | None = None, run_distribution: bool = True,
-            run_codistribution: bool = True,
-            check_duality: bool | None = None) -> FlatnessVerdict:
-    """Run the selected tests on one shared adapted chart and assemble the
-    combined verdict."""
+            max_iterations: int | None = None,
+            test: str = "both") -> FlatnessVerdict:
+    """Run the selected test, "distribution", "codistribution" or "both",
+    on one shared adapted chart and assemble the verdict.  When both run
+    and converge, their answers must agree and the duality verifier
+    checks their sequences against each other."""
+    if test not in ("distribution", "codistribution", "both"):
+        raise ValueError(f"test must be 'distribution', 'codistribution' "
+                         f"or 'both', not {test!r}")
     if chart is None:
         chart = build_adapted_chart(sys)
     dres = pres = None
-    if run_distribution:
+    if test != "codistribution":
         dres = run_distribution_test(sys, chart, max_iterations)
-    if run_codistribution:
+    if test != "distribution":
         pres = run_codistribution_test(sys, chart, max_iterations)
-    if check_duality is None:
-        check_duality = run_distribution and run_codistribution
 
     tests_agree = None
     duality = None
-    reports: list = []
-    if dres is not None and pres is not None:
-        if dres.converged and pres.converged:
-            tests_agree = (dres.flat == pres.flat and dres.kbar == pres.kbar)
-            if not tests_agree:
-                raise DualityViolation(
-                    f"the two tests disagree: flat={dres.flat}/{pres.flat}, "
-                    f"kbar={dres.kbar}/{pres.kbar}", k=0, check="agreement")
-        if check_duality and dres.converged and pres.converged:
-            duality = verify_duality(sys, dres, pres)
-        for estep, pstep in zip(dres.steps, pres.steps):
-            reports.append(SequenceStep(
-                k=estep.k, E=estep.E_prev, D=estep.D, Delta=estep.Delta,
-                P=pstep.P, Pplus=pstep.Pplus,
-                dims={"E": estep.E_prev.dim, "D": estep.D.dim,
-                      "Delta": estep.Delta.dim, "P": pstep.P.dim}))
+    if test == "both" and dres.converged and pres.converged:
+        tests_agree = (dres.flat == pres.flat and dres.kbar == pres.kbar)
+        if not tests_agree:
+            raise DualityViolation(
+                f"the two tests disagree: flat={dres.flat}/{pres.flat}, "
+                f"kbar={dres.kbar}/{pres.kbar}", k=0, check="agreement")
+        duality = verify_duality(sys, dres, pres)
 
     primary = dres if dres is not None else pres
-    flat = primary.flat if primary is not None else None
-    kbar = primary.kbar if primary is not None else None
-    converged = primary.converged if primary is not None else False
-    if not converged:
+    kbar = primary.kbar
+    if not primary.converged:
         witness = "not converged within the iteration budget"
-        flat = None
-        kbar = None
-    elif dres is not None and pres is not None:
+    elif test == "both":
         witness = (f"both tests stalled at step {kbar}: "
                    f"dim(E_{kbar-1}) = {dres.sequence[-1].dim} and "
                    f"dim(P_{kbar}) = {pres.sequence[-1].dim}")
@@ -600,7 +555,7 @@ def analyze(sys: DiscreteSystem, chart: AdaptedChart | None = None,
         witness = (f"sequence stagnation at step {kbar} with "
                    f"dim(P_{kbar}) = {pres.sequence[-1].dim}")
     return FlatnessVerdict(
-        flat=flat, kbar=kbar, witness=witness,
+        flat=primary.flat, kbar=kbar, witness=witness,
         duality_ok=(duality.ok if duality is not None else None),
-        reports=reports, distribution=dres, codistribution=pres,
+        distribution=dres, codistribution=pres,
         duality=duality, tests_agree=tests_agree)

@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decompose import CascadeResult
-from .errors import EvalSingular
-from .exprs import Scalar
 from .flatness import FlatnessVerdict, ProjectabilityReport
-from .geometry import generic_rank
-from .systems import AdaptedChart, DiscreteSystem
+from .systems import AdaptedChart, DiscreteSystem, _rank_at_point
 
 
 @dataclass
@@ -293,24 +290,19 @@ def point_check(report: AnalysisReport, seed: int) -> list:
     for label, space in spaces:
         if not space.basis:
             continue
-        ok = False
         for _ in range(12):
             point = {name: base[name]
                      + Fraction(rng.randint(1, 60), rng.randint(61, 120))
                      for name in space.chart.names}
-            try:
-                rows = [[Scalar(c.eval_at(point)) for c in b.coeffs]
-                        for b in space.basis]
-            except EvalSingular:
+            rank = _rank_at_point([b.coeffs for b in space.basis], point)
+            if rank is None:
                 continue
-            ok = True
-            rank = generic_rank(rows)
             if rank != space.dim:
                 warnings.append(
                     f"{label}: rank at the sampled point is {rank}, generic "
                     f"dimension is {space.dim} (singular locus)")
             break
-        if not ok:
+        else:
             warnings.append(
                 f"{label}: could not evaluate the basis near the "
                 f"equilibrium (denominators vanish)")

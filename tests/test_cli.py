@@ -197,6 +197,8 @@ class TestRun:
         ("nonflat2-decompose", DATA / "nonflat2.sys", ["--decompose"]),
         ("academic4-distribution-decompose", ACADEMIC,
          ["--test", "distribution", "--decompose"]),
+        ("academic4-codistribution-decompose", ACADEMIC,
+         ["--test", "codistribution", "--decompose"]),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json
@@ -209,7 +211,7 @@ class TestRun:
 
     def test_decomposition_independent_of_test(self, tmp_path):
         # the cascade takes P_2 from the codistribution test when it ran
-        # and computes it otherwise, with the same result
+        # and as the annihilator of E_1 otherwise, with the same result
         trees = []
         for test in ("both", "codistribution", "distribution"):
             out_path = tmp_path / f"{test}.json"
@@ -278,9 +280,37 @@ class TestRun:
         out = capsys.readouterr().out
         assert "decomposition skipped" in out
 
-    def test_verify_duality_needs_both(self, capsys):
-        with pytest.raises(SystemExit):
-            run([str(CHAIN), "--test", "distribution", "--verify-duality"])
+    @pytest.mark.parametrize("flag", ["--verify-duality",
+                                      "--no-verify-duality"])
+    def test_duality_verifier_has_no_switch(self, capsys, flag):
+        # the verifier runs whenever both tests do; argparse rejects a flag
+        # that would turn it on or off
+        with pytest.raises(SystemExit) as exc:
+            run([str(CHAIN), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test", ["both", "codistribution",
+                                      "distribution"])
+    def test_decompose_builds_six_charts(self, monkeypatch, test):
+        # one chart for the analysis, and at each of the three levels one
+        # for _check_straightened; levels 2 and 3 build one for their
+        # codistribution step, level 1 takes P_2 from whichever test ran
+        import dtflat.cli as cli
+        import dtflat.decompose as decompose
+        import dtflat.flatness as flatness
+        import dtflat.systems as systems
+        real = systems.build_adapted_chart
+        calls = []
+
+        def counting(sys, *args, **kwargs):
+            calls.append(sys.name)
+            return real(sys, *args, **kwargs)
+
+        for module in (cli, decompose, flatness, systems):
+            monkeypatch.setattr(module, "build_adapted_chart", counting)
+        assert run([str(ACADEMIC), "--test", test, "--decompose"]) == 0
+        assert len(calls) == 6, calls
 
     def test_inversion_failure_exit_and_hint(self, tmp_path, capsys):
         p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"

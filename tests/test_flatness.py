@@ -321,9 +321,20 @@ class TestFixtures:
 
     def test_max_iterations_truncates(self):
         v = analyze(academic4(), max_iterations=1)
-        assert v.flat is None
-        assert not v.distribution.converged
+        assert v.flat is None and v.kbar is None
         assert "not converged" in v.witness
+        assert v.tests_agree is None and v.duality is None
+        for res in (v.distribution, v.codistribution):
+            assert not res.converged
+            assert res.kbar is None and res.flat is None
+            assert len(res.steps) == 1
+            assert res.dims == [s.dim for s in res.sequence]
+        assert v.distribution.dims == [2, 3]
+        assert v.codistribution.dims == [4, 3]
+
+    def test_unknown_test_rejected(self):
+        with pytest.raises(ValueError, match="neither"):
+            analyze(chain2(), test="neither")
 
     def test_termination_bound(self):
         # the stall index is bounded by the default iteration budget
