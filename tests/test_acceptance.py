@@ -147,9 +147,9 @@ def test_criterion_3_duality_suite(corpus_results):
     assert len(corpus_results) >= 6
     for system, chart, dres, pres in corpus_results:
         duality = verify_duality(system, dres, pres)
-        assert duality.ok, system.name
+        assert [c.k for c in duality] == [st.k for st in dres.steps], system.name
         n_plus_m = system.n + system.m
-        for estep, pstep, check in zip(dres.steps, pres.steps, duality.checks):
+        for estep, pstep, check in zip(dres.steps, pres.steps, duality):
             # (a) annihilation, re-verified here directly
             for v in estep.E_prev.basis:
                 for w in pstep.P.basis:
@@ -163,6 +163,9 @@ def test_criterion_3_duality_suite(corpus_results):
                 for w in union.basis:
                     assert interior_product(v, w).is_zero()
             assert estep.D.dim + union.dim == n_plus_m
+            # the dimensions the verifier recorded
+            assert (check.E_dim, check.P_dim, check.D_dim, check.sum_dim) == (
+                estep.E_prev.dim, pstep.P.dim, estep.D.dim, union.dim)
     report("3 (duality suite)", t0, 10.0)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from dtflat.cli import parse_system, parse_system_file, run
 from dtflat.errors import (
+    DualityViolation,
     EquilibriumMismatch,
     EvalSingular,
     NonRationalExpression,
@@ -289,6 +290,21 @@ class TestRun:
             run([str(CHAIN), flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_duality_failure_exits_one_without_report(self, monkeypatch,
+                                                      capsys):
+        import dtflat.flatness as flatness
+
+        def failing(sys, dres, pres):
+            raise DualityViolation("a basis pairing of E_0 with P_1 is "
+                                   "nonzero", k=1, check="pairing")
+
+        monkeypatch.setattr(flatness, "verify_duality", failing)
+        assert run([str(ACADEMIC)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("dtflat: error: a basis pairing of E_0 "
+                                "with P_1 is nonzero\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("test", ["both", "codistribution",
                                       "distribution"])

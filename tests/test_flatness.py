@@ -2,6 +2,7 @@
 example, hand-derived fixtures, scaling families, and randomized
 systems."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from corpus import (
     rat_n,
 )
 from dtflat.cli import parse_system
-from dtflat.errors import InternalInvariantError
+from dtflat.errors import DualityViolation, InternalInvariantError
 from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
     ProjectabilityReport,
@@ -44,6 +45,7 @@ from dtflat.geometry import (
     is_involutive,
     rref,
     same_span,
+    sum_codistributions,
 )
 from dtflat.systems import (
     AdaptedChart,
@@ -195,7 +197,6 @@ class TestGoldenCodistribution:
 
     def test_pplus_plus_p_matches_display(self, acad, acad_chart, acad_verdict):
         # P2+ + P1 = span{dx1..dx4, du1 + 2 du2}
-        from dtflat.geometry import sum_codistributions
         step1 = acad_verdict.codistribution.steps[0]
         union = sum_codistributions(acad_chart.from_adapted(step1.Pplus),
                                     step1.P)
@@ -222,19 +223,32 @@ class TestGoldenCodistribution:
 
 # ----------------------------------------------------- duality and fixtures
 
+def assert_duality_recorded(system, checks, dres, pres):
+    """The verifier returned one check per step, and each records the
+    dimensions of that step: complementary, and recomputed here."""
+    n_plus_m = system.n + system.m
+    assert checks is not None, system.name
+    assert [c.k for c in checks] == [st.k for st in dres.steps], system.name
+    assert len(checks) == len(pres.steps) == dres.kbar, system.name
+    for c, estep, pstep in zip(checks, dres.steps, pres.steps):
+        union = sum_codistributions(pstep.Pplus_xu, pstep.P)
+        assert (c.E_dim, c.P_dim, c.D_dim, c.sum_dim) == (
+            estep.E_prev.dim, pstep.P.dim, estep.D.dim, union.dim), system.name
+        assert c.E_dim + c.P_dim == n_plus_m, system.name
+        assert c.D_dim + c.sum_dim == n_plus_m, system.name
+
+
 class TestDuality:
-    def test_academic_full_pass(self, acad_verdict):
-        assert acad_verdict.duality_ok is True
-        assert acad_verdict.tests_agree is True
-        for c in acad_verdict.duality.checks:
-            assert c.pairing_zero and c.dims_complementary
-            assert c.projectable_pairing_zero
-            assert c.projectable_dims_complementary
-            assert c.dim_formula_E and c.dim_formula_P
-            assert c.certificates_agree
+    def test_academic_full_pass(self, acad, acad_verdict):
+        checks = acad_verdict.duality
+        assert_duality_recorded(acad, checks, acad_verdict.distribution,
+                                acad_verdict.codistribution)
+        assert [(c.k, c.E_dim, c.P_dim, c.D_dim, c.sum_dim)
+                for c in checks] == [(1, 2, 4, 1, 5), (2, 3, 3, 3, 3),
+                                     (3, 5, 1, 5, 1), (4, 6, 0, 6, 0)]
 
     def test_first_step_dims(self, acad_verdict):
-        c = acad_verdict.duality.checks[0]
+        c = acad_verdict.duality[0]
         assert (c.E_dim, c.P_dim, c.D_dim, c.sum_dim) == (2, 4, 1, 5)
 
     def test_explicit_pairing(self, acad, acad_verdict):
@@ -251,15 +265,88 @@ class TestDuality:
             pres = run_codistribution_test(system, chart)
             assert dres.flat == pres.flat, system.name
             assert dres.kbar == pres.kbar, system.name
-            report = verify_duality(system, dres, pres)
-            assert report.ok
+            checks = verify_duality(system, dres, pres)
+            assert_duality_recorded(system, checks, dres, pres)
 
     def test_random_flat_corpus(self):
         for system in random_flat_corpus():
             verdict = analyze(system)
             assert verdict.flat is True, system.name
-            assert verdict.duality_ok is True
-            assert verdict.tests_agree is True
+            assert_duality_recorded(system, verdict.duality,
+                                    verdict.distribution,
+                                    verdict.codistribution)
+
+
+def _mutate_step(seq, k, **changes):
+    """A copy of the sequence result with step k replaced field by field."""
+    steps = list(seq.steps)
+    steps[k - 1] = replace(steps[k - 1], **changes)
+    return replace(seq, steps=steps)
+
+
+def _vectors(chart, *names):
+    return Distribution(chart, [VectorField.unit(chart, x) for x in names])
+
+
+# one mutation per duality check: (dres, pres) -> (dres, pres), with the
+# check and the step it must be caught at; academic4's P_1 is
+# span{dx1..dx4} and P_2+ + P_1 adds du1 + 2 du2
+DUALITY_MUTATIONS = {
+    "agreement-flat": (lambda d, p: (replace(d, flat=not d.flat), p),
+                       "agreement", 0),
+    "agreement-kbar": (lambda d, p: (d, replace(p, kbar=p.kbar - 1)),
+                       "agreement", 0),
+    "pairing": (lambda d, p: (_mutate_step(
+        d, 1, E_prev=_vectors(d.steps[0].E_prev.chart, "x1", "u1")), p),
+        "pairing", 1),
+    "dims": (lambda d, p: (_mutate_step(
+        d, 1, E_prev=_vectors(d.steps[0].E_prev.chart, "u1")), p),
+        "dims", 1),
+    "projectable-pairing": (lambda d, p: (_mutate_step(
+        d, 1, D=_vectors(d.steps[0].D.chart, "u1")), p),
+        "projectable-pairing", 1),
+    "projectable-dims": (lambda d, p: (_mutate_step(
+        d, 1, D=_vectors(d.steps[0].D.chart)), p),
+        "projectable-dims", 1),
+    "dim-formula-E": (lambda d, p: (_mutate_step(
+        d, 2, E=d.steps[1].E_prev), p),
+        "dim-formula-E", 2),
+    "dim-formula-P": (lambda d, p: (d, _mutate_step(
+        p, 3, P_next=p.steps[2].P)),
+        "dim-formula-P", 3),
+    "certificates": (lambda d, p: (d, _mutate_step(
+        p, 1, report=replace(p.steps[0].report, independent_rows=[]))),
+        "certificates", 1),
+}
+
+
+class TestDualityViolations:
+    @pytest.mark.parametrize("name", list(DUALITY_MUTATIONS))
+    def test_every_check_fires(self, acad, acad_verdict, name):
+        mutate, check, k = DUALITY_MUTATIONS[name]
+        dres, pres = mutate(acad_verdict.distribution,
+                            acad_verdict.codistribution)
+        with pytest.raises(DualityViolation) as exc:
+            verify_duality(acad, dres, pres)
+        assert (exc.value.check, exc.value.k) == (check, k)
+
+    @pytest.mark.parametrize("stalled", ["run_distribution_test",
+                                         "run_codistribution_test"])
+    def test_one_converged_test_is_a_disagreement(self, acad, acad_chart,
+                                                  monkeypatch, stalled):
+        # when only one test converges the verdict must not silently
+        # follow the other: the agreement check sees the kbar mismatch
+        import dtflat.flatness as flatness
+        real = getattr(flatness, stalled)
+
+        def unconverged(*args, **kwargs):
+            return replace(real(*args, **kwargs), kbar=None, flat=None)
+
+        monkeypatch.setattr(flatness, stalled, unconverged)
+        with pytest.raises(DualityViolation,
+                           match="the two tests disagree") as exc:
+            analyze(acad, acad_chart)
+        assert (exc.value.check, exc.value.k) == ("agreement", 0)
 
 
 class TestCrossCheck:
@@ -282,7 +369,8 @@ class TestFixtures:
         assert v.kbar == 1
         assert v.distribution.dims == [1]
         assert v.codistribution.dims == [2]
-        assert v.duality_ok is True
+        assert [(c.k, c.E_dim, c.P_dim, c.D_dim, c.sum_dim)
+                for c in v.duality] == [(1, 1, 2, 0, 3)]
 
     def test_nonflat_late_obstruction(self):
         # the projectability certificate is trivial at step 1 and rank 1
@@ -293,7 +381,8 @@ class TestFixtures:
         assert [st.report.rank for st in v.distribution.steps] == [0, 1]
         assert v.distribution.dims == [1, 2]
         assert v.codistribution.dims == [3, 2]
-        assert v.duality_ok is True
+        assert [(c.k, c.E_dim, c.P_dim, c.D_dim, c.sum_dim)
+                for c in v.duality] == [(1, 1, 3, 1, 3), (2, 2, 2, 1, 3)]
 
     def test_nonflat_membership_oracle(self):
         # the direct reason: dx2 never enters span{du, dx1 + u dx2}
@@ -317,13 +406,15 @@ class TestFixtures:
     def test_mimo_flat(self):
         v = analyze(mimo3())
         assert v.flat is True
-        assert v.duality_ok is True
+        assert [(c.k, c.E_dim, c.P_dim, c.D_dim, c.sum_dim)
+                for c in v.duality] == [(1, 2, 3, 2, 3), (2, 4, 1, 4, 1),
+                                        (3, 5, 0, 5, 0)]
 
     def test_max_iterations_truncates(self):
         v = analyze(academic4(), max_iterations=1)
         assert v.flat is None and v.kbar is None
         assert "not converged" in v.witness
-        assert v.tests_agree is None and v.duality is None
+        assert v.duality is None
         for res in (v.distribution, v.codistribution):
             assert not res.converged
             assert res.kbar is None and res.flat is None
@@ -357,7 +448,8 @@ class TestFixtures:
             s = mk(states, inputs, exprs, name="edge")
             v = analyze(s)
             assert v.flat is flat and v.kbar == kbar, exprs
-            assert v.duality_ok is True
+            assert_duality_recorded(s, v.duality, v.distribution,
+                                    v.codistribution)
             cascade = decompose_cascade(s)
             assert cascade.blocked is None
             assert cascade.depth == kbar - 1
@@ -459,7 +551,8 @@ class TestProjectableOnOriginalChart:
         system = self.SYSTEMS[name]()
         chart = build_adapted_chart(system)
         verdict = analyze(system, chart)
-        assert verdict.duality_ok is True
+        assert_duality_recorded(system, verdict.duality,
+                                verdict.distribution, verdict.codistribution)
         for st in verdict.distribution.steps:
             assert st.D.basis == self.reference_D(chart, st.D_adapted).basis
         ranked = [st.k for st in verdict.distribution.steps if st.report.rank]
@@ -478,7 +571,8 @@ class TestProjectableOnOriginalChart:
 
         monkeypatch.setattr(AdaptedChart, "field_from_adapted", counting)
         verdict = analyze(acad, acad_chart)
-        assert verdict.flat is True and verdict.duality_ok is True
+        assert verdict.flat is True
+        assert len(verdict.duality) == verdict.kbar
         assert calls == []
 
     def test_dimension_mismatch_is_an_internal_error(self, acad, acad_chart,
@@ -516,6 +610,7 @@ class TestScalingFamilies:
         assert verdict.flat is True
         assert verdict.distribution.dims == list(range(1, n + 2))
         assert verdict.codistribution.dims == list(range(n, -1, -1))
-        assert verdict.duality_ok is True
+        assert_duality_recorded(system, verdict.duality,
+                                verdict.distribution, verdict.codistribution)
         for st in verdict.distribution.steps:
             assert st.D.basis == st.E_prev.basis
