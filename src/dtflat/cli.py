@@ -250,6 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    if args.max_iterations is not None and args.max_iterations < 1:
+        ap.error(f"--max-iterations must be at least 1, "
+                 f"not {args.max_iterations}")
     try:
         chart_hint = (args.chart_hint.replace(",", " ").split()
                       if args.chart_hint else None)

@@ -262,10 +262,13 @@ def _iterate(sys: DiscreteSystem, chart: AdaptedChart | None, first, step,
     dimension stagnates; the system is flat exactly when the last member
     has dimension flat_dim.  Each step checks that its next member nests
     with the current one, so equal dims mean equal spans."""
-    if chart is None:
-        chart = build_adapted_chart(sys)
     if max_iterations is None:
         max_iterations = sys.n + sys.m + 1
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, "
+                         f"not {max_iterations}")
+    if chart is None:
+        chart = build_adapted_chart(sys)
     member = first
     steps: list = []
     sequence = [member]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatch
-from .exprs import ONE, ZERO, Scalar
+from .exprs import ONE, ZERO, Poly, Scalar, poly_divexact, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -398,10 +398,29 @@ def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:
     return Codistribution.span(p.chart, list(p.basis) + list(q.basis))
 
 
+def _clear_denominators(row: Sequence[Scalar]) -> Sequence[Scalar]:
+    """g * row, where g is the lcm of the (monic) denominators of row, so
+    every entry is a polynomial; row itself when they are all 1."""
+    g = Poly.const(1)
+    for c in row:
+        if not c.den.is_const():
+            g = g * poly_divexact(c.den, poly_gcd(g, c.den))
+    if g.is_const():
+        return row
+    return [Scalar(c.num * poly_divexact(g, c.den)) for c in row]
+
+
 def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
     """Smallest codistribution containing p0 and closed under Lie
     derivatives along every field of d.  Terminates because the rank can
-    grow at most chart-dimension times."""
+    grow at most chart-dimension times.
+
+    Each row w is differentiated as g*w, g the lcm of its denominators, so
+    the Lie derivative works on polynomials.  That is exact: w lies in the
+    span S already, and L_v(g*w) = v(g)*w + g*L_v(w), so L_v(g*w) is in S
+    exactly when L_v(w) is, and both add the same span to S.  The loop
+    therefore visits the same spans, takes as many Lie derivatives, and
+    ends at the same canonical rows as with w itself."""
     _require_same_chart(p0, d)
     chart = p0.chart
     ech = p0.echelon()
@@ -409,7 +428,8 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
         added = False
         for v in d.basis:
             for row in list(ech.rows):
-                if ech.add(lie_derivative(v, OneForm(chart, row)).coeffs):
+                w = OneForm(chart, _clear_denominators(row))
+                if ech.add(lie_derivative(v, w).coeffs):
                     added = True
         if not added:
             return Codistribution.reduced(chart, ech.rows)

@@ -165,6 +165,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert "NOT CONVERGED" in out
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_max_iterations_below_one_rejected(self, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            run([str(ACADEMIC), "--max-iterations", k])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--max-iterations must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         assert run([str(ACADEMIC), "--decompose", "--json", str(out_path)]) == 0
@@ -200,6 +209,7 @@ class TestRun:
          ["--test", "distribution", "--decompose"]),
         ("academic4-codistribution-decompose", ACADEMIC,
          ["--test", "codistribution", "--decompose"]),
+        ("nlchain8", GOLDEN / "nlchain8.sys", []),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json

@@ -423,6 +423,11 @@ class TestFixtures:
         assert v.distribution.dims == [2, 3]
         assert v.codistribution.dims == [4, 3]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_max_iterations_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            analyze(academic4(), max_iterations=k)
+
     def test_unknown_test_rejected(self):
         with pytest.raises(ValueError, match="neither"):
             analyze(chain2(), test="neither")
@@ -602,7 +607,7 @@ class TestScalingFamilies:
     D_{k-1} is E_{k-1} itself."""
 
     @pytest.mark.parametrize("system", [rat_n(n) for n in range(3, 7)]
-                             + [nlchain_n(n) for n in range(3, 7)],
+                             + [nlchain_n(n) for n in range(3, 11)],
                              ids=lambda s: s.name)
     def test_flat_with_known_dims(self, system):
         n = system.n

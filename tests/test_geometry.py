@@ -4,6 +4,7 @@ annihilators, closures, and Frobenius (checked against involutivity of the
 annihilator)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from dtflat.geometry import (
     Echelon,
     OneForm,
     VectorField,
+    _clear_denominators,
     annihilator,
     combine,
     d_scalar,
@@ -514,6 +516,87 @@ class TestClosure:
         monkeypatch.setattr(flatness, "invariant_closure", closure)
         run_codistribution_test(system())
         assert counts == per_step
+
+
+def closure_by_unscaled_rows(p0, d):
+    """invariant_closure's loop differentiating each row as it stands,
+    without clearing its denominators; (rows, pivots, Lie derivatives)."""
+    ech, count = p0.echelon(), 0
+    while True:
+        added = False
+        for v in d.basis:
+            for row in list(ech.rows):
+                count += 1
+                if ech.add(lie_derivative(v, OneForm(p0.chart, row)).coeffs):
+                    added = True
+        if not added:
+            return ech.rows, ech.pivots, count
+
+
+def closure_case(seed):
+    """One field v = d/dx3 + a d/du, whose first integrals are x1, x2 and
+    y = u - a*x3, and p0 = span{sum f_i dh_i} for k = 2 or 3 first
+    integrals h_i over one denominator and functions f_i that v does not
+    keep (f_0 with a denominator in u or x3).  The closure is span{dh_i}:
+    it grows from 1 to k rows, over k - 1 rounds."""
+    rng = random.Random(seed)
+    chart = Chart(("x1", "x2", "x3", "u"))
+    x1, x2, x3, uu = (Scalar.var(n) for n in chart.names)
+    a = Scalar(rng.choice([-2, -1, 1, 2]))
+    k = rng.randint(2, 3)
+    integrals = [x1, x2, uu - a * x3]
+    q = ONE + Scalar(rng.choice([1, 2])) * rng.choice(integrals)
+    dh = [d_scalar(chart, h / q) for h in rng.sample(integrals, k)]
+    fs = [ONE / rng.choice([uu, x3 + 1, uu * uu + 1])]
+    fs += [x3 ** i + Scalar(rng.choice([-2, -1, 1, 2])) for i in range(1, k)]
+    w = OneForm(chart, combine(fs, [h.coeffs for h in dh]))
+    field = VectorField(chart, [ZERO, ZERO, ONE, a])
+    return (Codistribution(chart, [w]), Distribution(chart, [field]),
+            Codistribution(chart, dh))
+
+
+class TestClearedClosure:
+    """The closure differentiates g*w, g the lcm of w's denominators, in
+    place of w; the spans it visits must not change."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_closure_by_unscaled_rows(self, monkeypatch, seed):
+        import dtflat.geometry as geometry
+        p0, d, expect = closure_case(seed)
+        # a denominator of w moves along v, so v(g) is not zero and
+        # L_v(g*w) is not g*L_v(w)
+        assert any(c.den.vars() & {"x3", "u"} for c in p0.basis[0].coeffs)
+        counts, real_lie = [0], geometry.lie_derivative
+
+        def lie(v, w):
+            counts[0] += 1
+            return real_lie(v, w)
+
+        monkeypatch.setattr(geometry, "lie_derivative", lie)
+        got = invariant_closure(p0, d)
+        rows, pivots, count = closure_by_unscaled_rows(p0, d)
+        assert [list(w.coeffs) for w in got.basis] == rows
+        assert got.echelon().pivots == pivots
+        assert counts[0] == count
+        assert got.dim == expect.dim > p0.dim
+        assert same_span(got, expect)
+
+    def test_cleared_rows_are_polynomial_and_span_alike(self):
+        for rows in ECHELON_CASES + [[list(dh.coeffs) for dh in
+                                      closure_case(seed)[2].basis]
+                                     for seed in range(4)]:
+            cleared = [_clear_denominators(row) for row in rows]
+            for row, new in zip(rows, cleared):
+                assert all(c.den.is_const() for c in new)
+                if any(not c.den.is_const() for c in row):
+                    assert new != row
+            ech, again = Echelon(rows), Echelon(cleared)
+            assert (again.rows, again.pivots) == (ech.rows, ech.pivots)
+
+    def test_polynomial_rows_pass_through(self):
+        for row in ([ZERO] * 3, [ONE, u * u - 2, ZERO],
+                    [Scalar(Fraction(1, 2)), -u, Scalar(3)]):
+            assert _clear_denominators(row) is row
 
 
 def integrable_agrees_with_involutive_annihilator(p):
