@@ -35,6 +35,7 @@ from .geometry import (
     Echelon,
     OneForm,
     VectorField,
+    _clear_denominators,
     d_scalar,
     generic_rank,
     is_closed,
@@ -88,30 +89,13 @@ def _potential(w: OneForm):
     return None
 
 
-def _clear_denominators(w: OneForm) -> OneForm:
-    """Multiply a form by the least common multiple of the coefficient
-    denominators, yielding polynomial coefficients with the same span."""
-    from .exprs import poly_divexact, poly_gcd
-
-    lcm = Poly.const(1)
-    for c in w.coeffs:
-        if c.is_zero():
-            continue
-        g = poly_gcd(lcm, c.den)
-        lcm = poly_divexact(lcm, g) * c.den
-    if lcm == Poly.const(1):
-        return w
-    factor = Scalar(lcm)
-    return OneForm(w.chart, [c * factor for c in w.coeffs])
-
-
 def _integral_of_form(w: OneForm, factor_vars: list):
     """Try to integrate one basis form: exactness first, then monomial
     integrating factors with exponents in [-2, 2].  Returns
     (integral, method) or (None, None)."""
     seen = []
     bases = [w]
-    cleared = _clear_denominators(w)
+    cleared = OneForm(w.chart, _clear_denominators(w.coeffs))
     if cleared.coeffs != w.coeffs:
         bases.append(cleared)
     for base in bases:

@@ -66,6 +66,11 @@ class ChartMismatch(DtflatError):
     pass
 
 
+class InvalidVariables(DtflatError, ValueError):
+    """Variable names that cannot make a chart or a system: repeated,
+    reserved, undeclared, or without an equilibrium value."""
+
+
 # --------------------------------------------------------------- systems
 
 class SubmersivityFailed(DtflatError):

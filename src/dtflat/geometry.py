@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ChartMismatch
+from .errors import ChartMismatch, InvalidVariables
 from .exprs import ONE, ZERO, Poly, Scalar, poly_divexact, poly_gcd
 
 
@@ -25,8 +25,10 @@ class Chart:
     names: tuple
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate chart variables: {self.names}")
+        repeated = sorted({n for n in self.names if self.names.count(n) > 1})
+        if repeated:
+            raise InvalidVariables(f"variables declared more than once: "
+                                   f"{repeated}")
 
     @property
     def dim(self) -> int:

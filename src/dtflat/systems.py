@@ -1,6 +1,6 @@
 """Discrete-time system model and coordinate machinery: submersivity,
-adapted charts, forward and backward shifts, and transport of fields and
-forms between the original and the adapted chart.
+adapted charts, forward and backward shifts, and transport of forms and
+spans between the original and the adapted chart.
 
 The adapted chart takes the images of the state map as its first block of
 coordinates and a selection of m existing coordinates as the second block.
@@ -19,6 +19,8 @@ from .errors import (
     EquilibriumMismatch,
     EvalSingular,
     HintInvalid,
+    InternalInvariantError,
+    InvalidVariables,
     InversionFailed,
     NotProjectable,
     NotShiftable,
@@ -31,12 +33,13 @@ from .geometry import (
     Codistribution,
     Distribution,
     OneForm,
-    Row,
     Span,
     VectorField,
+    annihilator,
     combine,
     generic_rank,
     rref,
+    same_span,
 )
 
 
@@ -77,14 +80,15 @@ class DiscreteSystem:
                     | {f"xp{i}" for i in range(1, self.n + 1)})
         clash = reserved & set(self.chart.names)
         if clash:
-            raise ValueError(
+            raise InvalidVariables(
                 f"variable names {sorted(clash)} collide with generated "
                 f"chart names (th*/xi*/xp* are reserved)")
         declared = set(self.chart.names)
         for g in self.f:
             extra = g.vars() - declared
             if extra:
-                raise ValueError(f"undeclared variables in dynamics: {sorted(extra)}")
+                raise InvalidVariables(
+                    f"undeclared variables in dynamics: {sorted(extra)}")
 
         self.chart_plus = Chart(tuple(f"xp{i}" for i in range(1, self.n + 1)))
         self.chart_adapted = Chart(
@@ -104,6 +108,10 @@ class DiscreteSystem:
         if equilibrium is None:
             self.equilibrium = None
         else:
+            missing = [v for v in self.chart.names if v not in equilibrium]
+            if missing:
+                raise InvalidVariables(
+                    f"equilibrium has no value for {missing}")
             self.equilibrium = {v: Fraction(equilibrium[v])
                                 for v in self.chart.names}
             for name_i, g in zip(self.state_names, self.f):
@@ -159,17 +167,13 @@ class AdaptedChart:
         self._into = Substitution(self.inverse)
         self._out = Substitution(self.forward)
         # one coefficient row per map component: row a is d(forward_a) on
-        # (x, u), row b is d(inverse_b) on (th, xi).  Forms move with these
-        # rows; fields move with the rows of the transposes, which are the
-        # coordinate fields d/dx_b and d/dth_a written on the other chart.
+        # (x, u), row b is d(inverse_b) on (th, xi); forms move with them
         self._jac_forward = [
             [self.forward[a].diff(b) for b in sys.chart.names]
             for a in self.chart.names]
         self._jac_inverse = [
             [self.inverse[b].diff(a) for a in self.chart.names]
             for b in sys.chart.names]
-        self._jac_forward_t = [list(col) for col in zip(*self._jac_forward)]
-        self._jac_inverse_t = [list(col) for col in zip(*self._jac_inverse)]
 
     # ------------------------------------------------------------ scalars
 
@@ -179,21 +183,7 @@ class AdaptedChart:
     def scalar_from_adapted(self, g: Scalar) -> Scalar:
         return g.subs(self._out)
 
-    # ------------------------------------------------------ fields, forms
-
-    def field_to_adapted(self, v: VectorField) -> VectorField:
-        if v.chart != self.sys.chart:
-            raise ValueError("field is not on the system chart")
-        return VectorField(self.chart, [
-            self.scalar_to_adapted(c)
-            for c in combine(v.coeffs, self._jac_forward_t)])
-
-    def field_from_adapted(self, v: VectorField) -> VectorField:
-        if v.chart != self.chart:
-            raise ValueError("field is not on the adapted chart")
-        return VectorField(self.sys.chart, [
-            self.scalar_from_adapted(c)
-            for c in combine(v.coeffs, self._jac_inverse_t)])
+    # -------------------------------------------------------------- forms
 
     def form_to_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.sys.chart:
@@ -209,59 +199,39 @@ class AdaptedChart:
                   for c in w.coeffs]
         return OneForm(self.sys.chart, combine(coeffs, self._jac_forward))
 
-    def _distribution_to_adapted(self, dist: Distribution) -> Distribution:
-        """Push the basis fields forward on (x, u), reduce them there, and
-        only then compose each entry of the reduced rows with the inverse
-        map.
-
-        Composing with the inverse map, g -> g o F^-1, is an isomorphism
-        of the function fields of (x, u) and of (th, xi): it respects sums,
-        products and quotients, and g is identically zero exactly when
-        g o F^-1 is.  Elimination only does field operations and zero
-        tests, so reducing on (x, u) and then composing gives the same
-        pivots and the same rows as composing first and reducing on
-        (th, xi).  The reduced echelon basis is canonical, so the result is
-        the basis Distribution.span would build on the adapted chart, with
-        the elimination run on the small coefficients of (x, u)."""
-        if dist.chart != self.sys.chart:
-            raise ValueError("distribution is not on the system chart")
-        rows, _ = rref([combine(v.coeffs, self._jac_forward_t)
-                        for v in dist.basis])
-        return Distribution.reduced(self.chart, [
-            [self.scalar_to_adapted(c) for c in row] for row in rows])
-
     # -------------------------------------------------------------- spans
 
-    def to_adapted(self, obj):
-        """Change of coordinates into the adapted chart; accepts
-        VectorField, OneForm, Distribution, Codistribution (scalars move
-        with scalar_to_adapted and scalar_from_adapted)."""
-        return self._transport(obj, True)
+    def to_adapted(self, span: Span) -> Span:
+        """A distribution or codistribution on (x, u), written on the
+        adapted chart (scalars move with scalar_to_adapted, single forms
+        with form_to_adapted)."""
+        return self._transport(span, True)
 
-    def from_adapted(self, obj):
-        return self._transport(obj, False)
+    def from_adapted(self, span: Span) -> Span:
+        return self._transport(span, False)
 
-    def _transport(self, obj, into: bool):
-        if isinstance(obj, Span):
-            if into and obj.element is VectorField:
-                out = self._distribution_to_adapted(obj)
-            else:
-                move = self._row_map(obj.element, into)
-                out = type(obj).span(self.chart if into else self.sys.chart,
-                                     [move(v) for v in obj.basis])
-            if out.dim != obj.dim:
-                raise ValueError("coordinate change did not preserve rank")
-            return out
-        if isinstance(obj, Row):
-            return self._row_map(type(obj), into)(obj)
-        raise TypeError(f"cannot transport {type(obj).__name__}")
+    def _transport(self, span: Span, into: bool) -> Span:
+        """Codistributions move form by form.  A distribution moves as the
+        annihilator of its moved annihilator: a chart change keeps the
+        pairing of fields with forms, so it maps annihilators to
+        annihilators, and annihilator returns the canonical reduced basis,
+        the one a field-by-field transport would reduce to.
 
-    def _row_map(self, kind: type, into: bool):
-        """The one of the four row transports that moves rows of this kind
-        in this direction."""
-        if kind is VectorField:
-            return self.field_to_adapted if into else self.field_from_adapted
-        return self.form_to_adapted if into else self.form_from_adapted
+        Every move into the chart is checked by moving the result back,
+        which runs the forward-map code against the inverse-map code."""
+        if span.element is VectorField:
+            return annihilator(self._transport(annihilator(span), into))
+        target = self.chart if into else self.sys.chart
+        move = self.form_to_adapted if into else self.form_from_adapted
+        out = Codistribution.span(target, [move(w) for w in span.basis])
+        if out.dim != span.dim:
+            raise InternalInvariantError(
+                "coordinate change did not preserve rank")
+        if into and not same_span(span, Codistribution.span(
+                span.chart, [self.form_from_adapted(w) for w in out.basis])):
+            raise InternalInvariantError(
+                "moving into the adapted chart and back changed the span")
+        return out
 
 
 def build_adapted_chart(sys: DiscreteSystem,

@@ -152,6 +152,23 @@ class TestRun:
         assert run([str(p)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("states, inputs, dynamics, named", [
+        ("th1", "u1", "th1+ = u1", "th1"),
+        ("x1", "u1", "x1+ = u1 + w", "w"),
+        ("x1", "x1", "x1+ = x1", "x1"),
+    ], ids=["reserved", "undeclared", "repeated"])
+    def test_bad_variables_exit_one_without_traceback(self, tmp_path, capsys,
+                                                      states, inputs,
+                                                      dynamics, named):
+        p = write(tmp_path, f"states: {states}\ninputs: {inputs}\n"
+                            f"dynamics:\n  {dynamics}\nequilibrium: 0 0\n")
+        assert run([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dtflat: error: ")
+        assert f"'{named}'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_single_test_modes(self, capsys):
         assert run([str(CHAIN), "--test", "distribution"]) == 0
         out = capsys.readouterr().out
@@ -210,6 +227,7 @@ class TestRun:
         ("academic4-codistribution-decompose", ACADEMIC,
          ["--test", "codistribution", "--decompose"]),
         ("nlchain8", GOLDEN / "nlchain8.sys", []),
+        ("rat5", GOLDEN / "rat5.sys", []),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json

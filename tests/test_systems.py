@@ -8,6 +8,7 @@ from corpus import mk, nonflat2
 from dtflat.errors import (
     EquilibriumMismatch,
     HintInvalid,
+    InvalidVariables,
     InversionFailed,
     NotProjectable,
     NotShiftable,
@@ -34,6 +35,7 @@ from dtflat.systems import (
     triangular_solve,
     _rank_at_point,
 )
+from test_transport import reference_field_to_adapted
 
 
 class TestConstruction:
@@ -70,6 +72,11 @@ class TestConstruction:
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
             mk(["x1"], ["u1"], ["x1 + w"])
+
+    def test_equilibrium_missing_variable_rejected(self):
+        with pytest.raises(InvalidVariables, match="'u1'"):
+            DiscreteSystem(["x1"], ["u1"], [parse_scalar("x1 + u1")],
+                           {"x1": Fraction(0)})
 
     def test_point_rank_drop_warns(self):
         # Jacobian rank drops to 0 at the origin but is 1 generically
@@ -144,13 +151,15 @@ class TestTransport:
     def test_field_round_trip(self, acad, acad_chart):
         v = VectorField(acad.chart, [Scalar.var("x2"), ONE, ZERO,
                                      Scalar.var("u1"), ZERO, ONE])
-        back = acad_chart.from_adapted(acad_chart.to_adapted(v))
-        assert all((a - b).is_zero() for a, b in zip(back.coeffs, v.coeffs))
+        span = Distribution(acad.chart, [v])
+        back = acad_chart.from_adapted(acad_chart.to_adapted(span))
+        assert type(back) is Distribution
+        assert back.basis == Distribution.span(acad.chart, [v]).basis
 
     def test_form_round_trip(self, acad, acad_chart):
         w = OneForm(acad.chart, [ONE, Scalar.var("x1"), ZERO, ZERO,
                                  Scalar.var("u2"), ZERO])
-        back = acad_chart.from_adapted(acad_chart.to_adapted(w))
+        back = acad_chart.form_from_adapted(acad_chart.form_to_adapted(w))
         assert all((a - b).is_zero() for a, b in zip(back.coeffs, w.coeffs))
 
     def test_pairing_preserved(self, acad, acad_chart):
@@ -160,8 +169,9 @@ class TestTransport:
         w = OneForm(acad.chart, [ONE, Scalar.var("x1"), ZERO, ZERO,
                                  Scalar.var("u2"), ZERO])
         lhs = interior_product(v, w)
-        rhs = acad_chart.scalar_from_adapted(
-            interior_product(acad_chart.to_adapted(v), acad_chart.to_adapted(w)))
+        rhs = acad_chart.scalar_from_adapted(interior_product(
+            reference_field_to_adapted(acad_chart, v),
+            acad_chart.form_to_adapted(w)))
         assert lhs == rhs
 
     def test_E0_to_adapted_matches_display(self, acad, acad_chart):

@@ -8,10 +8,11 @@ import pytest
 
 from corpus import academic4
 from dtflat.cli import parse_system
+from dtflat.errors import InternalInvariantError
 from dtflat.exprs import ZERO, Scalar
 from dtflat.flatness import analyze
-from dtflat.geometry import OneForm, VectorField
-from dtflat.systems import build_adapted_chart
+from dtflat.geometry import Codistribution, Distribution, OneForm, VectorField
+from dtflat.systems import AdaptedChart, build_adapted_chart
 
 DATA = Path(__file__).parent / "data"
 FILES = {"rat4": DATA / "golden" / "rat4.sys",
@@ -103,6 +104,40 @@ class TestRowTransport:
 
     def test_field_matches_reference(self, acad, acad_chart):
         v = VectorField(acad.chart, [Scalar.var(x) for x in acad.chart.names])
-        assert acad_chart.field_to_adapted(v) == \
-            reference_field_to_adapted(acad_chart, v)
-        assert acad_chart.field_from_adapted(acad_chart.field_to_adapted(v)) == v
+        span = Distribution(acad.chart, [v])
+        got = acad_chart.to_adapted(span)
+        want = Distribution.span(acad_chart.chart,
+                                 [reference_field_to_adapted(acad_chart, v)])
+        assert got.basis == want.basis
+        assert acad_chart.from_adapted(got).basis == \
+            Distribution.span(acad.chart, [v]).basis
+
+
+class TestTransportFault:
+    @pytest.mark.parametrize("test", ["distribution", "codistribution", "both"])
+    def test_faulty_form_transport_is_caught(self, monkeypatch, test):
+        # both tests move spans with the same form transport, so the
+        # duality verifier cannot tell a faulty one; the round trip back
+        # through the forward map must
+        real = AdaptedChart.form_to_adapted
+
+        def faulty(self, w):
+            c = list(real(self, w).coeffs)
+            c[0] = c[0] + c[1]
+            return OneForm(self.chart, c)
+
+        monkeypatch.setattr(AdaptedChart, "form_to_adapted", faulty)
+        with pytest.raises(InternalInvariantError,
+                           match="into the adapted chart and back"):
+            analyze(academic4(), test=test)
+
+    @pytest.mark.parametrize("span_cls, row_cls", [
+        (Codistribution, OneForm), (Distribution, VectorField)])
+    def test_rank_loss_is_an_internal_error(self, acad, acad_chart,
+                                            monkeypatch, span_cls, row_cls):
+        monkeypatch.setattr(AdaptedChart, "form_to_adapted",
+                            lambda self, w: OneForm(self.chart, [ZERO] * 6))
+        span = span_cls(acad.chart, [row_cls.unit(acad.chart, "x1")])
+        with pytest.raises(InternalInvariantError,
+                           match="did not preserve rank"):
+            acad_chart.to_adapted(span)
