@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .decompose import decompose_cascade
-from .errors import DtflatError, NonRationalExpression, ParseError
+from .errors import DtflatError, HintInvalid, NonRationalExpression, ParseError
 from .exprs import Scalar, parse_scalar
 from .flatness import analyze
 from .geometry import annihilator
@@ -202,6 +202,15 @@ def parse_system(path, chart_hint: list | None = None,
         sf.xi_hint = list(chart_hint)
     if integrals_hint is not None:
         sf.integral_hints = [parse_scalar(s) for s in integrals_hint]
+    # the hints are read only when the first-integral search fails, so a
+    # bad one is rejected here rather than passed over in silence
+    for g in sf.integral_hints:
+        extra = sorted(g.vars() - set(sf.states))
+        if extra:
+            raise HintInvalid(
+                f"integral hint {g} is not a function of the states: it "
+                f"mentions {', '.join(extra)}",
+                hint=f"the states are {', '.join(sf.states)}")
     hint = None
     if sf.xi_hint or sf.inverse_hint:
         hint = AdaptedChartHint(h_vars=tuple(sf.xi_hint),
@@ -243,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "e.g. 'x1,x3'")
     ap.add_argument("--integrals-hint", metavar="EXPRS",
                     help="semicolon-separated first integrals for the "
-                         "decomposition, e.g. 'x1;x3;x2+3*x4'")
+                         "decomposition, e.g. 'x1;x3;x2+3*x4'; used only "
+                         "when the automatic search fails")
     return ap
 
 

@@ -50,11 +50,12 @@ from .systems import (
 
 # ------------------------------------------------------- normalized bases
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizedBasis:
     """Echelon basis of a distribution on the adapted chart: the first
     fields carry an identity block on their pivot th-columns, the trailing
-    fields have xi-components only."""
+    fields have xi-components only.  Frozen, as the chart keeps it for
+    both tests (adapted_certificate)."""
 
     fields: list
     theta_pivots: list  # pivot columns among the th-block, ascending
@@ -77,9 +78,10 @@ def normalize_distribution_basis(dist: Distribution, n_states: int) -> Normalize
     return NormalizedBasis(fields, theta_pivots, xi_pivots)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectabilityReport:
     """Certificate from one projectable-subdistribution computation.
+    Frozen, as both tests' steps hold the one the chart keeps.
 
     mixed_block: non-pivot th-coefficients of the theta-pivot fields, one
       row per non-pivot th-coordinate, one column per theta-pivot field.
@@ -168,23 +170,41 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
     return report
 
 
-def _projectable_core(dist_adapted: Distribution, chart: AdaptedChart):
-    """Largest projectable subdistribution on the adapted chart, plus the
-    certificate: kernel combinations of the theta-pivot fields joined with
-    the xi-only fields."""
-    sys = chart.sys
-    norm = normalize_distribution_basis(dist_adapted, sys.n)
-    report = projectability_report(norm, sys.chart_adapted, sys.n)
+def adapted_certificate(chart: AdaptedChart, P: Codistribution) -> tuple:
+    """P on the adapted chart, the normalized basis of its annihilator
+    there, and the projectability certificate of that basis.
+
+    Step k of both tests needs this for the same span: the distribution
+    test for the annihilator of E_{k-1}, which by duality is P_k with the
+    same canonical reduced basis, and the codistribution test for P_k.
+    So it is computed once per chart and span and kept on the chart,
+    keyed by the basis.  The result depends on the span alone, so a
+    basis that is not the reduced one can only miss the cache."""
+    cert = chart.certificates.get(P.basis)
+    if cert is None:
+        n = chart.sys.n
+        P_adapted = chart.to_adapted(P)
+        norm = normalize_distribution_basis(annihilator(P_adapted), n)
+        cert = (P_adapted, norm, projectability_report(norm, chart.chart, n))
+        chart.certificates[P.basis] = cert
+    return cert
+
+
+def _projectable_core(norm: NormalizedBasis, report: ProjectabilityReport,
+                      chart: AdaptedChart) -> Distribution:
+    """Largest projectable subdistribution on the adapted chart: kernel
+    combinations of the theta-pivot fields of the normalized basis joined
+    with its xi-only fields."""
     theta_rows = [v.coeffs for v in norm.fields[:norm.dbar]]
-    fields = [VectorField(sys.chart_adapted, combine(vec, theta_rows))
+    fields = [VectorField(chart.chart, combine(vec, theta_rows))
               for vec in report.kernel_basis]
     fields.extend(norm.fields[norm.dbar:])
-    dbar_dist = Distribution.span(sys.chart_adapted, fields)
+    dbar_dist = Distribution.span(chart.chart, fields)
     if dbar_dist.dim != report.projectable_dim:
         raise InternalInvariantError(
             f"projectable dimension {dbar_dist.dim} does not match "
             f"dim - rank = {report.projectable_dim}")
-    return dbar_dist, report
+    return dbar_dist
 
 
 def largest_projectable_subdistribution(dist: Distribution,
@@ -208,8 +228,8 @@ def largest_projectable_subdistribution(dist: Distribution,
     reduced basis is the canonical one that pulling the core back through
     the chart would give.  Without derivative rows nothing is annihilated
     and the subdistribution is dist itself."""
-    dist_adapted = chart.to_adapted(dist)
-    core, report = _projectable_core(dist_adapted, chart)
+    _, norm, report = adapted_certificate(chart, annihilator(dist))
+    core = _projectable_core(norm, report, chart)
     if not report.independent_rows:
         D = Distribution.span(dist.chart, dist.basis)
     else:
@@ -350,10 +370,7 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     # Adapted-chart route: the annihilator of P_k, normalized, yields the
     # derivative rows whose span extends the intersection to the smallest
     # xi-invariant codistribution.
-    P_adapted = chart.to_adapted(P)
-    ann = annihilator(P_adapted)
-    norm = normalize_distribution_basis(ann, sys.n)
-    report = projectability_report(norm, sys.chart_adapted, sys.n)
+    P_adapted, _, report = adapted_certificate(chart, P)
     added = report.added_forms(sys.chart_adapted)
 
     span_dtheta = Codistribution.reduced(
@@ -372,8 +389,7 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     # intersection and invariant under the kernel of the update map.  The
     # chart change maps spans to spans one to one, so comparing on (x, u)
     # is the same check as comparing on the adapted chart.
-    kernel = annihilator(span_df)
-    closure = invariant_closure(inter, kernel)
+    closure = invariant_closure(inter, sys.update_kernel)
     if not same_span(closure, Pplus_xu):
         raise InternalInvariantError(
             "adapted-chart closure and coordinate-free closure disagree")
@@ -478,7 +494,13 @@ def verify_duality(sys: DiscreteSystem, dres: SequenceResult,
             raise DualityViolation(
                 f"dim(P_{k+1}) = {pstep.P_next.dim} != n - dbar + rank = "
                 f"{sys.n - rep.dbar + rep.rank}", k=k, check="dim-formula-P")
-        # the two certificates are computed from dual inputs and must agree
+        # the two certificates must agree.  On one chart both steps read
+        # the one certificate adapted_certificate keeps for P_k, so this
+        # compares it with itself; computing it twice would only run the
+        # same deterministic code on identical canonical inputs.  Checks
+        # (a) and (b) and the transport's round trip are what catch a
+        # faulty shared computation; this one still catches results
+        # built on different charts or altered after the fact.
         if not _certificates_agree(estep.report, pstep.report):
             raise DualityViolation(
                 "projectability certificates of the two tests differ",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -131,6 +132,12 @@ class DiscreteSystem:
                     f"drops to {point_rank} at the equilibrium; proceeding "
                     f"with generic ranks")
 
+    @cached_property
+    def update_kernel(self) -> Distribution:
+        """ker df, the annihilator of span{df}: computed on first use, once
+        per system (only the codistribution test asks for it)."""
+        return annihilator(self.differentials)
+
     def __str__(self) -> str:
         rows = ", ".join(f"{x}+ = {g}" for x, g in zip(self.state_names, self.f))
         return f"DiscreteSystem(n={self.n}, m={self.m}: {rows})"
@@ -166,6 +173,10 @@ class AdaptedChart:
         # both maps are fixed, so their powers are built once per chart
         self._into = Substitution(self.inverse)
         self._out = Substitution(self.forward)
+        # flatness.adapted_certificate keeps what it computes for a
+        # codistribution here, keyed by its basis: the chart is fixed, so
+        # the result is too, and it lives as long as the chart
+        self.certificates: dict = {}
         # one coefficient row per map component: row a is d(forward_a) on
         # (x, u), row b is d(inverse_b) on (th, xi); forms move with them
         self._jac_forward = [

@@ -10,6 +10,10 @@ def acad():
 
 @pytest.fixture(scope="session")
 def acad_chart(acad):
+    # the chart keeps every projectability certificate it computes, and
+    # this chart is shared by every test that uses the fixture: a test
+    # that injects a fault into the transport or the certificate must
+    # build its own chart, or it reads certificates computed without it
     from dtflat.systems import build_adapted_chart
     return build_adapted_chart(acad)
 

@@ -11,6 +11,7 @@ from dtflat.errors import (
     DualityViolation,
     EquilibriumMismatch,
     EvalSingular,
+    HintInvalid,
     NonRationalExpression,
     ParseError,
     SubmersivityFailed,
@@ -288,6 +289,33 @@ class TestRun:
     def test_integrals_hint_flag(self, capsys):
         assert run([str(ACADEMIC), "--decompose", "--integrals-hint",
                     "x1;x3;x2+3*x4"]) == 0
+
+    @pytest.mark.parametrize("hint, name", [("w", "w"), ("x1;u1*x2", "u1")])
+    def test_integrals_hint_off_the_states_rejected(self, capsys, hint, name):
+        # the search does not need a hint on academic4, so one that is
+        # never read must still be rejected before any analysis
+        assert run([str(ACADEMIC), "--decompose", "--integrals-hint",
+                    hint]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dtflat: error: integral hint ")
+        assert f"it mentions {name}\n" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_integral_hint_in_file_off_the_states_rejected(self, tmp_path):
+        text = ACADEMIC.read_text(encoding="utf-8") + "hints:\n  integral: u2\n"
+        with pytest.raises(HintInvalid, match="it mentions u2"):
+            parse_system(write(tmp_path, text))
+
+    def test_unneeded_integrals_hint_leaves_report_unchanged(self, tmp_path,
+                                                             capsys):
+        reports = []
+        for extra in ([], ["--integrals-hint", "x1;x3;x2+3*x4"]):
+            out_path = tmp_path / "report.json"
+            assert run([str(ACADEMIC), "--decompose", *extra,
+                        "--json", str(out_path)]) == 0
+            reports.append((capsys.readouterr(), out_path.read_bytes()))
+        assert reports[1] == reports[0]
 
     def test_decompose_deep_cascade_avoids_reserved_names(self, tmp_path):
         # level 8 of the cascade must not take the reserved prefix xi

@@ -22,6 +22,7 @@ from dtflat.geometry import (
     Distribution,
     OneForm,
     VectorField,
+    interior_product,
     same_span,
 )
 from dtflat.systems import (
@@ -45,6 +46,26 @@ class TestConstruction:
     def test_autonomous_submersive(self):
         s = mk(["x1"], ["u1"], ["x1"], name="autonomous")
         assert s.differentials.dim == s.n
+
+    def test_update_kernel_computed_once_when_asked(self, monkeypatch):
+        import dtflat.systems as systems
+        calls = []
+        real = systems.annihilator
+
+        def counting(span):
+            calls.append(span)
+            return real(span)
+
+        monkeypatch.setattr(systems, "annihilator", counting)
+        s = nonflat2()
+        analyze(s, test="distribution")
+        assert "update_kernel" not in vars(s)
+        analyze(s, test="codistribution")
+        assert [c for c in calls if c is s.differentials] == [s.differentials]
+        assert s.update_kernel.dim == s.m
+        assert all(interior_product(v, w).is_zero()
+                   for v in s.update_kernel.basis
+                   for w in s.differentials.basis)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(SubmersivityFailed):

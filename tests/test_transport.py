@@ -10,7 +10,7 @@ from corpus import academic4
 from dtflat.cli import parse_system
 from dtflat.errors import InternalInvariantError
 from dtflat.exprs import ZERO, Scalar
-from dtflat.flatness import analyze
+from dtflat.flatness import adapted_certificate, analyze
 from dtflat.geometry import Codistribution, Distribution, OneForm, VectorField
 from dtflat.systems import AdaptedChart, build_adapted_chart
 
@@ -141,3 +141,84 @@ class TestTransportFault:
         with pytest.raises(InternalInvariantError,
                            match="did not preserve rank"):
             acad_chart.to_adapted(span)
+
+
+def _moves_into_the_chart(monkeypatch):
+    """One entry per codistribution that AdaptedChart moves into the
+    adapted chart while the test runs (a distribution moves as its
+    annihilator, so it counts there)."""
+    moved = []
+    real = AdaptedChart._transport
+
+    def spy(self, span, into):
+        if into and isinstance(span, Codistribution):
+            moved.append(span)
+        return real(self, span, into)
+
+    monkeypatch.setattr(AdaptedChart, "_transport", spy)
+    return moved
+
+
+def _golden_system(name):
+    if name == "academic4":
+        return academic4()
+    return parse_system(DATA / "golden" / f"{name}.sys")[0]
+
+
+def _summary(verdict):
+    """What a verdict says, in values that compare by content (spans
+    compare by identity)."""
+    out = [verdict.flat, verdict.kbar, verdict.witness, verdict.duality]
+    for res in (verdict.distribution, verdict.codistribution):
+        out.append([member.basis for member in res.sequence])
+        out.append([st.report for st in res.steps])
+    return out
+
+
+class TestSharedCertificate:
+    # by duality the annihilator of E_{k-1} is P_k, so under both tests
+    # step k moves one codistribution into the chart, not two
+    @pytest.mark.parametrize("name, moves", [
+        ("academic4", 4), ("nlchain8", 9), ("rat5", 6)])
+    def test_each_p_k_moves_in_once(self, monkeypatch, name, moves):
+        system = _golden_system(name)
+        chart = build_adapted_chart(system)
+        moved = _moves_into_the_chart(monkeypatch)
+        verdict = analyze(system, chart, test="both")
+        assert len(moved) == moves == verdict.kbar
+        assert len({S.basis for S in moved}) == moves
+
+    def test_both_tests_hold_one_certificate(self):
+        system = academic4()
+        verdict = analyze(system, build_adapted_chart(system))
+        dres, pres = verdict.distribution, verdict.codistribution
+        assert len(dres.steps) == len(pres.steps) == 4
+        for estep, pstep in zip(dres.steps, pres.steps):
+            assert estep.report is pstep.report
+
+    def test_kept_certificates_do_not_change_the_verdict(self):
+        system = academic4()
+        chart = build_adapted_chart(system)
+        first = analyze(system, chart)
+        second = analyze(system, chart)
+        fresh = analyze(academic4(), build_adapted_chart(academic4()))
+        assert _summary(first) == _summary(second) == _summary(fresh)
+
+    def test_certificate_follows_the_span_not_its_dimension(self):
+        # spans of one dimension share a chart and must each get their own
+        system = academic4()
+        chart = build_adapted_chart(system)
+        spans = [Codistribution(system.chart, [
+            OneForm.unit(system.chart, x) for x in names])
+            for names in (("x1", "x2", "x3", "x4"), ("x1", "x2", "x3", "u1"),
+                          ("x2", "x3", "x4", "u2"), ("x1", "u1", "u2", "x4"))]
+        for P in spans:
+            adapted_certificate(chart, P)
+        moved = []
+        for P in spans:
+            kept = adapted_certificate(chart, P)
+            fresh = adapted_certificate(build_adapted_chart(system), P)
+            assert kept[0].basis == fresh[0].basis
+            assert kept[1:] == fresh[1:]
+            moved.append(kept[0].basis)
+        assert len(set(moved)) == len(spans)
