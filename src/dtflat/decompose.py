@@ -6,8 +6,11 @@ states and inputs from original coordinates, and normalizes as many
 subsystem equations as the input rank allows, so they read new-state+ =
 new-input.  That input transformation provably straightens the projectable
 subdistribution of the input directions, which is re-verified on every
-step.  Repeating on the subsystem yields a cascade whose depth is one less
-than the stall index of the flatness sequences.
+step by duality on (x, u), with no adapted chart.  Repeating on the
+subsystem yields a cascade whose depth is one less than the stall index of
+the flatness sequences.  A level given P_2 (level 1 takes it from the
+analysis) builds no chart; any other builds one, for its codistribution
+step.
 
 First integrals are found by a documented heuristic (coordinate picks,
 constant combinations, exact forms, monomial integrating factors with
@@ -22,6 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    EquilibriumMismatch,
+    EvalSingular,
     HintInvalid,
     IntegralsNotFound,
     InternalInvariantError,
@@ -31,17 +36,18 @@ from .exprs import ONE, ZERO, Poly, Scalar, _as_uni
 from .flatness import codistribution_step
 from .geometry import (
     Codistribution,
-    Distribution,
     Echelon,
     OneForm,
-    VectorField,
     _clear_denominators,
     d_scalar,
     generic_rank,
+    intersect,
+    invariant_closure,
     is_closed,
     is_integrable,
     rref,
     same_span,
+    sum_codistributions,
 )
 from .systems import DiscreteSystem, build_adapted_chart, triangular_solve
 
@@ -243,7 +249,6 @@ class TriangularDecomposition:
     integrals: FirstIntegralSet
     subsystem: DiscreteSystem | None
     transformed: DiscreteSystem
-    straightened_ok: bool
     dropped_inputs: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -397,15 +402,7 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
     if equilibrium_note:
         warnings.append(equilibrium_note)
 
-    straightened = _check_straightened(transformed, u1_names)
-    if straightened is False:
-        raise InternalInvariantError(
-            "normalization did not straighten the projectable "
-            "subdistribution of the input directions")
-    if straightened is None:
-        warnings.append("could not rebuild an adapted chart for the "
-                        "transformed system; the straightening claim was "
-                        "not re-verified")
+    _check_straightened(transformed, u1_names)
 
     sub_inputs = list(x1_names) + list(u2_names)
     dropped = [w for w in sub_inputs
@@ -428,7 +425,6 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
         integrals=integrals,
         subsystem=subsystem,
         transformed=transformed,
-        straightened_ok=straightened,
         dropped_inputs=dropped,
         warnings=warnings,
     )
@@ -454,10 +450,7 @@ def _terminal_step(sys: DiscreteSystem, state_prefix: str,
                       for nm, u in zip(input_names, sys.input_names)})
     transformed, note = _derived_system(state_names, input_names, f_bar,
                                         sys, value_map)
-    straightened = _check_straightened(transformed, input_names)
-    if straightened is False:
-        raise InternalInvariantError(
-            "terminal step: the input directions are not all projectable")
+    _check_straightened(transformed, input_names)
     return TriangularDecomposition(
         state_transform=[(nm, Scalar.var(x))
                          for nm, x in zip(state_names, sys.state_names)],
@@ -474,7 +467,6 @@ def _terminal_step(sys: DiscreteSystem, state_prefix: str,
         integrals=FirstIntegralSet([], "coordinate-pick"),
         subsystem=None,
         transformed=transformed,
-        straightened_ok=straightened,
         warnings=[note] if note else [],
     )
 
@@ -484,8 +476,6 @@ def _derived_system(state_names, input_names, f, parent: DiscreteSystem,
     """Construct a coordinate-transformed system; falls back to no
     equilibrium when the transformation or the transformed dynamics are
     singular at the parent's point."""
-    from .errors import EquilibriumMismatch, EvalSingular
-
     equilibrium = None
     note = None
     if parent.equilibrium is not None:
@@ -509,27 +499,26 @@ def _derived_system(state_names, input_names, f, parent: DiscreteSystem,
 
 
 def _check_straightened(transformed: DiscreteSystem, u1_names: list):
-    """The projectable subdistribution of the input directions of the
-    transformed system must be exactly the span of the unnormalized input
-    directions.  Returns True/False, or None when no adapted chart could
-    be rebuilt for the verification."""
-    from .errors import InversionFailed
-    from .flatness import largest_projectable_subdistribution
+    """Raise unless the projectable subdistribution D_0 of the input
+    directions of the transformed system is exactly span{d/du1}.
 
-    try:
-        chart = build_adapted_chart(transformed)
-    except InversionFailed:
-        return None
-    e0 = Distribution(transformed.chart,
-                      [VectorField.unit(transformed.chart, u)
-                       for u in transformed.input_names])
-    d0, _, _ = largest_projectable_subdistribution(e0, chart)
-    target = Distribution(transformed.chart,
-                          [VectorField.unit(transformed.chart, u)
-                           for u in u1_names])
-    if d0.dim != target.dim:
-        return False
-    return same_span(d0, target)
+    Duality at k = 1 (verify_duality's check (c)) makes D_0 the annihilator
+    of U = P_1 + P_2^+, with P_1 = span{dx} and P_2^+ the closure of the
+    intersection of P_1 with span{df} under ker df.  So D_0 = span{d/du1}
+    exactly when no basis form of U has a u1 coefficient (the unit fields
+    d/du1 annihilate U) and dim U = n + m - len(u1) (they span all of
+    D_0).  No adapted chart is needed."""
+    t = transformed
+    P1 = Codistribution(t.chart, [OneForm.unit(t.chart, x)
+                                  for x in t.state_names])
+    U = sum_codistributions(
+        invariant_closure(intersect(P1, t.differentials), t.update_kernel), P1)
+    cols = [t.chart.index(u) for u in u1_names]
+    if (U.dim != t.n + t.m - len(cols)
+            or any(not w.coeffs[c].is_zero() for w in U.basis for c in cols)):
+        raise InternalInvariantError(
+            "normalization did not straighten the projectable "
+            "subdistribution of the input directions")
 
 
 # --------------------------------------------------------------- cascade

@@ -161,7 +161,9 @@ def _cascade_json(cascade: CascadeResult) -> dict:
             "normalized_equations": [nm for nm, _ in
                                      (st.subsystem_f2[i] for i in
                                       st.normalized_indices)],
-            "straightened_input_directions": st.straightened_ok,
+            # decompose_step raises unless the straightening holds; the
+            # key stays to keep the report format
+            "straightened_input_directions": True,
             "dropped_inputs": st.dropped_inputs,
             "terminal": st.terminal,
             "warnings": st.warnings,
@@ -246,8 +248,7 @@ def render_text(report: AnalysisReport) -> str:
                              + ", ".join(str(g) for g in
                                          st.integrals.functions)
                              + f"  [{st.integrals.method}]")
-            lines.append(f"    straightened input directions: "
-                         f"{st.straightened_ok}")
+            lines.append("    straightened input directions: True")
         lines.append("")
 
     lines.append("== verdict ==")

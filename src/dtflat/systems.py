@@ -1,6 +1,6 @@
 """Discrete-time system model and coordinate machinery: submersivity,
 adapted charts, forward and backward shifts, and transport of forms and
-spans between the original and the adapted chart.
+codistributions between the original and the adapted chart.
 
 The adapted chart takes the images of the state map as its first block of
 coordinates and a selection of m existing coordinates as the second block.
@@ -17,24 +17,25 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    CoefficientVanishes,
     EquilibriumMismatch,
     EvalSingular,
     HintInvalid,
     InternalInvariantError,
     InvalidVariables,
     InversionFailed,
+    NotLinearInVariable,
     NotProjectable,
     NotShiftable,
     SubmersivityFailed,
     UnsupportedShift,
 )
-from .exprs import ONE, ZERO, Scalar, Substitution
+from .exprs import ONE, ZERO, Scalar, Substitution, solve_linear_in
 from .geometry import (
     Chart,
     Codistribution,
     Distribution,
     OneForm,
-    Span,
     VectorField,
     annihilator,
     combine,
@@ -212,26 +213,22 @@ class AdaptedChart:
 
     # -------------------------------------------------------------- spans
 
-    def to_adapted(self, span: Span) -> Span:
-        """A distribution or codistribution on (x, u), written on the
-        adapted chart (scalars move with scalar_to_adapted, single forms
-        with form_to_adapted)."""
+    def to_adapted(self, span: Codistribution) -> Codistribution:
+        """A codistribution on (x, u), written on the adapted chart form by
+        form (scalars move with scalar_to_adapted, single forms with
+        form_to_adapted).  A distribution moves as the annihilator of its
+        moved annihilator: a chart change keeps the pairing of fields with
+        forms, so it maps annihilators to annihilators."""
         return self._transport(span, True)
 
-    def from_adapted(self, span: Span) -> Span:
+    def from_adapted(self, span: Codistribution) -> Codistribution:
         return self._transport(span, False)
 
-    def _transport(self, span: Span, into: bool) -> Span:
-        """Codistributions move form by form.  A distribution moves as the
-        annihilator of its moved annihilator: a chart change keeps the
-        pairing of fields with forms, so it maps annihilators to
-        annihilators, and annihilator returns the canonical reduced basis,
-        the one a field-by-field transport would reduce to.
-
-        Every move into the chart is checked by moving the result back,
+    def _transport(self, span: Codistribution, into: bool) -> Codistribution:
+        """Every move into the chart is checked by moving the result back,
         which runs the forward-map code against the inverse-map code."""
-        if span.element is VectorField:
-            return annihilator(self._transport(annihilator(span), into))
+        if not isinstance(span, Codistribution):
+            raise ValueError("only codistributions move between charts")
         target = self.chart if into else self.sys.chart
         move = self.form_to_adapted if into else self.form_from_adapted
         out = Codistribution.span(target, [move(w) for w in span.basis])
@@ -305,9 +302,6 @@ def triangular_solve(equations, unknowns):
     unknowns.  Returns {unknown: Scalar} with solutions free of every
     unknown, or None when the greedy pass gets stuck.
     """
-    from .exprs import solve_linear_in
-    from .errors import CoefficientVanishes, NotLinearInVariable
-
     work = [[expr, target, False] for expr, target in equations]
     unsolved = list(unknowns)
     solved: dict = {}

@@ -364,10 +364,10 @@ class TestRun:
 
     @pytest.mark.parametrize("test", ["both", "codistribution",
                                       "distribution"])
-    def test_decompose_builds_six_charts(self, monkeypatch, test):
-        # one chart for the analysis, and at each of the three levels one
-        # for _check_straightened; levels 2 and 3 build one for their
-        # codistribution step, level 1 takes P_2 from whichever test ran
+    def test_decompose_builds_three_charts(self, monkeypatch, test):
+        # one chart for the analysis, and one for the codistribution step
+        # at each of levels 2 and 3; level 1 takes P_2 from whichever test
+        # ran, and the straightening check needs no chart
         import dtflat.cli as cli
         import dtflat.decompose as decompose
         import dtflat.flatness as flatness
@@ -382,7 +382,7 @@ class TestRun:
         for module in (cli, decompose, flatness, systems):
             monkeypatch.setattr(module, "build_adapted_chart", counting)
         assert run([str(ACADEMIC), "--test", test, "--decompose"]) == 0
-        assert len(calls) == 6, calls
+        assert len(calls) == 3, calls
 
     def test_inversion_failure_exit_and_hint(self, tmp_path, capsys):
         p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"

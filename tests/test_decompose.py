@@ -1,12 +1,24 @@
 """First integrals, one decomposition step, and the full cascade."""
 
+from pathlib import Path
+
 import pytest
 
-from corpus import academic4, chain2, integrator1, mk, nonflat2
+from corpus import (
+    academic4,
+    chain2,
+    integrator1,
+    mimo3,
+    mk,
+    nonflat2,
+    random_flat_corpus,
+)
+from dtflat.cli import parse_system
 from dtflat.decompose import (
     CascadeResult,
     FirstIntegralSet,
     TriangularDecomposition,
+    _check_straightened,
     decompose_cascade,
     decompose_step,
     find_first_integrals,
@@ -18,7 +30,11 @@ from dtflat.errors import (
     NormalizationFailed,
 )
 from dtflat.exprs import ZERO, Scalar, parse_scalar
-from dtflat.flatness import run_codistribution_test, run_distribution_test
+from dtflat.flatness import (
+    largest_projectable_subdistribution,
+    run_codistribution_test,
+    run_distribution_test,
+)
 from dtflat.geometry import (
     Codistribution,
     Distribution,
@@ -28,6 +44,9 @@ from dtflat.geometry import (
     generic_rank,
     same_span,
 )
+from dtflat.systems import DiscreteSystem, build_adapted_chart
+
+DATA = Path(__file__).parent / "data"
 
 
 def form(chart, *pairs):
@@ -134,7 +153,6 @@ class TestDecomposeStep:
         fb = [g for _, g in step.feedback_f1]
         jac = [[g.diff(u) for u in u1_names] for g in fb]
         assert generic_rank(jac) == step.dims[1] == 1
-        assert step.straightened_ok is True
 
     def test_subsystem_free_of_unnormalized_inputs(self, acad):
         step = decompose_step(acad)
@@ -170,7 +188,6 @@ class TestDecomposeStep:
         assert step.dims == (0, 1, 0, 1)
         assert step.subsystem is None
         assert [str(g) for _, g in step.feedback_f1] == ["ub1 + xb1"]
-        assert step.straightened_ok is True
 
     def test_chain_step(self):
         step = decompose_step(chain2())
@@ -224,11 +241,32 @@ class TestDecomposeStep:
         assert len(reductions) == 1 and row_operations and ranked == []
 
 
+def assert_straightened_by_reference(step):
+    """The chart route: on an adapted chart of the transformed system, the
+    distribution test's largest projectable subdistribution of the input
+    directions is exactly span{d/du1}."""
+    t = step.transformed
+    u1_names = [nm for nm, _ in step.input_transform][step.dims[2]:]
+    E0 = Distribution(t.chart, [VectorField.unit(t.chart, u)
+                                for u in t.input_names])
+    d0 = largest_projectable_subdistribution(E0, build_adapted_chart(t))[0]
+    target = Distribution(t.chart, [VectorField.unit(t.chart, u)
+                                    for u in u1_names])
+    assert d0.dim == target.dim and same_span(d0, target), t.name
+
+
 class TestProp9:
     def test_forward_direction_on_corpus(self):
-        for system in [academic4(), chain2(), integrator1()]:
-            step = decompose_step(system)
-            assert step.straightened_ok is True, system.name
+        # every step the decomposition accepted (its check works by
+        # duality on (x, u), with no chart) agrees with the chart route
+        mixed2 = parse_system(DATA / "mixed2.sys")[0]
+        systems = [academic4(), mixed2, mimo3(), chain2(), integrator1(),
+                   *random_flat_corpus()]
+        steps = [st for system in systems
+                 for st in decompose_cascade(system).steps]
+        assert len(steps) >= len(systems)
+        for step in steps:
+            assert_straightened_by_reference(step)
 
     def test_reverse_direction_via_reparameterization(self, acad):
         # compose the normalized input transformation with an invertible
@@ -240,13 +278,21 @@ class TestProp9:
         ren = {"ub1": (Scalar.var("vb1") - Scalar.var("xb1") ** 2) / 2,
                "ub2": Scalar.var("vb2")}
         f_re = [g.subs(ren) for g in t.f]
-        from dtflat.systems import DiscreteSystem
         s_re = DiscreteSystem(list(t.state_names), ["vb1", "vb2"], f_re,
                               None, name="reparam")
         step2 = decompose_step(s_re, state_prefix="yb", input_prefix="wb")
-        assert step2.straightened_ok is True
+        assert_straightened_by_reference(step2)
         nm, g = step2.subsystem_f2[step2.normalized_indices[0]]
         assert g == Scalar.var("wb1")
+
+    @pytest.mark.parametrize("u1", ["all", "none"])
+    def test_wrong_split_is_an_internal_error(self, acad, u1):
+        # at level 1 of academic4 D_0 is span{d/dub2}: neither all input
+        # directions nor none of them
+        t = decompose_step(acad).transformed
+        u1_names = list(t.input_names) if u1 == "all" else []
+        with pytest.raises(InternalInvariantError, match="straighten"):
+            _check_straightened(t, u1_names)
 
 
 class TestCascade:

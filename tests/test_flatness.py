@@ -47,11 +47,8 @@ from dtflat.geometry import (
     same_span,
     sum_codistributions,
 )
-from dtflat.systems import (
-    AdaptedChart,
-    build_adapted_chart,
-    pushforward_projectable,
-)
+from dtflat.systems import build_adapted_chart, pushforward_projectable
+from test_transport import distribution_to_adapted
 
 DATA = Path(__file__).parent / "data"
 
@@ -486,7 +483,7 @@ class TestNormalizeBasis:
         e1 = Distribution(acad.chart, [field6(acad.chart, ("x2", -3), ("x4", 1)),
                                        field6(acad.chart, ("u1", 1)),
                                        field6(acad.chart, ("u2", 1))])
-        d = acad_chart.to_adapted(e1)
+        d = distribution_to_adapted(acad_chart, e1)
         rows, pivots = rref([v.coeffs for v in d.basis])
         del row_operations[:]
         norm = normalize_distribution_basis(d, acad.n)
@@ -500,7 +497,8 @@ class TestNormalizeBasis:
         # the other pivots; trailing fields have no theta components
         e0 = Distribution(acad.chart, [VectorField.unit(acad.chart, u)
                                        for u in acad.input_names])
-        norm = normalize_distribution_basis(acad_chart.to_adapted(e0), acad.n)
+        norm = normalize_distribution_basis(
+            distribution_to_adapted(acad_chart, e0), acad.n)
         for i, p in enumerate(norm.theta_pivots):
             for j, q in enumerate(norm.theta_pivots):
                 expected = ONE if i == j else ZERO
@@ -574,24 +572,6 @@ class TestProjectableOnOriginalChart:
             assert st.D.basis == self.reference_D(chart, st.D_adapted).basis
         ranked = [st.k for st in verdict.distribution.steps if st.report.rank]
         assert ranked == self.RANKED.get(name, [])
-
-    def test_analysis_pulls_no_field_back(self, acad, acad_chart, monkeypatch):
-        # the codistribution test moves only codistributions, so over the
-        # whole analysis every from_adapted call on a distribution would be
-        # the distribution test pulling D back through the chart
-        calls = []
-        real = AdaptedChart.from_adapted
-
-        def counting(self, span):
-            if isinstance(span, Distribution):
-                calls.append(span)
-            return real(self, span)
-
-        monkeypatch.setattr(AdaptedChart, "from_adapted", counting)
-        verdict = analyze(acad, acad_chart)
-        assert verdict.flat is True
-        assert len(verdict.duality) == verdict.kbar
-        assert calls == []
 
     def test_dimension_mismatch_is_an_internal_error(self, acad, acad_chart,
                                                      monkeypatch):

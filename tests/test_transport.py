@@ -1,6 +1,7 @@
-"""Transport of rows and spans into and out of the adapted chart, checked
-against the row-by-row transport that substitutes every Jacobian
-combination through the chart maps."""
+"""Transport of rows and codistributions into and out of the adapted
+chart, checked against the row-by-row transport that substitutes every
+Jacobian combination through the chart maps.  A distribution moves as
+the annihilator of its moved annihilator."""
 
 from pathlib import Path
 
@@ -11,7 +12,13 @@ from dtflat.cli import parse_system
 from dtflat.errors import InternalInvariantError
 from dtflat.exprs import ZERO, Scalar
 from dtflat.flatness import adapted_certificate, analyze
-from dtflat.geometry import Codistribution, Distribution, OneForm, VectorField
+from dtflat.geometry import (
+    Codistribution,
+    Distribution,
+    OneForm,
+    VectorField,
+    annihilator,
+)
 from dtflat.systems import AdaptedChart, build_adapted_chart
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +38,16 @@ def reference_field_to_adapted(chart, v):
                 total = total + c * chart.forward[a].diff(b)
         out.append(total.subs(chart.inverse))
     return VectorField(chart.chart, out)
+
+
+def distribution_to_adapted(chart, E):
+    """E written on the adapted chart, the way flatness.adapted_certificate
+    moves it: as the annihilator of its moved annihilator."""
+    return annihilator(chart.to_adapted(annihilator(E)))
+
+
+def distribution_from_adapted(chart, E):
+    return annihilator(chart.from_adapted(annihilator(E)))
 
 
 def reference_form_to_adapted(chart, w):
@@ -61,7 +78,7 @@ class TestSpanTransport:
             E = step.E_prev
             want = type(E).span(chart.chart, [
                 reference_field_to_adapted(chart, v) for v in E.basis])
-            assert chart.to_adapted(E).basis == want.basis
+            assert distribution_to_adapted(chart, E).basis == want.basis
 
     def test_codistributions_match_row_by_row(self, analyzed):
         chart, verdict = analyzed
@@ -73,11 +90,14 @@ class TestSpanTransport:
 
     def test_round_trip_gives_back_the_span(self, analyzed):
         chart, verdict = analyzed
-        spans = ([st.E_prev for st in verdict.distribution.steps]
-                 + [st.P for st in verdict.codistribution.steps])
-        for S in spans:
-            back = chart.from_adapted(chart.to_adapted(S))
-            assert type(back) is type(S) and back.basis == S.basis
+        for st in verdict.distribution.steps:
+            E = st.E_prev
+            back = distribution_from_adapted(
+                chart, distribution_to_adapted(chart, E))
+            assert type(back) is Distribution and back.basis == E.basis
+        for st in verdict.codistribution.steps:
+            back = chart.from_adapted(chart.to_adapted(st.P))
+            assert type(back) is Codistribution and back.basis == st.P.basis
 
     def test_kept_pplus_on_original_chart(self, analyzed):
         chart, verdict = analyzed
@@ -105,12 +125,21 @@ class TestRowTransport:
     def test_field_matches_reference(self, acad, acad_chart):
         v = VectorField(acad.chart, [Scalar.var(x) for x in acad.chart.names])
         span = Distribution(acad.chart, [v])
-        got = acad_chart.to_adapted(span)
+        got = distribution_to_adapted(acad_chart, span)
         want = Distribution.span(acad_chart.chart,
                                  [reference_field_to_adapted(acad_chart, v)])
         assert got.basis == want.basis
-        assert acad_chart.from_adapted(got).basis == \
+        assert distribution_from_adapted(acad_chart, got).basis == \
             Distribution.span(acad.chart, [v]).basis
+
+    def test_both_directions_reject_a_distribution(self, acad, acad_chart):
+        # only codistributions move; a distribution moves as the
+        # annihilator of its moved annihilator
+        for move, chart in ((acad_chart.to_adapted, acad.chart),
+                            (acad_chart.from_adapted, acad.chart_adapted)):
+            span = Distribution(chart, [VectorField.unit(chart, chart.names[0])])
+            with pytest.raises(ValueError, match="only codistributions"):
+                move(span)
 
 
 class TestTransportFault:
@@ -138,6 +167,8 @@ class TestTransportFault:
         monkeypatch.setattr(AdaptedChart, "form_to_adapted",
                             lambda self, w: OneForm(self.chart, [ZERO] * 6))
         span = span_cls(acad.chart, [row_cls.unit(acad.chart, "x1")])
+        if span_cls is Distribution:
+            span = annihilator(span)
         with pytest.raises(InternalInvariantError,
                            match="did not preserve rank"):
             acad_chart.to_adapted(span)
@@ -145,13 +176,12 @@ class TestTransportFault:
 
 def _moves_into_the_chart(monkeypatch):
     """One entry per codistribution that AdaptedChart moves into the
-    adapted chart while the test runs (a distribution moves as its
-    annihilator, so it counts there)."""
+    adapted chart while the test runs."""
     moved = []
     real = AdaptedChart._transport
 
     def spy(self, span, into):
-        if into and isinstance(span, Codistribution):
+        if into:
             moved.append(span)
         return real(self, span, into)
 
