@@ -19,7 +19,6 @@ from .decompose import decompose_cascade
 from .errors import DtflatError, HintInvalid, NonRationalExpression, ParseError
 from .exprs import Scalar, parse_scalar
 from .flatness import analyze
-from .geometry import annihilator
 from .reporting import (
     AnalysisReport,
     equilibrium_singularity_warnings,
@@ -276,13 +275,8 @@ def run(argv: list) -> int:
 
         cascade = None
         if args.decompose and verdict.flat:
-            # P_2 of the test that ran; by duality the annihilator of E_1
-            # is P_2
-            p2 = (verdict.codistribution.sequence[1]
-                  if verdict.codistribution is not None
-                  else annihilator(verdict.distribution.sequence[1]))
             cascade = decompose_cascade(
-                system, p2, integral_hints=sf.integral_hints or None)
+                system, verdict, integral_hints=sf.integral_hints or None)
 
         options = {
             "test": args.test,

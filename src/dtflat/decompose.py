@@ -8,9 +8,8 @@ new-input.  That input transformation provably straightens the projectable
 subdistribution of the input directions, which is re-verified on every
 step by duality on (x, u), with no adapted chart.  Repeating on the
 subsystem yields a cascade whose depth is one less than the stall index of
-the flatness sequences.  A level given P_2 (level 1 takes it from the
-analysis) builds no chart; any other builds one, for its codistribution
-step.
+the flatness sequences.  The cascade carries the analysis's sequence P_k
+down its levels, so it builds no adapted chart and runs no test step.
 
 First integrals are found by a documented heuristic (coordinate picks,
 constant combinations, exact forms, monomial integrating factors with
@@ -33,12 +32,13 @@ from .errors import (
     NormalizationFailed,
 )
 from .exprs import ONE, ZERO, Poly, Scalar, _as_uni
-from .flatness import codistribution_step
 from .geometry import (
     Codistribution,
     Echelon,
     OneForm,
     _clear_denominators,
+    annihilator,
+    combine,
     d_scalar,
     generic_rank,
     intersect,
@@ -49,7 +49,7 @@ from .geometry import (
     same_span,
     sum_codistributions,
 )
-from .systems import DiscreteSystem, build_adapted_chart, triangular_solve
+from .systems import DiscreteSystem, pullback_f, triangular_solve
 
 
 # --------------------------------------------------------- first integrals
@@ -287,18 +287,14 @@ def _complete_states(diffs: list, sys: DiscreteSystem) -> list:
     return [sys.state_names[i] for i in picks]
 
 
-def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
+def decompose_step(sys: DiscreteSystem, p2: Codistribution,
                    integral_hints: list | None = None,
                    state_prefix: str = "xb",
                    input_prefix: str = "ub") -> TriangularDecomposition:
     """Transform one step into the triangular form: subsystem states from
     first integrals, inputs normalized so the chosen subsystem equations
-    read new-state+ = new-input.  p2 is P_2 of sys as the analysis found
-    it (from either test), computed here when not given."""
-    if p2 is None:
-        P1 = Codistribution(sys.chart, [OneForm.unit(sys.chart, x)
-                                        for x in sys.state_names])
-        p2 = codistribution_step(sys, build_adapted_chart(sys), 1, P1).P_next
+    read new-state+ = new-input.  p2 is P_2 of sys, as the analysis found
+    it (from either test) or as decompose_cascade carried it down."""
     warnings: list = []
 
     # flat at this step: by duality dim E_1 + dim P_2 = n + m, so E_1
@@ -320,9 +316,9 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution | None = None,
             f"the normalization route requires generic rank m = {m} of the "
             f"input Jacobian; it is {input_rank}")
 
-    # P_2 is integrable (codistribution_step checks it; the annihilator of
-    # the involutive E_1 is integrable by Frobenius), and its basis is
-    # reduced
+    # P_2 is integrable (codistribution_step checks it, the annihilator of
+    # the involutive E_1 is by Frobenius, and so are their moved tails), and
+    # its basis is reduced
     integrals = _first_integrals(p2, sys, integral_hints)
     n2 = p2.dim
     completion = _complete_states(
@@ -509,16 +505,20 @@ def _check_straightened(transformed: DiscreteSystem, u1_names: list):
     d/du1 annihilate U) and dim U = n + m - len(u1) (they span all of
     D_0).  No adapted chart is needed."""
     t = transformed
-    P1 = Codistribution(t.chart, [OneForm.unit(t.chart, x)
-                                  for x in t.state_names])
-    U = sum_codistributions(
-        invariant_closure(intersect(P1, t.differentials), t.update_kernel), P1)
+    U = sum_codistributions(*_p2_plus(t))
     cols = [t.chart.index(u) for u in u1_names]
     if (U.dim != t.n + t.m - len(cols)
             or any(not w.coeffs[c].is_zero() for w in U.basis for c in cols)):
         raise InternalInvariantError(
             "normalization did not straighten the projectable "
             "subdistribution of the input directions")
+
+
+def _p2_plus(sys: DiscreteSystem) -> tuple:
+    """P_1 = span{dx} and P_2^+, the ker-df closure of P_1 meet span{df}."""
+    P1 = Codistribution.reduced(sys.chart, _units(sys.n + sys.m)[:sys.n])
+    return P1, invariant_closure(intersect(P1, sys.differentials),
+                                 sys.update_kernel)
 
 
 # --------------------------------------------------------------- cascade
@@ -537,22 +537,52 @@ class CascadeResult:
 _LEVEL_LETTERS = "bcdefghjklmnoqrstuvwyz"
 
 
-def decompose_cascade(sys: DiscreteSystem, p2: Codistribution | None = None,
+def _carry(tail, parent: DiscreteSystem, step: TriangularDecomposition):
+    """The members in tail on step's subsystem: sum a_i dz_i on z = (x, u)
+    becomes sum a_i(phi) dphi_i, phi the inverse maps, in dx_sub alone."""
+    t, sub = step.transformed, step.subsystem
+    phi = {**step.state_inverse, **step.input_inverse}
+    jac = [[phi[z].diff(v) for v in t.chart.names] for z in parent.chart.names]
+    own, carried = set(sub.state_names), []
+    for P in tail:
+        rows, _ = rref(combine([c.subs(phi) for c in w.coeffs], jac)
+                       for w in P.basis)
+        if len(rows) != P.dim or any(
+                c.vars() - own or (j >= sub.n and not c.is_zero())
+                for r in rows for j, c in enumerate(r)):
+            raise InternalInvariantError(f"P_k does not carry to {sub.name}")
+        carried.append(Codistribution.reduced(
+            sub.chart, [r[:sub.n] + [ZERO] * sub.m for r in rows]))
+    return carried
+
+
+def decompose_cascade(sys: DiscreteSystem, verdict,
                       integral_hints: list | None = None) -> CascadeResult:
-    """Repeated decomposition down to an empty subsystem state.  p2 is
-    P_2 of sys, when the analysis has it.
-    Redundant subsystem inputs (inputs the subsystem does not depend on)
-    are dropped between steps.  Best effort: a failing step returns the
-    partial cascade with the blocking diagnosis."""
+    """Repeated decomposition of a system the verdict found forward-flat,
+    down to an empty subsystem state, dropping the inputs a subsystem does
+    not use.  Best effort: a failing step returns the partial cascade.
+
+    Level 1 takes P_2 from the test that ran, each level below the next
+    member of its parent's sequence, moved into its states (_carry): the
+    transformed system is triangular and P_2 = span{dxbar_sub}, so for
+    k >= 2 the integrable P_k in P_2 is spanned by differentials of
+    functions of xbar_sub alone, and the subsystem's sequence is the tail
+    of its parent's.  Each carried P_2 must pass f_sub^* P_2 = P_2^+."""
+    if not verdict.flat:
+        raise ValueError("only a system found forward-flat decomposes")
+    tail = (verdict.codistribution.sequence[1:]
+            if verdict.codistribution is not None
+            else [annihilator(E) for E in verdict.distribution.sequence[1:]])
     steps: list = []
     current = sys
-    hints = integral_hints
-    for level in range(len(_LEVEL_LETTERS)):
-        if current.n == 0:
-            break
-        letter = _LEVEL_LETTERS[level]
+    for level, letter in enumerate(_LEVEL_LETTERS):
+        if level and not same_span(pullback_f(tail[0], current),
+                                   _p2_plus(current)[1]):
+            raise InternalInvariantError(
+                f"the P_2 carried to level {level + 1} fails f^* P_2 = P_2^+")
         try:
-            step = decompose_step(current, p2, integral_hints=hints,
+            step = decompose_step(current, tail[0],
+                                  integral_hints=integral_hints,
                                   state_prefix=f"x{letter}",
                                   input_prefix=f"u{letter}")
         except (IntegralsNotFound, NormalizationFailed) as exc:
@@ -560,8 +590,7 @@ def decompose_cascade(sys: DiscreteSystem, p2: Codistribution | None = None,
         steps.append(step)
         if step.terminal:
             return CascadeResult(steps=steps)
-        current = step.subsystem
-        p2 = None
-        hints = None
+        tail = _carry(tail[1:], current, step)
+        current, integral_hints = step.subsystem, None
     return CascadeResult(steps=steps,
                          blocked="cascade exceeded the supported depth")

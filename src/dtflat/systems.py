@@ -216,9 +216,8 @@ class AdaptedChart:
     def to_adapted(self, span: Codistribution) -> Codistribution:
         """A codistribution on (x, u), written on the adapted chart form by
         form (scalars move with scalar_to_adapted, single forms with
-        form_to_adapted).  A distribution moves as the annihilator of its
-        moved annihilator: a chart change keeps the pairing of fields with
-        forms, so it maps annihilators to annihilators."""
+        form_to_adapted).  Only codistributions move: a distribution raises
+        ValueError, and a caller moves its annihilator instead."""
         return self._transport(span, True)
 
     def from_adapted(self, span: Codistribution) -> Codistribution:
@@ -436,3 +435,11 @@ def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:
             f"{sorted(bad)} are not states")
     return g.subs({x: gi for x, gi in zip(sys.state_names, sys.f)})
 
+
+def pullback_f(p: Codistribution, sys: DiscreteSystem) -> Codistribution:
+    """f^* p on (x, u) for p in span{dx}: sum a_i dx_i to sum a_i(f) df_i."""
+    if any(w.coeffs[sys.n:] != (ZERO,) * sys.m for w in p.basis):
+        raise ValueError("codistribution is not inside span{dx}")
+    return Codistribution.span(sys.chart, [OneForm(sys.chart, combine(
+        [forward_shift(c, sys) for c in w.coeffs[:sys.n]], sys.jacobian))
+        for w in p.basis])

@@ -221,7 +221,8 @@ def test_criterion_7_decomposition():
     # raises unless the projectable subdistribution of the input
     # directions is exactly span{d/du1} (checked against an adapted chart
     # in test_decompose.py)
-    step = decompose_step(system)
+    step = decompose_step(system,
+                          analyze(system).codistribution.sequence[1])
 
     assert {str(g) for g in step.integrals.functions} == \
         {"x1", "x3", "x2 + 3*x4"}

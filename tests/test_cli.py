@@ -229,6 +229,8 @@ class TestRun:
          ["--test", "codistribution", "--decompose"]),
         ("nlchain8", GOLDEN / "nlchain8.sys", []),
         ("rat5", GOLDEN / "rat5.sys", []),
+        ("nlchain5-decompose", GOLDEN / "nlchain5.sys", ["--decompose"]),
+        ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
     ])
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         # tests/data/golden/NAME.txt and NAME.json are the text and --json
@@ -240,8 +242,9 @@ class TestRun:
         assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_decomposition_independent_of_test(self, tmp_path):
-        # the cascade takes P_2 from the codistribution test when it ran
-        # and as the annihilator of E_1 otherwise, with the same result
+        # the cascade reads the sequence P_1 .. P_kbar from the
+        # codistribution test when it ran and as the annihilators of
+        # E_0 .. E_{kbar-1} otherwise, with the same result
         trees = []
         for test in ("both", "codistribution", "distribution"):
             out_path = tmp_path / f"{test}.json"
@@ -364,12 +367,12 @@ class TestRun:
 
     @pytest.mark.parametrize("test", ["both", "codistribution",
                                       "distribution"])
-    def test_decompose_builds_three_charts(self, monkeypatch, test):
-        # one chart for the analysis, and one for the codistribution step
-        # at each of levels 2 and 3; level 1 takes P_2 from whichever test
-        # ran, and the straightening check needs no chart
+    def test_decompose_builds_one_chart(self, monkeypatch, test):
+        # one chart for the analysis and none for the cascade: every level
+        # takes P_2 from the sequence of whichever test ran, and neither
+        # the straightening check nor the check of a carried P_2 needs a
+        # chart
         import dtflat.cli as cli
-        import dtflat.decompose as decompose
         import dtflat.flatness as flatness
         import dtflat.systems as systems
         real = systems.build_adapted_chart
@@ -379,10 +382,10 @@ class TestRun:
             calls.append(sys.name)
             return real(sys, *args, **kwargs)
 
-        for module in (cli, decompose, flatness, systems):
+        for module in (cli, flatness, systems):
             monkeypatch.setattr(module, "build_adapted_chart", counting)
         assert run([str(ACADEMIC), "--test", test, "--decompose"]) == 0
-        assert len(calls) == 3, calls
+        assert calls == ["academic4"], calls
 
     def test_inversion_failure_exit_and_hint(self, tmp_path, capsys):
         p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"

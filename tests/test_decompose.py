@@ -18,6 +18,7 @@ from dtflat.decompose import (
     CascadeResult,
     FirstIntegralSet,
     TriangularDecomposition,
+    _carry,
     _check_straightened,
     decompose_cascade,
     decompose_step,
@@ -31,6 +32,7 @@ from dtflat.errors import (
 )
 from dtflat.exprs import ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
+    analyze,
     largest_projectable_subdistribution,
     run_codistribution_test,
     run_distribution_test,
@@ -47,6 +49,16 @@ from dtflat.geometry import (
 from dtflat.systems import DiscreteSystem, build_adapted_chart
 
 DATA = Path(__file__).parent / "data"
+
+
+def step_of(system, **kwargs):
+    """One decomposition step, given P_2 from the system's analysis."""
+    return decompose_step(
+        system, analyze(system).codistribution.steps[0].P_next, **kwargs)
+
+
+def cascade_of(system):
+    return decompose_cascade(system, analyze(system))
 
 
 def form(chart, *pairs):
@@ -141,7 +153,7 @@ class TestFirstIntegrals:
 
 class TestDecomposeStep:
     def test_academic_step(self, acad):
-        step = decompose_step(acad)
+        step = step_of(acad)
         assert step.dims == (3, 1, 1, 1)
         assert {str(g) for g in step.integrals.functions} == \
             {"x1", "x3", "x2 + 3*x4"}
@@ -155,14 +167,14 @@ class TestDecomposeStep:
         assert generic_rank(jac) == step.dims[1] == 1
 
     def test_subsystem_free_of_unnormalized_inputs(self, acad):
-        step = decompose_step(acad)
+        step = step_of(acad)
         u1_names = [nm for nm, _ in step.input_transform][step.dims[2]:]
         for _, g in step.subsystem_f2:
             for u in u1_names:
                 assert not g.depends_on(u)
 
     def test_transformations_invertible(self, acad):
-        step = decompose_step(acad)
+        step = step_of(acad)
         # state round trip
         for nm, g in step.state_transform:
             assert g.subs(step.state_inverse) == Scalar.var(nm)
@@ -173,7 +185,7 @@ class TestDecomposeStep:
             assert expr == Scalar.var(nm)
 
     def test_subsystem_tail_dims(self, acad):
-        step = decompose_step(acad)
+        step = step_of(acad)
         sub = step.subsystem
         pres = run_codistribution_test(sub)
         assert pres.dims == [3, 1, 0]
@@ -183,14 +195,14 @@ class TestDecomposeStep:
         assert dres.kbar == pres.kbar == 3
 
     def test_one_step_system_is_terminal(self):
-        step = decompose_step(integrator1())
+        step = step_of(integrator1())
         assert step.terminal
         assert step.dims == (0, 1, 0, 1)
         assert step.subsystem is None
         assert [str(g) for _, g in step.feedback_f1] == ["ub1 + xb1"]
 
     def test_chain_step(self):
-        step = decompose_step(chain2())
+        step = step_of(chain2())
         assert step.dims == (1, 1, 0, 1)
         assert [str(g) for g in step.integrals.functions] == ["x1"]
         # subsystem is driven by the feedback state alone
@@ -198,14 +210,14 @@ class TestDecomposeStep:
 
     def test_nonflat_rejected(self):
         with pytest.raises(NormalizationFailed):
-            decompose_step(nonflat2())
+            step_of(nonflat2())
 
     def test_input_rank_deficiency_rejected(self):
         # two inputs enter only through their sum: rank d_u f = 1 < m
         s = mk(["x1", "x2"], ["u1", "u2"],
                ["x2 + u1 + u2", "u1 + u2"], name="rankdef")
         with pytest.raises(NormalizationFailed):
-            decompose_step(s)
+            step_of(s)
 
     def test_p2_checked_and_reduced_once(self, acad, monkeypatch,
                                          row_operations):
@@ -236,7 +248,11 @@ class TestDecomposeStep:
         for module in (geometry, flatness, decompose):
             monkeypatch.setattr(module, "is_integrable", frobenius_test)
         monkeypatch.setattr(decompose, "rref", reduce)
-        decompose_step(acad)
+        P1 = Codistribution(acad.chart, [OneForm.unit(acad.chart, x)
+                                         for x in acad.state_names])
+        p2 = flatness.codistribution_step(
+            acad, build_adapted_chart(acad), 1, P1).P_next
+        decompose_step(acad, p2)
         assert len(frobenius) == 1
         assert len(reductions) == 1 and row_operations and ranked == []
 
@@ -263,7 +279,7 @@ class TestProp9:
         systems = [academic4(), mixed2, mimo3(), chain2(), integrator1(),
                    *random_flat_corpus()]
         steps = [st for system in systems
-                 for st in decompose_cascade(system).steps]
+                 for st in cascade_of(system).steps]
         assert len(steps) >= len(systems)
         for step in steps:
             assert_straightened_by_reference(step)
@@ -272,7 +288,7 @@ class TestProp9:
         # compose the normalized input transformation with an invertible
         # reparameterization of the normalized block; re-normalizing the
         # chosen equations must again straighten the input directions
-        step = decompose_step(acad)
+        step = step_of(acad)
         t = step.transformed
         # new input vb1 = 2*ub1 + xb1^2 (invertible in ub1), vb2 = ub2
         ren = {"ub1": (Scalar.var("vb1") - Scalar.var("xb1") ** 2) / 2,
@@ -280,7 +296,7 @@ class TestProp9:
         f_re = [g.subs(ren) for g in t.f]
         s_re = DiscreteSystem(list(t.state_names), ["vb1", "vb2"], f_re,
                               None, name="reparam")
-        step2 = decompose_step(s_re, state_prefix="yb", input_prefix="wb")
+        step2 = step_of(s_re, state_prefix="yb", input_prefix="wb")
         assert_straightened_by_reference(step2)
         nm, g = step2.subsystem_f2[step2.normalized_indices[0]]
         assert g == Scalar.var("wb1")
@@ -289,7 +305,7 @@ class TestProp9:
     def test_wrong_split_is_an_internal_error(self, acad, u1):
         # at level 1 of academic4 D_0 is span{d/dub2}: neither all input
         # directions nor none of them
-        t = decompose_step(acad).transformed
+        t = step_of(acad).transformed
         u1_names = list(t.input_names) if u1 == "all" else []
         with pytest.raises(InternalInvariantError, match="straighten"):
             _check_straightened(t, u1_names)
@@ -297,7 +313,7 @@ class TestProp9:
 
 class TestCascade:
     def test_academic_depth(self, acad):
-        cascade = decompose_cascade(acad)
+        cascade = cascade_of(acad)
         assert cascade.blocked is None
         assert cascade.depth == 3
         assert cascade.steps[0].dims == (3, 1, 1, 1)
@@ -305,7 +321,7 @@ class TestCascade:
         assert cascade.steps[2].terminal
 
     def test_academic_mirrors_P_dims(self, acad, acad_verdict):
-        cascade = decompose_cascade(acad)
+        cascade = cascade_of(acad)
         # depth equals the stall index minus one
         assert cascade.depth == acad_verdict.kbar - 1
         # subsystem state dimensions mirror the codistribution dimensions
@@ -313,18 +329,18 @@ class TestCascade:
         assert sub_dims == acad_verdict.codistribution.dims[1:]
 
     def test_integrator_single_trivial_step(self):
-        cascade = decompose_cascade(integrator1())
+        cascade = cascade_of(integrator1())
         assert cascade.depth == 1
         assert cascade.steps[0].terminal
 
     def test_chain_depth(self):
-        cascade = decompose_cascade(chain2())
+        cascade = cascade_of(chain2())
         assert cascade.depth == 2
         assert cascade.steps[0].dims == (1, 1, 0, 1)
         assert cascade.steps[1].terminal
 
     def test_second_step_integral_value(self, acad):
-        cascade = decompose_cascade(acad)
+        cascade = cascade_of(acad)
         integrals = cascade.steps[1].integrals
         assert integrals.method == "integrating-factor"
         g = integrals.functions[0]
@@ -333,15 +349,15 @@ class TestCascade:
         assert (g / expected).is_const()
 
     def test_each_subsystem_flat(self, acad):
-        cascade = decompose_cascade(acad)
+        cascade = cascade_of(acad)
         for st in cascade.steps[:-1]:
             v = run_distribution_test(st.subsystem)
             assert v.flat is True
 
     def test_reuses_p2_of_the_analysis(self, acad, acad_verdict, monkeypatch):
-        # given P_2 from the analysis, level 1 runs no step of either test;
-        # each level below it runs one codistribution step and no
-        # distribution step
+        # level 1 takes P_2 from the analysis and every level below takes
+        # the next member of its parent's sequence, so no level runs a step
+        # of either test
         import dtflat.decompose as decompose
         import dtflat.flatness as flatness
         calls = {"distribution_step": 0, "codistribution_step": 0}
@@ -357,30 +373,91 @@ class TestCascade:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         counting(name, getattr(module, name)))
-        cascade = decompose_cascade(
-            acad, acad_verdict.codistribution.steps[0].P_next)
+        cascade = decompose_cascade(acad, acad_verdict)
         assert cascade.blocked is None and cascade.depth == 3
-        assert calls == {"distribution_step": 0, "codistribution_step": 2}
+        assert calls == {"distribution_step": 0, "codistribution_step": 0}
 
     def test_disagreeing_closure_stops_a_sub_level(self, acad, acad_verdict,
                                                     monkeypatch):
-        # the codistribution step of every level below the first runs the
-        # coordinate-free cross-check, so a closure that disagrees stops the
-        # cascade there (on academic4's subsystems the intersection is
-        # already invariant, so the wrong closure here drops every form)
+        # every level below the first checks the P_2 it was handed against
+        # the closure P_2^+ of its subsystem, so a closure that disagrees
+        # stops the cascade there.  The first closure taken is level 1's
+        # straightening check and is left alone; the second is level 2's
+        # check, and the wrong closure drops every form
         import dtflat.decompose as decompose
-        import dtflat.flatness as flatness
-        real = decompose.codistribution_step
-        levels = []
+        real = decompose.invariant_closure
+        charts = []
 
-        def recording(sys, *args):
-            levels.append(sys.name)
-            return real(sys, *args)
+        def closure(p0, d):
+            charts.append(p0.chart)
+            return real(p0, d) if len(charts) == 1 else \
+                Codistribution(p0.chart, [])
 
-        monkeypatch.setattr(decompose, "codistribution_step", recording)
-        monkeypatch.setattr(flatness, "invariant_closure",
-                            lambda p0, d: Codistribution(p0.chart, []))
-        with pytest.raises(InternalInvariantError, match="adapted-chart "
-                           "closure and coordinate-free closure disagree"):
-            decompose_cascade(acad, acad_verdict.codistribution.steps[0].P_next)
-        assert levels == ["academic4/derived"]
+        monkeypatch.setattr(decompose, "invariant_closure", closure)
+        with pytest.raises(InternalInvariantError, match="carried to level 2 "
+                           "fails"):
+            decompose_cascade(acad, acad_verdict)
+        assert len(charts) == 2
+
+    def test_carried_p2_is_the_subsystems(self):
+        # the P_2 each level below the first receives is the P_2 that the
+        # analysis of its subsystem finds: the integrals of the next step
+        # span it
+        mixed2 = parse_system(DATA / "mixed2.sys")[0]
+        for system in [academic4(), mixed2, mimo3(), chain2(),
+                       *random_flat_corpus()]:
+            steps = cascade_of(system).steps
+            for step, nxt in zip(steps, steps[1:]):
+                sub = step.subsystem
+                p2 = analyze(sub).codistribution.sequence[1]
+                diffs = [d_scalar(sub.chart, g)
+                         for g in nxt.integrals.functions]
+                assert same_span(Codistribution.span(sub.chart, diffs), p2)
+
+    def test_not_flat_verdict_rejected(self):
+        system = nonflat2()
+        with pytest.raises(ValueError, match="forward-flat"):
+            decompose_cascade(system, analyze(system))
+
+
+class TestCarryFaults:
+    def test_wrong_subspace_caught_by_the_pullback_check(self, acad,
+                                                         acad_verdict,
+                                                         monkeypatch):
+        # the move hands level 2 another coordinate subspace of the same
+        # dimension; it is integrable and inside span{dx}, so only the
+        # chart-free pullback check can tell
+        import dtflat.decompose as decompose
+        real = decompose._carry
+
+        def wrong(tail, parent, step):
+            carried = real(tail, parent, step)
+            sub = step.subsystem
+            other = Codistribution(sub.chart, [
+                OneForm.unit(sub.chart, x)
+                for x in sub.state_names[sub.n - carried[0].dim:]])
+            assert not same_span(other, carried[0])
+            return [other] + carried[1:]
+
+        monkeypatch.setattr(decompose, "_carry", wrong)
+        with pytest.raises(InternalInvariantError, match="carried to level 2 "
+                           "fails"):
+            decompose_cascade(acad, acad_verdict)
+
+    @pytest.mark.parametrize("coeffs", [
+        [("x2", 1)],                       # dx2 lands on the feedback state
+        [("x1", 1), ("u1", 1)],            # an input differential
+        [("x1", 1), ("x3", Scalar.var("x2"))],  # a coefficient in x2 = xb4
+    ])
+    def test_leak_is_an_internal_error(self, acad, acad_verdict, coeffs):
+        # at level 1 of academic4 the feedback state xb4 is x2, so each
+        # parent form here leaves span{dxb1, dxb2, dxb3} or, after reduction,
+        # keeps a coefficient in xb4
+        step = decompose_step(acad, acad_verdict.codistribution.sequence[1])
+        assert step.state_transform[3] == ("xb4", Scalar.var("x2"))
+        bad = Codistribution(acad.chart, [form(acad.chart, *coeffs)])
+        with pytest.raises(InternalInvariantError, match="does not carry"):
+            _carry([bad], acad, step)
+        # the analysis's own P_3 carries over
+        assert _carry(acad_verdict.codistribution.sequence[2:3], acad,
+                      step)[0].dim == 1

@@ -452,7 +452,7 @@ class TestFixtures:
             assert v.flat is flat and v.kbar == kbar, exprs
             assert_duality_recorded(s, v.duality, v.distribution,
                                     v.codistribution)
-            cascade = decompose_cascade(s)
+            cascade = decompose_cascade(s, v)
             assert cascade.blocked is None
             assert cascade.depth == kbar - 1
 

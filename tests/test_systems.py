@@ -32,6 +32,7 @@ from dtflat.systems import (
     backward_shift_codistribution,
     build_adapted_chart,
     forward_shift,
+    pullback_f,
     pullback_pi,
     pushforward_projectable,
     triangular_solve,
@@ -316,6 +317,30 @@ class TestShifts:
     def test_forward_shift_rejects_inputs(self, acad):
         with pytest.raises(UnsupportedShift):
             forward_shift(Scalar.var("u1"), acad)
+
+    @pytest.mark.parametrize("name", ["academic4", "rat4", "nonflat3"])
+    def test_pullback_f_of_each_p_next_is_its_pplus(self, name):
+        # f^* P_{k+1} = P_{k+1}^+ at every step of the codistribution test:
+        # the backward shift undone by substitution alone, with no chart
+        from corpus import academic4, nonflat3, rat_n
+        system = {"academic4": academic4, "rat4": lambda: rat_n(4),
+                  "nonflat3": nonflat3}[name]()
+        for st in analyze(system, test="codistribution").codistribution.steps:
+            assert same_span(pullback_f(st.P_next, system), st.Pplus_xu)
+
+    def test_pullback_f_known_value(self, acad):
+        # d(x1*x3 + x1) pulls back to d(x2 + x3 + 3*x4)
+        ch = acad.chart
+        x1, x3 = Scalar.var("x1"), Scalar.var("x3")
+        w = OneForm(ch, [x3 + 1, ZERO, x1, ZERO, ZERO, ZERO])
+        got = pullback_f(Codistribution(ch, [w]), acad)
+        expect = OneForm(ch, [ZERO, ONE, ONE, Scalar(3), ZERO, ZERO])
+        assert same_span(got, Codistribution(ch, [expect]))
+
+    def test_pullback_f_rejects_input_differentials(self, acad):
+        ch = acad.chart
+        with pytest.raises(ValueError, match="span"):
+            pullback_f(Codistribution(ch, [OneForm.unit(ch, "u1")]), acad)
 
     def test_backward_shift_known_value(self, acad):
         ch = acad.chart_adapted
