@@ -300,9 +300,12 @@ def run(argv: list) -> int:
         if args.point_check:
             report.warnings.extend(point_check(report, args.seed))
 
-        _sys.stdout.write(render_text(report))
+        # render both reports and write the file before stdout, so that a
+        # failed write leaves no report behind it
+        text = render_text(report)
         if args.json:
             Path(args.json).write_text(render_json(report), encoding="utf-8")
+        _sys.stdout.write(text)
         return 0
     except DtflatError as exc:
         _sys.stderr.write(f"dtflat: error: {exc}\n")

@@ -72,7 +72,7 @@ def _rational_antiderivative(c: Scalar, name: str):
     uni = _as_uni(c.num, name)
     total = Poly({})
     for deg, coeff in uni.items():
-        mono_pow = Poly({((name, deg + 1),): Fraction(1)})
+        mono_pow = Poly({((name, deg + 1),): 1})
         total = total + coeff.scale(Fraction(1, deg + 1)) * mono_pow
     return Scalar(total, c.den)
 

@@ -1,6 +1,6 @@
 """Exact multivariate rational functions over the rationals.
 
-A Scalar is a quotient num/den of sparse polynomials with Fraction
+A Scalar is a quotient num/den of sparse polynomials with rational
 coefficients.  Every constructor reduces to a canonical form:
 
   * gcd(num, den) = 1,
@@ -126,37 +126,40 @@ def _leading(terms) -> Mono:
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q.
 
-    Coefficients are always Fractions, never ints: the quotient of two int
-    coefficients would be a float.  Only the heuristic gcd works on plain
-    int term maps of its own, which never become Polys."""
+    A coefficient is an int or a Fraction, never a float or a bool.
+    ``const``, ``from_terms``, ``scale`` and exact division store an
+    integral value as an int, so integer polynomials, the common case,
+    multiply and add in int arithmetic; a sum or product of Fractions may keep an integral
+    Fraction, which compares and hashes equal to the int.  A division of
+    coefficients goes through ``_recip``, since int / int is a float."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        # Internal constructor: assumes zero-free Fraction values.
+        # Internal constructor: assumes zero-free int or Fraction values.
         self.terms = terms
 
     @classmethod
     def from_terms(cls, items: Iterable) -> "Poly":
         terms: dict = {}
         for mono, coeff in items:
-            c = terms.get(mono, _F0) + Fraction(coeff)
+            c = terms.get(mono, 0) + _coeff(coeff)
             if c:
-                terms[mono] = c
+                terms[mono] = _integral(c)
             else:
                 terms.pop(mono, None)
         return cls(terms)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         return cls({_MONO_ONE: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls({((name, 1),): _F1})
+        return cls({((name, 1),): 1})
 
     # ----------------------------------------------------------- queries
 
@@ -166,9 +169,9 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _MONO_ONE in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
         if not self.terms:
-            return _F0
+            return 0
         return self.terms[_MONO_ONE]
 
     def vars(self) -> set:
@@ -196,7 +199,7 @@ class Poly:
             return self
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, _F0) + c
+            s = terms.get(mono, 0) + c
             if s:
                 terms[mono] = s
             else:
@@ -208,7 +211,7 @@ class Poly:
             return self
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, _F0) - c
+            s = terms.get(mono, 0) - c
             if s:
                 terms[mono] = s
             else:
@@ -225,17 +228,17 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                s = terms.get(m, _F0) + ca * cb
+                s = terms.get(m, 0) + ca * cb
                 if s:
                     terms[m] = s
                 else:
                     del terms[m]
         return Poly(terms)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c: int | Fraction) -> "Poly":
         if not c:
             return Poly({})
-        return Poly({m: v * c for m, v in self.terms.items()})
+        return Poly({m: _integral(v * c) for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -267,7 +270,7 @@ class Poly:
                     new = mono[:idx] + mono[idx + 1:]
                 else:
                     new = mono[:idx] + ((n, e - 1),) + mono[idx + 1:]
-                s = terms.get(new, _F0) + c * e
+                s = terms.get(new, 0) + c * e
                 if s:
                     terms[new] = s
                 else:
@@ -284,8 +287,8 @@ class Poly:
             terms[new] = c
         return Poly(terms)
 
-    def eval_fraction(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = _F0
+    def eval_fraction(self, point: Mapping[str, Fraction]) -> int | Fraction:
+        total = 0
         for mono, c in self.terms.items():
             v = c
             for n, e in mono:
@@ -329,13 +332,29 @@ class Poly:
         return f"Poly({self})"
 
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _P0 = Poly({})
-_P1 = Poly({_MONO_ONE: _F1})
+_P1 = Poly({_MONO_ONE: 1})
 
 
-def _frac_str(c: Fraction) -> str:
+def _coeff(c) -> int | Fraction:
+    """A number as a coefficient: an int when integral, else a Fraction.
+    Fraction() takes a float exactly, and a bool becomes 0 or 1."""
+    return c if type(c) is int else _integral(Fraction(c))
+
+
+def _integral(c: int | Fraction) -> int | Fraction:
+    """c with an integral Fraction stored as its int."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _recip(c: int | Fraction) -> Fraction:
+    """1/c of a nonzero coefficient as a Fraction: 1 / c is a float for an
+    int c."""
+    return _F1 / c
+
+
+def _frac_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -375,7 +394,7 @@ def _as_uni(p: Poly, x: str) -> dict:
 def _from_uni(u: dict, x: str) -> Poly:
     total = _P0
     for deg, coeff in u.items():
-        xm = Poly({((x, deg),): _F1}) if deg else _P1
+        xm = Poly({((x, deg),): 1}) if deg else _P1
         total = total + coeff * xm
     return total
 
@@ -409,7 +428,7 @@ def _monic(p: Poly) -> Poly:
     if p.is_zero():
         return p
     _, lc = p.leading()
-    return p if lc == 1 else p.scale(1 / lc)
+    return p if lc == 1 else p.scale(_recip(lc))
 
 
 def _content(p: Poly, x: str) -> Poly:
@@ -429,7 +448,7 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return _P0
     if b.is_const():
-        return a.scale(1 / b.const_value())
+        return a.scale(_recip(b.const_value()))
     q = _divide(a.terms, b.terms, integral=False)
     if q is None:
         raise ArithmeticError("inexact polynomial division")
@@ -474,7 +493,8 @@ def _divide(a: dict, b: dict, integral: bool) -> dict | None:
             if rem:
                 return None
         else:
-            qc = lr_coeff / lb_coeff
+            qc = (lr_coeff if lb_coeff == 1
+                  else _integral(lr_coeff * _recip(lb_coeff)))
         q_terms[qm] = qc
         for mb, cb in tail:
             m = _mono_mul(qm, mb)
@@ -495,8 +515,8 @@ def _divide(a: dict, b: dict, integral: bool) -> dict | None:
 # over Z[x], so its evaluation values, balanced digits and trial divisions
 # need no rational number.  A map enters through _to_int_primitive and
 # leaves through _from_int: the accepted gcd, or both inputs when the
-# pseudo-remainder sequence takes over.  Every Poly keeps Fraction
-# coefficients.
+# pseudo-remainder sequence takes over.  The two representations share
+# their integer coefficients, so the map becomes a Poly as it is.
 
 _I1 = {_MONO_ONE: 1}
 
@@ -514,7 +534,8 @@ def _to_int_primitive(p: Poly) -> dict:
 
 
 def _from_int(t: dict) -> Poly:
-    return Poly({m: Fraction(c) for m, c in t.items()})
+    # a term map is never mutated once built, so Poly may share _I1
+    return Poly(t)
 
 
 def _is_int_const(t: dict) -> bool:
@@ -635,7 +656,7 @@ def _gcd_inner(a: Poly, b: Poly) -> Poly:
                     common = {n: min(e, exps.get(n, 0))
                               for n, e in common.items() if exps.get(n, 0)}
         mono = tuple(sorted((n, e) for n, e in (common or {}).items() if e))
-        return Poly({mono: _F1})
+        return Poly({mono: 1})
     if not (a.vars() & b.vars()):
         return _P1
     za = _to_int_primitive(a)
@@ -669,11 +690,9 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
         r = _uni_prem(f, g, x)
         if r:
             rp = _from_uni(r, x)
-            cont = _content(rp, x)
+            cont = _content(rp, x)  # monic, so a constant content is 1
             if not cont.is_const():
                 rp = poly_divexact(rp, cont)
-            else:
-                rp = rp.scale(1 / cont.const_value())
             f, g = g, _as_uni(rp, x)
         else:
             f, g = g, r
@@ -713,14 +732,10 @@ class Scalar:
             self.num, self.den = _P0, _P1
             return
         g = poly_gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
+        if not _is_one(g):
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-        _, lc = den.leading()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        self.num, self.den = num, den
+        self.num, self.den = _monic_den(num, den)
 
     # ------------------------------------------------------ constructors
 
@@ -758,20 +773,41 @@ class Scalar:
     # -------------------------------------------------------- arithmetic
 
     def __add__(self, other) -> "Scalar":
+        """a/b + c/d by Henrici's method: only gcd(t, g) can cancel.
+
+        With g = gcd(b, d), b = g*b' and d = g*d', the sum is t/(g*b'*d')
+        for t = a*d' + c*b'.  t is coprime to b'*d': an irreducible p | b'
+        divides neither d' (b', d' are coprime) nor a (gcd(a, b) = 1), so
+        it does not divide t = a*d' + c*b', and likewise for d'.  So with
+        h = gcd(t, g) the canonical sum is (t/h) / (b' * (d/h)); for
+        g = 1 that is (a*d + c*b)/(b*d) with no gcd at all.  b' and d/h are
+        quotients of monic polynomials by monic gcds, hence monic."""
         other = Scalar.of(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return Scalar(a + c, b)
+        g = poly_gcd(b, d)
+        if _is_one(g):
+            return _canonical(a * d + c * b, b * d)
+        b1 = poly_divexact(b, g)
+        t = a * poly_divexact(d, g) + c * b1
+        h = poly_gcd(t, g)
+        if not _is_one(h):
+            t = poly_divexact(t, h)
+            d = poly_divexact(d, h)
+        return _canonical(t, b1 * d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-Scalar.of(other))
+        other = Scalar.of(other)
+        if other.is_zero():
+            return self
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) + (-self)
@@ -782,17 +818,20 @@ class Scalar:
         return out
 
     def __mul__(self, other) -> "Scalar":
+        """(a/b)(c/d) with a and d, and c and b, cross-cancelled first.
+        After that n1*n2 and d1*d2 are coprime: each factor of a product
+        is coprime to both factors of the other (gcd(a, b) = gcd(c, d) = 1
+        and the cross gcds are divided out), so no third gcd is needed."""
         other = Scalar.of(other)
         if self.is_zero() or other.is_zero():
             return _S0
-        # cross-cancel before multiplying to keep intermediates small
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = self.num if _is_one(g1) else poly_divexact(self.num, g1)
         d2 = other.den if _is_one(g1) else poly_divexact(other.den, g1)
         n2 = other.num if _is_one(g2) else poly_divexact(other.num, g2)
         d1 = self.den if _is_one(g2) else poly_divexact(self.den, g2)
-        return Scalar(n1 * n2, d1 * d2)
+        return _canonical(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -853,17 +892,11 @@ class Scalar:
         return sub.apply(self)
 
     def rename(self, mapping: Mapping[str, str]) -> "Scalar":
-        num = self.num.rename(mapping)
-        den = self.den.rename(mapping)
-        if not num.is_zero():
-            # renaming permutes the term order, so re-normalize the monic den
-            _, lc = den.leading()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        out = object.__new__(Scalar)
-        out.num, out.den = num, den
-        return out
+        if self.is_zero():
+            return self
+        # renaming keeps num and den coprime but permutes the term order,
+        # so only the monic den needs restoring
+        return _canonical(self.num.rename(mapping), self.den.rename(mapping))
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = self.vars() - set(point)
@@ -872,7 +905,7 @@ class Scalar:
         d = self.den.eval_fraction(point)
         if d == 0:
             raise EvalSingular("denominator vanishes at the evaluation point")
-        return self.num.eval_fraction(point) / d
+        return Fraction(self.num.eval_fraction(point)) / d
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         d = self.den.eval_float(point)
@@ -899,6 +932,23 @@ class Scalar:
 
 def _is_one(p: Poly) -> bool:
     return p.is_const() and p.const_value() == 1
+
+
+def _monic_den(num: Poly, den: Poly) -> tuple:
+    """num/den rescaled so that den is monic."""
+    _, lc = den.leading()
+    if lc == 1:
+        return num, den
+    inv = _recip(lc)
+    return num.scale(inv), den.scale(inv)
+
+
+def _canonical(num: Poly, den: Poly) -> Scalar:
+    """The Scalar num/den for nonzero, coprime num and den: only den is
+    made monic, with no gcd."""
+    out = object.__new__(Scalar)
+    out.num, out.den = _monic_den(num, den)
+    return out
 
 
 def _den_atomic(p: Poly) -> bool:
@@ -1148,6 +1198,8 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
+        if kind == "end":
+            raise ParseError("unexpected end of expression", col=pos + 1)
         raise ParseError(f"unexpected token {val!r}", col=pos + 1)
 
 

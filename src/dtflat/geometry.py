@@ -177,7 +177,8 @@ class Echelon:
 
 
 def _eliminate(row: list, factor: Scalar, pivot_row: list) -> list:
-    return [a - factor * b for a, b in zip(row, pivot_row)]
+    return [a if b.is_zero() else a - factor * b
+            for a, b in zip(row, pivot_row)]
 
 
 def _normalize(row: list, pivot: Scalar) -> list:

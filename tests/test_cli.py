@@ -207,6 +207,17 @@ class TestRun:
         assert step1["certificate"]["rank"] == 1
         assert len(step1["certificate"]["independent_rows"]) == 2
 
+    def test_failed_json_write_leaves_no_report(self, tmp_path, capsys):
+        # the JSON file is written before stdout, so an unwritable path
+        # exits 1 like every other error: nothing on stdout
+        out_path = tmp_path / "missing" / "report.json"
+        assert run([str(ACADEMIC), "--json", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dtflat: error: ")
+        assert "Traceback" not in captured.err
+        assert not out_path.exists()
+
     def test_json_byte_identical_across_runs(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
@@ -304,6 +315,26 @@ class TestRun:
         assert captured.err.startswith("dtflat: error: integral hint ")
         assert f"it mentions {name}\n" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("rhs, col", [("u1 +", 5), ("", 1)],
+                             ids=["dangling-operator", "empty"])
+    def test_expression_cut_short_names_its_end(self, tmp_path, capsys, rhs,
+                                                col):
+        p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"
+                            f"  x1+ = {rhs}\nequilibrium: 0 0\n")
+        assert run([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"dtflat: error: line 4: col {col}: "
+                                f"unexpected end of expression\n")
+
+    def test_integrals_hint_cut_short_names_its_end(self, capsys):
+        assert run([str(ACADEMIC), "--decompose", "--integrals-hint",
+                    "x1+"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("dtflat: error: col 4: unexpected end of "
+                                "expression\n")
 
     def test_integral_hint_in_file_off_the_states_rejected(self, tmp_path):
         text = ACADEMIC.read_text(encoding="utf-8") + "hints:\n  integral: u2\n"

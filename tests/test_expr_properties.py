@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtflat.errors import EvalSingular
-from dtflat.exprs import Scalar, parse_scalar
+from dtflat.exprs import Poly, Scalar, parse_scalar, poly_gcd
 
 VARS = ["x1", "x2", "u1"]
 
@@ -193,7 +193,7 @@ def test_heuristic_gcd_matches_remainder_sequence():
     # dual-route check of the kernel primitive: the evaluation heuristic
     # and the pseudo-remainder sequence must agree up to a constant
     # on the same inputs; the heuristic takes integer term maps, the
-    # remainder sequence the Fraction polynomials made from them
+    # remainder sequence the polynomials made from them
     from dtflat.exprs import (
         _from_int,
         _heu_gcd,
@@ -282,3 +282,57 @@ def test_hypothesis_distributivity(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_hypothesis_print_parse_roundtrip(a):
     assert parse_scalar(str(a)) == a
+
+
+def assert_canonical(r: Scalar):
+    """r is term for term the Scalar its constructor makes of r.num/r.den,
+    with a monic denominator coprime to the numerator."""
+    ref = Scalar(r.num, r.den)
+    assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
+    assert r.den.leading()[1] == 1
+    assert poly_gcd(r.num, r.den) == Poly.const(1)
+
+
+@given(scalars(), scalars(), scalars(), st.sampled_from(VARS))
+@settings(max_examples=80, deadline=None)
+def test_hypothesis_results_are_canonical(a, b, c, v):
+    # sums skip the gcds that cannot cancel (Henrici) and products the
+    # gcd of their coprime halves; the result must still be canonical
+    for r in (a + b, a - b, a * b, a.diff(v)):
+        assert_canonical(r)
+    if not b.is_zero():
+        assert_canonical(a / b)
+    if c.is_zero() or (c + 1).is_zero():
+        return
+    # x - y with x = a/c + y: the factors of y's denominator that a/c
+    # lacks must cancel, so Henrici's gcd(t, g) is nontrivial
+    y = b / (c + 1)
+    x = a / c + y
+    assert_canonical(x)
+    assert_canonical(x - y)
+    assert x - y == a / c
+
+
+def test_sums_over_denominators_with_a_common_factor():
+    x = Scalar.var("x1")
+    # g = gcd(b, d) = x1 and t = 2*x1: gcd(t, g) = x1 cancels as well
+    r = 1 / (x * (x + 1)) + 1 / (x * (x - 1))
+    assert_canonical(r)
+    assert r == Scalar(Poly.const(2), (x * x - 1).num)
+    assert str(r) == "2/(x1^2 - 1)"
+    # g = x1 and t = 2*x1 + 3: nothing more cancels
+    r = 1 / (x * (x + 1)) + 1 / (x * (x + 2))
+    assert_canonical(r)
+    assert str(r) == "(2*x1 + 3)/(x1^3 + 3*x1^2 + 2*x1)"
+    # g = t = x1 + 1: all of g cancels
+    r = 1 / (x * (x + 1)) + 1 / (x + 1)
+    assert_canonical(r)
+    assert str(r) == "1/x1"
+    # g = x1 + 1 and t = 1/2*x1 - 1/3, with rational coefficients
+    r = Scalar(1, 2) / (x + 1) - Scalar(1, 3) / (x * x + x)
+    assert_canonical(r)
+    assert str(r) == "(1/2*x1 - 1/3)/(x1^2 + x1)"
+    # coprime denominators: no gcd cancels anything
+    r = x / (x + 1) + 1 / (x - 1)
+    assert_canonical(r)
+    assert str(r) == "(x1^2 + 1)/(x1^2 - 1)"

@@ -13,7 +13,17 @@ from dtflat.errors import (
     ParseError,
     SubstitutionSingular,
 )
-from dtflat.exprs import ONE, Poly, Scalar, parse_scalar, solve_linear_in
+import dtflat.exprs as exprs
+from dtflat.exprs import (
+    ONE,
+    Poly,
+    Scalar,
+    _monic,
+    parse_scalar,
+    poly_divexact,
+    poly_gcd,
+    solve_linear_in,
+)
 
 x1, x2, x3, x4 = (Scalar.var(f"x{i}") for i in range(1, 5))
 u1, u2 = Scalar.var("u1"), Scalar.var("u2")
@@ -180,6 +190,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("text, col", [("x1+", 4), ("", 1),
+                                           ("(x1 + 2) * ", 12)])
+    def test_end_of_input_is_named(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == f"col {col}: unexpected end of expression"
+        assert err.value.col == col
+
 
 class TestPrinting:
     def test_fixed_term_order(self):
@@ -213,3 +231,81 @@ class TestPolyInternals:
     def test_rename(self):
         s = F1.rename({"x2": "th2", "u1": "v"})
         assert s == (Scalar.var("th2") + x3 + 3 * x4) / (Scalar.var("v") + 2 * u2 + 1)
+
+
+X, Y, Z = (((name, 1),) for name in ("x", "y", "z"))
+
+
+def assert_exact(p: Poly, want: dict):
+    """p has the terms want, with an int for every integral coefficient and
+    a Fraction for every other one: never a float."""
+    assert p.terms == want
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+class TestExactCoefficients:
+    """Each division of coefficients, at each site, on int operands: an
+    int / int there would be a float."""
+
+    x = Poly.variable("x")
+
+    def test_monic(self):
+        assert_exact(_monic(self.x.scale(3) + Poly.const(1)),
+                     {X: 1, (): Fraction(1, 3)})
+
+    def test_divexact_by_a_constant(self):
+        assert_exact(poly_divexact(self.x.scale(2), Poly.const(3)),
+                     {X: Fraction(2, 3)})
+
+    def test_divexact_quotient(self):
+        # (2*x^2 + x) / (3*x): the quotient's coefficients divide by 3
+        p = self.x * self.x.scale(2) + self.x
+        assert_exact(poly_divexact(p, self.x.scale(3)),
+                     {X: Fraction(2, 3), (): Fraction(1, 3)})
+
+    def test_remainder_sequence_gcd(self, monkeypatch):
+        monkeypatch.setattr(exprs, "_heu_gcd", lambda a, b: None)
+        y = Poly.variable("y")
+        g = self.x.scale(3) + Poly.const(1)
+        got = poly_gcd(g * (y + Poly.const(1)), g * (y + Poly.const(2)))
+        assert_exact(got, {X: 1, (): Fraction(1, 3)})
+
+    def test_scalar_constructor(self):
+        s = Scalar(1, 3)
+        assert_exact(s.num, {(): Fraction(1, 3)})
+        assert_exact(s.den, {(): 1})
+
+    def test_product_over_a_nonmonic_denominator(self):
+        s = Scalar.var("x") / (3 * Scalar.var("y"))
+        assert_exact(s.num, {X: Fraction(1, 3)})
+        assert_exact(s.den, {Y: 1})
+
+    def test_rename(self):
+        # x + 2*y leads with x; after x -> z it leads with 2*y
+        s = (Scalar(1) / (Scalar.var("x") + 2 * Scalar.var("y"))).rename(
+            {"x": "z"})
+        assert_exact(s.num, {(): Fraction(1, 2)})
+        assert_exact(s.den, {Y: 1, Z: Fraction(1, 2)})
+
+    def test_eval_at_an_integer_point(self):
+        p = Scalar.var("x") * Scalar.var("x") + 2
+        got = p.eval_at({"x": 3})
+        assert got == 11 and type(got) is Fraction
+        got = (Scalar(1) / (Scalar.var("x") + 2)).eval_at({"x": 1})
+        assert got == Fraction(1, 3) and type(got) is Fraction
+
+    def test_solve_linear_in(self):
+        s = solve_linear_in(3 * Scalar.var("x"), Scalar(1), "x")
+        assert_exact(s.num, {(): Fraction(1, 3)})
+        assert_exact(s.den, {(): 1})
+
+    def test_parse(self):
+        s = parse_scalar("1/3")
+        assert_exact(s.num, {(): Fraction(1, 3)})
+        assert_exact(s.den, {(): 1})
+
+    @pytest.mark.parametrize("value, want", [(True, 1), (Fraction(6, 3), 2),
+                                             (Fraction(2, 4), Fraction(1, 2))])
+    def test_constants_are_stored_exactly(self, value, want):
+        assert_exact(Poly.const(value), {(): want})

@@ -7,7 +7,8 @@ same ``Matrix`` as sympy's ``DomainMatrix`` over its fraction field
 
 The gcd cases cover both of its routes, the integer heuristic and the
 pseudo-remainder sequence it falls back to, and the boundary between
-them: the heuristic works on plain ints, and only Fractions may come out.
+them: the heuristic works on plain ints, and what comes out holds ints
+and Fractions only, never a float or a bool.
 
 The random cases are seeded, so every run exercises the same inputs."""
 
@@ -124,15 +125,15 @@ def rational_cases(seed: int) -> list:
 
 
 def assert_gcds_match_sympy(cases) -> int:
-    """Every gcd equals sympy's up to a unit, is monic and holds only
-    Fractions; returns the number of nontrivial gcds."""
+    """Every gcd equals sympy's up to a unit, is monic and holds only ints
+    and Fractions; returns the number of nontrivial gcds."""
     nontrivial = 0
     for a, b in cases:
         ours = poly_gcd(a, b)
         theirs = sympy.gcd(poly_to_sympy(a), poly_to_sympy(b))
         assert same_up_to_unit(poly_to_sympy(ours), theirs), (a, b)
         assert ours.leading()[1] == 1
-        assert all(type(c) is Fraction for c in ours.terms.values())
+        assert all(type(c) in (int, Fraction) for c in ours.terms.values())
         nontrivial += not ours.is_const()
     return nontrivial
 
@@ -189,16 +190,18 @@ def test_gcd_after_an_unlucky_evaluation_point(monkeypatch):
         assert same_up_to_unit(poly_to_sympy(ours), poly_to_sympy(g))
 
 
-def test_only_fractions_leave_the_kernel(monkeypatch):
-    # the heuristic's plain ints never reach a Poly: every gcd and every
-    # canonical Scalar built during an analysis holds Fractions only
+def test_only_exact_coefficients_leave_the_kernel(monkeypatch):
+    # every gcd and every canonical Scalar built during an analysis holds
+    # ints and Fractions only: no float from an int / int division, and
+    # no bool
     bad = []
     real_gcd = exprs.poly_gcd
     real_init = Scalar.__init__
+    real_canonical = exprs._canonical
 
     def check(p: Poly, where: str):
         bad.extend(f"{where}: {c!r}" for c in p.terms.values()
-                   if type(c) is not Fraction)
+                   if type(c) not in (int, Fraction))
 
     def gcd(a, b):
         g = real_gcd(a, b)
@@ -210,8 +213,15 @@ def test_only_fractions_leave_the_kernel(monkeypatch):
         check(self.num, "Scalar.num")
         check(self.den, "Scalar.den")
 
+    def canonical(num, den):
+        s = real_canonical(num, den)
+        check(s.num, "_canonical num")
+        check(s.den, "_canonical den")
+        return s
+
     monkeypatch.setattr(exprs, "poly_gcd", gcd)
     monkeypatch.setattr(Scalar, "__init__", init)
+    monkeypatch.setattr(exprs, "_canonical", canonical)
     assert analyze(academic4()).flat is True
     assert bad == []
 
