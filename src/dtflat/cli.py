@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .decompose import decompose_cascade
 from .errors import DtflatError, HintInvalid, NonRationalExpression, ParseError
-from .exprs import Scalar, parse_scalar
+from .exprs import Scalar, clear_memo, parse_scalar
 from .flatness import analyze
 from .reporting import (
     AnalysisReport,
@@ -262,6 +262,7 @@ def run(argv: list) -> int:
     if args.max_iterations is not None and args.max_iterations < 1:
         ap.error(f"--max-iterations must be at least 1, "
                  f"not {args.max_iterations}")
+    clear_memo()
     try:
         chart_hint = (args.chart_hint.replace(",", " ").split()
                       if args.chart_hint else None)
@@ -315,6 +316,9 @@ def run(argv: list) -> int:
     except OSError as exc:
         _sys.stderr.write(f"dtflat: error: {exc}\n")
         return 1
+    finally:
+        # a run starts and ends with an empty memo, like a fresh process
+        clear_memo()
 
 
 def main() -> None:

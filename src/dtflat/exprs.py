@@ -135,10 +135,12 @@ class Poly:
     Fraction, which compares and hashes equal to the int.  A division of
     coefficients goes through ``_recip``, since int / int is a float."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
         # Internal constructor: assumes zero-free int or Fraction values.
+        # The term map is never changed once a Poly holds it, so the hash
+        # is computed on first use and kept.
         self.terms = terms
 
     @classmethod
@@ -256,7 +258,11 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     # ------------------------------------------------------ calculus etc
 
@@ -818,20 +824,17 @@ class Scalar:
         return out
 
     def __mul__(self, other) -> "Scalar":
-        """(a/b)(c/d) with a and d, and c and b, cross-cancelled first.
-        After that n1*n2 and d1*d2 are coprime: each factor of a product
-        is coprime to both factors of the other (gcd(a, b) = gcd(c, d) = 1
-        and the cross gcds are divided out), so no third gcd is needed."""
+        """A constant factor scales the numerator: c*(a/b) = (c*a)/b is
+        canonical as it is, so it takes no gcd.  Other products go
+        through the memo (see _product)."""
         other = Scalar.of(other)
         if self.is_zero() or other.is_zero():
             return _S0
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if _is_one(g1) else poly_divexact(self.num, g1)
-        d2 = other.den if _is_one(g1) else poly_divexact(other.den, g1)
-        n2 = other.num if _is_one(g2) else poly_divexact(other.num, g2)
-        d1 = self.den if _is_one(g2) else poly_divexact(self.den, g2)
-        return _canonical(n1 * n2, d1 * d2)
+        if other.is_const():
+            return _scaled(self, other)
+        if self.is_const():
+            return _scaled(other, self)
+        return _remembered(_product, self, other)
 
     __rmul__ = __mul__
 
@@ -873,16 +876,17 @@ class Scalar:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
+        # a constant compares equal to its number, so it hashes as it
+        if self.is_const():
+            return hash(self.num.const_value())
         return hash((self.num, self.den))
 
     # ------------------------------------------------------ calculus etc
 
     def diff(self, name: str) -> "Scalar":
-        dn = self.num.diff(name)
-        dd = self.den.diff(name)
-        if dd.is_zero():
-            return Scalar(dn, self.den)
-        return Scalar(dn * self.den - self.num * dd, self.den * self.den)
+        if self.is_const():
+            return _S0
+        return _remembered(_derivative, self, name)
 
     def subs(self, bindings: Mapping[str, "Scalar"] | "Substitution") -> "Scalar":
         """Simultaneous substitution; bindings is a Mapping of names to
@@ -949,6 +953,61 @@ def _canonical(num: Poly, den: Poly) -> Scalar:
     out = object.__new__(Scalar)
     out.num, out.den = _monic_den(num, den)
     return out
+
+
+def _scaled(s: Scalar, c: Scalar) -> Scalar:
+    """s times the nonzero constant c.  Either may be the reciprocal that
+    __truediv__ builds, whose den need not be monic: so c is read as
+    num/den, and the den of s is made monic."""
+    v = c.num.const_value()
+    d = c.den.const_value()
+    if d != 1:
+        v = _integral(v * _recip(d))
+    return _canonical(s.num if v == 1 else s.num.scale(v), s.den)
+
+
+def _product(x: Scalar, y: Scalar) -> Scalar:
+    """(a/b)(c/d) with a and d, and c and b, cross-cancelled first.
+    After that n1*n2 and d1*d2 are coprime: each factor of a product is
+    coprime to both factors of the other (gcd(a, b) = gcd(c, d) = 1 and
+    the cross gcds are divided out), so no third gcd is needed."""
+    g1 = poly_gcd(x.num, y.den)
+    g2 = poly_gcd(y.num, x.den)
+    n1 = x.num if _is_one(g1) else poly_divexact(x.num, g1)
+    d2 = y.den if _is_one(g1) else poly_divexact(y.den, g1)
+    n2 = y.num if _is_one(g2) else poly_divexact(y.num, g2)
+    d1 = x.den if _is_one(g2) else poly_divexact(x.den, g2)
+    return _canonical(n1 * n2, d1 * d2)
+
+
+def _derivative(s: Scalar, name: str) -> Scalar:
+    dn = s.num.diff(name)
+    dd = s.den.diff(name)
+    if dd.is_zero():
+        return Scalar(dn, s.den)
+    return Scalar(dn * s.den - s.num * dd, s.den * s.den)
+
+
+# The memo.  Consecutive reductions of overlapping spans ask for many of
+# the same products and derivatives again; _remembered keeps the last
+# MEMO_SIZE of them, keyed by the operation and its operands.  Both are
+# pure functions of immutable values, and an operand is canonical (or
+# the reciprocal __truediv__ builds, which is fixed by the canonical
+# divisor), so equal keys have equal results and a hit returns exactly
+# what the computation would.  Sums are not remembered: a memo of sums
+# measured no gain.  cli.run empties the memo when it starts and when it
+# ends, so a run neither sees nor keeps the results of another.
+MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _remembered(op, a, b) -> Scalar:
+    return op(a, b)
+
+
+def clear_memo() -> None:
+    """Forget every remembered product and derivative."""
+    _remembered.cache_clear()
 
 
 def _den_atomic(p: Poly) -> bool:

@@ -264,10 +264,12 @@ def build_adapted_chart(sys: DiscreteSystem,
 
     failures = []
     for h_names in candidates:
-        jac = [list(row) for row in sys.jacobian]
+        # rank of span{df} + span{dh}: the reduced basis of span{df} loads
+        # with no arithmetic, so only the m unit rows are reduced
+        ech = sys.differentials.echelon()
         for h in h_names:
-            jac.append([ONE if v == h else ZERO for v in names])
-        if generic_rank(jac) != sys.n + sys.m:
+            ech.add([ONE if v == h else ZERO for v in names])
+        if len(ech.rows) != sys.n + sys.m:
             failures.append((h_names, "chart Jacobian is generically singular"))
             continue
         if hint is not None and hint.inverse is not None:

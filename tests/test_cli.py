@@ -26,6 +26,33 @@ CHAIN = DATA / "chain2.sys"
 GOLDEN = DATA / "golden"
 
 
+# (name, input, flags) of tests/data/golden/NAME.txt and NAME.json, the
+# text and --json reports of `dtflat PATH FLAGS --json NAME.json`
+GOLDENS = [
+    ("rat4", GOLDEN / "rat4.sys", []),
+    ("nlchain5", GOLDEN / "nlchain5.sys", []),
+    ("academic4-decompose", ACADEMIC, ["--decompose"]),
+    ("mixed2-decompose", DATA / "mixed2.sys", ["--decompose"]),
+    ("nonflat2-decompose", DATA / "nonflat2.sys", ["--decompose"]),
+    ("academic4-distribution-decompose", ACADEMIC,
+     ["--test", "distribution", "--decompose"]),
+    ("academic4-codistribution-decompose", ACADEMIC,
+     ["--test", "codistribution", "--decompose"]),
+    ("nlchain8", GOLDEN / "nlchain8.sys", []),
+    ("rat5", GOLDEN / "rat5.sys", []),
+    ("nlchain5-decompose", GOLDEN / "nlchain5.sys", ["--decompose"]),
+    ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
+]
+
+
+def assert_golden(tmp_path, capsys, name, path, flags):
+    out_path = tmp_path / "report.json"
+    assert run([str(path), *flags, "--json", str(out_path)]) == 0
+    text = capsys.readouterr().out.encode("utf-8")
+    assert text == (GOLDEN / f"{name}.txt").read_bytes()
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def write(tmp_path, text, name="sys.sys"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -228,29 +255,38 @@ class TestRun:
         assert p1.read_bytes() == p2.read_bytes()
         assert first_text == second_text
 
-    @pytest.mark.parametrize("name, path, flags", [
-        ("rat4", GOLDEN / "rat4.sys", []),
-        ("nlchain5", GOLDEN / "nlchain5.sys", []),
-        ("academic4-decompose", ACADEMIC, ["--decompose"]),
-        ("mixed2-decompose", DATA / "mixed2.sys", ["--decompose"]),
-        ("nonflat2-decompose", DATA / "nonflat2.sys", ["--decompose"]),
-        ("academic4-distribution-decompose", ACADEMIC,
-         ["--test", "distribution", "--decompose"]),
-        ("academic4-codistribution-decompose", ACADEMIC,
-         ["--test", "codistribution", "--decompose"]),
-        ("nlchain8", GOLDEN / "nlchain8.sys", []),
-        ("rat5", GOLDEN / "rat5.sys", []),
-        ("nlchain5-decompose", GOLDEN / "nlchain5.sys", ["--decompose"]),
-        ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
-    ])
+    @pytest.mark.parametrize("name, path, flags", GOLDENS)
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
-        # tests/data/golden/NAME.txt and NAME.json are the text and --json
-        # reports of `dtflat PATH FLAGS --json NAME.json`, kept byte for byte
-        out_path = tmp_path / "report.json"
-        assert run([str(path), *flags, "--json", str(out_path)]) == 0
-        text = capsys.readouterr().out.encode("utf-8")
-        assert text == (GOLDEN / f"{name}.txt").read_bytes()
-        assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+        assert_golden(tmp_path, capsys, name, path, flags)
+
+    def test_goldens_replayed_in_reverse_in_one_process(self, tmp_path,
+                                                        capsys):
+        # the memo of products and derivatives lives for one run: nothing
+        # a run leaves behind reaches the next one's report
+        for name, path, flags in reversed(GOLDENS):
+            assert_golden(tmp_path, capsys, name, path, flags)
+
+    def test_memo_empty_after_a_run(self, tmp_path, capsys, monkeypatch):
+        import dtflat.cli as cli
+        from dtflat.exprs import _remembered
+        real = cli.build_adapted_chart
+        sizes = []
+
+        def spy(sys, *args, **kwargs):
+            try:
+                return real(sys, *args, **kwargs)
+            finally:
+                sizes.append(_remembered.cache_info().currsize)
+
+        monkeypatch.setattr(cli, "build_adapted_chart", spy)
+        assert run([str(ACADEMIC)]) == 0
+        assert _remembered.cache_info().currsize == 0
+        # the chart inversion fails after the greedy solve has multiplied
+        body = (DATA / "mixed2.sys").read_text().split("hints:")[0]
+        assert run([str(write(tmp_path, body))]) == 1
+        assert "hint" in capsys.readouterr().err
+        assert _remembered.cache_info().currsize == 0
+        assert len(sizes) == 2 and all(sizes), sizes
 
     def test_decomposition_independent_of_test(self, tmp_path):
         # the cascade reads the sequence P_1 .. P_kbar from the

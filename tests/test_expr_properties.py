@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtflat.exprs as exprs
 from dtflat.errors import EvalSingular
 from dtflat.exprs import Poly, Scalar, parse_scalar, poly_gcd
 
@@ -311,6 +312,39 @@ def test_hypothesis_results_are_canonical(a, b, c, v):
     assert_canonical(x)
     assert_canonical(x - y)
     assert x - y == a / c
+
+
+def terms_with_types(s: Scalar) -> tuple:
+    return tuple([(m, c, type(c)) for m, c in sorted(p.terms.items())]
+                 for p in (s.num, s.den))
+
+
+@given(scalars(), scalars(), st.sampled_from(VARS))
+@settings(max_examples=80, deadline=None)
+def test_hypothesis_memo_matches_the_computation(a, b, v):
+    # a remembered product or derivative is term for term, coefficient
+    # types included, what the uncached computation returns, on a miss and
+    # again on a hit; a quotient is a remembered product by 1/b
+    exprs.clear_memo()
+    cases = []
+    if not (a.is_const() or b.is_const()):
+        cases.append((lambda: a * b, exprs._product(a, b)))
+    if not a.is_const():
+        cases.append((lambda: a.diff(v), exprs._derivative(a, v)))
+    quotient = None if a.is_const() or b.is_const() else a / b
+    for hit in (False, True):
+        before = exprs._remembered.cache_info()
+        for op, want in cases:
+            assert terms_with_types(op()) == terms_with_types(want)
+        after = exprs._remembered.cache_info()
+        assert after.misses - before.misses == (0 if hit else len(cases))
+        assert after.hits - before.hits == (len(cases) if hit else 0)
+        if quotient is not None:
+            got = a / b
+            assert got.num.terms == quotient.num.terms
+            assert got.den.terms == quotient.den.terms
+            assert exprs._remembered.cache_info().hits > after.hits
+            assert got * b == a
 
 
 def test_sums_over_denominators_with_a_common_factor():

@@ -1,6 +1,7 @@
 """Unit tests for the exact rational function kernel."""
 
 from fractions import Fraction
+from operator import mul, truediv
 
 import pytest
 
@@ -309,3 +310,83 @@ class TestExactCoefficients:
                                              (Fraction(2, 4), Fraction(1, 2))])
     def test_constants_are_stored_exactly(self, value, want):
         assert_exact(Poly.const(value), {(): want})
+
+
+class TestHash:
+    """A constant Scalar compares equal to its number, so it hashes as it:
+    Scalars are dict keys in the memo and in the callers' sets."""
+
+    def test_int(self):
+        assert hash(Scalar(2)) == hash(2)
+        assert hash(Scalar(0)) == hash(0)
+
+    def test_fraction(self):
+        assert hash(Scalar(1, 3)) == hash(Fraction(1, 3))
+        assert hash(Scalar(Fraction(6, 3))) == hash(2)
+
+    def test_set_membership(self):
+        s = {Scalar(0), Scalar(2), Scalar(-1, 2), x1 / (x2 + 1)}
+        assert 0 in s and 2 in s and Fraction(2) in s
+        assert Fraction(-1, 2) in s and x1 / (x2 + 1) in s
+        assert 3 not in s and Fraction(1, 2) not in s
+        assert Scalar(2) in {2} and Scalar(Fraction(1, 3)) in {Fraction(1, 3)}
+        assert len({Scalar(2), 2, Fraction(2)}) == 1
+
+
+def assert_same_terms(got: Scalar, want: Scalar):
+    """got is want term for term, with exact coefficients (see
+    assert_exact)."""
+    assert_exact(got.num, want.num.terms)
+    assert_exact(got.den, want.den.terms)
+
+
+class TestConstantFactor:
+    """A constant operand scales the numerator and runs no gcd; the result
+    is the one the general product makes."""
+
+    a = (x1 * x1 + 3 * x2) / (2 * u1 + 1)
+
+    @staticmethod
+    def without_gcd(monkeypatch, op, *args) -> Scalar:
+        def refuse(a, b):
+            raise AssertionError("a product with a constant ran a gcd")
+        with monkeypatch.context() as m:
+            m.setattr(exprs, "poly_gcd", refuse)
+            return op(*args)
+
+    @pytest.mark.parametrize("c", [Scalar(3), Scalar(-1), Scalar(1, 3),
+                                   Scalar(Fraction(-4, 7)), ONE])
+    def test_either_side(self, c, monkeypatch):
+        want = exprs._product(self.a, c)
+        assert_same_terms(self.without_gcd(monkeypatch, mul, self.a, c), want)
+        assert_same_terms(self.without_gcd(monkeypatch, mul, c, self.a), want)
+
+    def test_int_and_fraction_operands(self):
+        assert (2 * self.a) * Fraction(1, 2) == self.a
+        x1sq, x2 = (("x1", 2),), (("x2", 1),)
+        # a = (1/2*x1^2 + 3/2*x2)/(u1 + 1/2) with its den made monic
+        assert_exact((self.a * 2).num, {x1sq: 1, x2: 3})
+        assert_exact((Fraction(1, 3) * self.a).num,
+                     {x1sq: Fraction(1, 6), x2: Fraction(1, 2)})
+
+    def test_zero(self, monkeypatch):
+        for z in (Scalar(0), x1 - x1):
+            for x, y in ((self.a, z), (z, self.a), (z, Scalar(5))):
+                assert self.without_gcd(monkeypatch, mul, x, y).is_zero()
+
+    @pytest.mark.parametrize("c", [Scalar(3), Scalar(-2, 5), Scalar(7, 1),
+                                   Scalar(Fraction(3, 4))])
+    def test_division_by_a_constant(self, c, monkeypatch):
+        # a / c multiplies by the reciprocal c.den/c.num, whose den is a
+        # constant other than 1: read as num only, it would multiply by 1
+        got = self.without_gcd(monkeypatch, truediv, self.a, c)
+        assert_same_terms(got, exprs._product(self.a, Scalar(1) / c))
+        assert got * c == self.a
+
+    def test_constant_over_a_polynomial(self, monkeypatch):
+        # c / p multiplies c by the reciprocal 1/p, whose den p need not be
+        # monic: the result's den is made monic
+        p = 2 * x1 + 1
+        got = self.without_gcd(monkeypatch, truediv, Scalar(3), p)
+        assert got.den.leading()[1] == 1
+        assert_same_terms(got, Scalar(Poly.const(3), p.num))

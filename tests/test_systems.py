@@ -167,6 +167,17 @@ class TestAdaptedChart:
             build_adapted_chart(s)
         assert err.value.hint is not None
 
+    def test_rank_test_starts_from_span_df(self, rref_calls):
+        # x1+ = u1, x2+ = x1: xi = x1 lies in span{df} = span{du1, dx1}, so
+        # the first candidate is singular and xi = x2 is chosen.  The rank
+        # tests load the reduced basis of span{df} and reduce the unit
+        # rows of xi against it; no Jacobian is reduced again
+        s = mk(["x1", "x2"], ["u1"], ["u1", "x1"])
+        before = len(rref_calls)
+        chart = build_adapted_chart(s)
+        assert chart.h_names == ("x2",)
+        assert len(rref_calls) == before
+
     def test_integrator_chart(self):
         s = mk(["x1"], ["u1"], ["u1"])
         chart = build_adapted_chart(s)
