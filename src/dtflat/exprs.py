@@ -371,15 +371,16 @@ def _mono_str(mono: Mono) -> str:
 # ------------------------------------------------------------------ gcd
 #
 # poly_gcd drives everything: canonical Scalars reduce num/den by it on
-# every construction.  The fast path is the evaluation-homomorphism
-# heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): map
-# one variable to a large integer, recurse, reconstruct the candidate from
-# balanced digits, verify by exact trial division, retry with a larger
-# point on failure.  It runs on plain integers (see _heu_gcd).  Acceptance
-# is by exact division, so a wrong candidate is never returned; if the
-# heuristic gives up, a primitive pseudo-remainder sequence over Fraction
-# polynomials takes over, with its content computations routed back
-# through the fast path.
+# every construction where neither is a constant (a gcd with a constant
+# is 1, and _gcd answers it without a call).  The fast path is the
+# evaluation-homomorphism heuristic GCDHEU (Char, Geddes and Gonnet, J.
+# Symbolic Comput. 1989): map one variable to a large integer, recurse,
+# reconstruct the candidate from balanced digits, verify by exact trial
+# division, retry with a larger point on failure.  It runs on plain
+# integers (see _heu_gcd).  Acceptance is by exact division, so a wrong
+# candidate is never returned; if the heuristic gives up, a primitive
+# pseudo-remainder sequence over Fraction polynomials takes over, with its
+# content computations routed back through the fast path.
 
 def _as_uni(p: Poly, x: str) -> dict:
     """View p as a univariate polynomial in x: degree -> Poly coefficient."""
@@ -441,7 +442,7 @@ def _content(p: Poly, x: str) -> Poly:
     coeffs = list(_as_uni(p, x).values())
     g = coeffs[0]
     for c in coeffs[1:]:
-        if g.is_const():
+        if g.is_const() or c.is_const():
             return _P1
         g = poly_gcd(g, c)
     return _monic(g)
@@ -686,7 +687,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     cb = _content(b, x)
     pa = poly_divexact(a, ca)
     pb = poly_divexact(b, cb)
-    c = poly_gcd(ca, cb) if not (ca.is_const() and cb.is_const()) else _P1
+    c = _gcd(ca, cb)
     f, g = _as_uni(pa, x), _as_uni(pb, x)
     if max(f) < max(g):
         f, g = g, f
@@ -718,6 +719,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _monic(_gcd_inner(a, b))
 
 
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """poly_gcd of nonzero a and b, which is 1 at once when either is a
+    constant: so every call of poly_gcd in the kernel is gcd work."""
+    if a.is_const() or b.is_const():
+        return _P1
+    return poly_gcd(a, b)
+
+
 # --------------------------------------------------------------- Scalar
 
 class Scalar:
@@ -737,7 +746,7 @@ class Scalar:
         if num.is_zero():
             self.num, self.den = _P0, _P1
             return
-        g = poly_gcd(num, den)
+        g = _gcd(num, den)
         if not _is_one(g):
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
@@ -796,12 +805,12 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
             return Scalar(a + c, b)
-        g = poly_gcd(b, d)
+        g = _gcd(b, d)
         if _is_one(g):
             return _canonical(a * d + c * b, b * d)
         b1 = poly_divexact(b, g)
         t = a * poly_divexact(d, g) + c * b1
-        h = poly_gcd(t, g)
+        h = _gcd(t, g)
         if not _is_one(h):
             t = poly_divexact(t, h)
             d = poly_divexact(d, h)
@@ -971,8 +980,8 @@ def _product(x: Scalar, y: Scalar) -> Scalar:
     After that n1*n2 and d1*d2 are coprime: each factor of a product is
     coprime to both factors of the other (gcd(a, b) = gcd(c, d) = 1 and
     the cross gcds are divided out), so no third gcd is needed."""
-    g1 = poly_gcd(x.num, y.den)
-    g2 = poly_gcd(y.num, x.den)
+    g1 = _gcd(x.num, y.den)
+    g2 = _gcd(y.num, x.den)
     n1 = x.num if _is_one(g1) else poly_divexact(x.num, g1)
     d2 = y.den if _is_one(g1) else poly_divexact(y.den, g1)
     n2 = y.num if _is_one(g2) else poly_divexact(y.num, g2)
@@ -986,6 +995,77 @@ def _derivative(s: Scalar, name: str) -> Scalar:
     if dd.is_zero():
         return Scalar(dn, s.den)
     return Scalar(dn * s.den - s.num * dd, s.den * s.den)
+
+
+# Sums of products.  An entry of a reduced row is a sum of products whose
+# second factors are entries of the same column of an echelon form, and
+# those often share one denominator D.  A polynomial times n/D is a
+# polynomial over D, so such a group is summed as polynomials and made
+# canonical once.
+
+def _grouped(pairs: Iterable[tuple]) -> tuple:
+    """(groups, rest) of the pairs (a, b): groups maps a denominator D to
+    the pairs whose a is a polynomial and whose b has denominator D, and
+    rest holds the other pairs."""
+    groups: dict = {}
+    rest = []
+    for a, b in pairs:
+        if _is_one(a.den):
+            groups.setdefault(b.den, []).append((a, b))
+        else:
+            rest.append((a, b))
+    return groups, rest
+
+
+def _numerator(group: list) -> Poly:
+    """N with sum(a*b) = N/D, for a group of pairs over one denominator D."""
+    total = _P0
+    for a, b in group:
+        total = total + a.num * b.num
+    return total
+
+
+def dot(pairs: Iterable[tuple]) -> Scalar:
+    """The sum of a*b over the pairs (a, b) of Scalars.
+
+    Each group of products whose a is a polynomial and whose b share a
+    denominator D is summed as the polynomial N over D and made canonical
+    once, as Scalar(N, D), where adding the products one at a time runs
+    gcds against D for each product and each sum.  A group of one product
+    is a*b, so the memo and the constant path still apply.  The groups
+    are then added with Scalar.__add__."""
+    return _summed(*_grouped(pairs))
+
+
+def _summed(groups: dict, rest: list) -> Scalar:
+    """dot of the pairs that _grouped split into groups and rest."""
+    total = _S0
+    for den, group in groups.items():
+        if len(group) > 1:
+            total = total + Scalar(_numerator(group), den)
+        else:
+            a, b = group[0]
+            total = total + a * b
+    for a, b in rest:
+        total = total + a * b
+    return total
+
+
+def equals_dot(c: Scalar, pairs: Iterable[tuple]) -> bool:
+    """c == dot(pairs).  When every a is a polynomial and every b has one
+    denominator D, dot(pairs) is N/D, and the canonical c = p/q equals it
+    exactly when p*D == q*N (q and D are nonzero): no Scalar is built and
+    no gcd runs.  Other pairs are compared through dot."""
+    groups, rest = _grouped(pairs)
+    if rest or len(groups) > 1:
+        return c == _summed(groups, rest)
+    if not groups:
+        return c.is_zero()
+    (den, group), = groups.items()
+    n = _numerator(group)
+    if c.den == den:
+        return c.num == n
+    return c.num * den == c.den * n
 
 
 # The memo.  Consecutive reductions of overlapping spans ask for many of

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatch, InvalidVariables
-from .exprs import ONE, ZERO, Poly, Scalar, poly_divexact, poly_gcd
+from .exprs import (
+    ONE,
+    ZERO,
+    Scalar,
+    dot,
+    equals_dot,
+    poly_divexact,
+    poly_gcd,
+)
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,14 @@ class Echelon:
     zero in that column, and the pivots ascend.  That form of a span is
     canonical, so the rows and pivots do not depend on the order in which
     the rows came in.  On rows that are already reduced nothing is
-    computed, only tested for zero."""
+    computed, only tested for zero.
+
+    A row is reduced column by column.  Because the rows are reduced, the
+    components of a row along them are its own entries at their pivots:
+    the reduced row is zero at every pivot, and at any other column j it
+    is row[j] minus the sum of row[p] * E[j] over the rows E with pivot p.
+    That sum is one exprs.dot, and membership asks only whether it equals
+    row[j] (exprs.equals_dot), which builds no Scalar."""
 
     __slots__ = ("rows", "pivots")
 
@@ -134,13 +149,25 @@ class Echelon:
         for row in rows:
             self.add(row)
 
+    def _along(self, row: Sequence[Scalar]) -> list:
+        """(f, E) for each pivot row E whose pivot entry f of row is not
+        zero: row's components along the pivot rows."""
+        return [(row[p], r) for r, p in zip(self.rows, self.pivots)
+                if not row[p].is_zero()]
+
     def _reduce(self, row: Sequence[Scalar]) -> list:
         """row minus its components along the pivot rows."""
-        row = list(row)
-        for prow, col in zip(self.rows, self.pivots):
-            if not row[col].is_zero():
-                row = _eliminate(row, row[col], prow)
-        return row
+        out = list(row)
+        along = self._along(row)
+        if along:
+            for j, c in enumerate(row):
+                if j in self.pivots:
+                    out[j] = ZERO
+                else:
+                    pairs = _column(along, j)
+                    if pairs:
+                        out[j] = c - dot(pairs)
+        return out
 
     def add(self, row: Sequence[Scalar]) -> bool:
         """Take row into the span; False when it lies there already."""
@@ -159,7 +186,11 @@ class Echelon:
         return True
 
     def contains(self, row: Sequence[Scalar]) -> bool:
-        return all(c.is_zero() for c in self._reduce(row))
+        along = self._along(row)
+        if not along:
+            return all(c.is_zero() for c in row)
+        return all(j in self.pivots or equals_dot(c, _column(along, j))
+                   for j, c in enumerate(row))
 
     def kernel(self, ncols: int) -> list:
         """Basis of the right kernel, one vector per free column, ordered
@@ -174,6 +205,12 @@ class Echelon:
                 vec[pcol] = -row[fc]
             basis.append(vec)
         return basis
+
+
+def _column(along: list, j: int) -> list:
+    """The pairs (f, E[j]) for the (f, E) of along with E[j] not zero: at
+    a column j that is not a pivot, the reduced row is row[j] - dot(pairs)."""
+    return [(f, r[j]) for f, r in along if not r[j].is_zero()]
 
 
 def _eliminate(row: list, factor: Scalar, pivot_row: list) -> list:
@@ -295,8 +332,12 @@ Distribution.dual = Codistribution
 
 def same_span(a, b) -> bool:
     """Span equality by mutual membership: the comparison contract for all
-    golden values (elimination order legitimately changes printed bases)."""
+    golden values (elimination order legitimately changes printed bases).
+    Equal bases span the same space and are compared no further; two
+    canonical reduced bases are equal exactly when their spans are."""
     _require_same_chart(a, b)
+    if a.basis == b.basis:
+        return True
     if a.dim != b.dim:
         return False
     ech = a.echelon()
@@ -404,11 +445,15 @@ def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:
 def _clear_denominators(row: Sequence[Scalar]) -> Sequence[Scalar]:
     """g * row, where g is the lcm of the (monic) denominators of row, so
     every entry is a polynomial; row itself when they are all 1."""
-    g = Poly.const(1)
+    g = None
     for c in row:
-        if not c.den.is_const():
+        if c.den.is_const() or c.den == g:
+            continue
+        if g is None:
+            g = c.den
+        else:
             g = g * poly_divexact(c.den, poly_gcd(g, c.den))
-    if g.is_const():
+    if g is None:
         return row
     return [Scalar(c.num * poly_divexact(g, c.den)) for c in row]
 
@@ -423,7 +468,10 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
     span S already, and L_v(g*w) = v(g)*w + g*L_v(w), so L_v(g*w) is in S
     exactly when L_v(w) is, and both add the same span to S.  The loop
     therefore visits the same spans, takes as many Lie derivatives, and
-    ends at the same canonical rows as with w itself."""
+    ends at the same canonical rows as with w itself.  Most derivatives lie
+    in S already, so each is first tested for membership, a zero test that
+    runs no gcd on polynomial rows (Echelon.contains), and only one outside
+    S is reduced and added."""
     _require_same_chart(p0, d)
     chart = p0.chart
     ech = p0.echelon()
@@ -432,7 +480,8 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
         for v in d.basis:
             for row in list(ech.rows):
                 w = OneForm(chart, _clear_denominators(row))
-                if ech.add(lie_derivative(v, w).coeffs):
+                z = lie_derivative(v, w).coeffs
+                if not ech.contains(z) and ech.add(z):
                     added = True
         if not added:
             return Codistribution.reduced(chart, ech.rows)

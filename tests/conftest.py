@@ -42,7 +42,7 @@ def rref_calls(monkeypatch):
 @pytest.fixture
 def row_operations(monkeypatch):
     """One entry per row elimination or normalization that an Echelon makes
-    while the test runs."""
+    while the test runs, and one per column it reduces (geometry.dot)."""
     import dtflat.geometry as geometry
     ops = []
 
@@ -54,4 +54,5 @@ def row_operations(monkeypatch):
 
     monkeypatch.setattr(geometry, "_eliminate", counting(geometry._eliminate))
     monkeypatch.setattr(geometry, "_normalize", counting(geometry._normalize))
+    monkeypatch.setattr(geometry, "dot", counting(geometry.dot))
     return ops
