@@ -41,10 +41,10 @@ from .geometry import (
     combine,
     d_scalar,
     generic_rank,
-    intersect,
     invariant_closure,
     is_closed,
     is_integrable,
+    meet_coordinates,
     rref,
     same_span,
     sum_codistributions,
@@ -517,7 +517,8 @@ def _check_straightened(transformed: DiscreteSystem, u1_names: list):
 def _p2_plus(sys: DiscreteSystem) -> tuple:
     """P_1 = span{dx} and P_2^+, the ker-df closure of P_1 meet span{df}."""
     P1 = Codistribution.reduced(sys.chart, _units(sys.n + sys.m)[:sys.n])
-    return P1, invariant_closure(intersect(P1, sys.differentials),
+    return P1, invariant_closure(meet_coordinates(sys.differentials,
+                                                  range(sys.n)),
                                  sys.update_kernel)
 
 

@@ -33,6 +33,7 @@ from .geometry import (
     invariant_closure,
     is_integrable,
     is_involutive,
+    meet_coordinates,
     nullspace,
     rref,
     same_span,
@@ -327,12 +328,16 @@ def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
             images.append(img)
     Delta = Distribution.span(sys.chart_plus, images)
     E = pullback_pi(Delta, sys)
-    if not is_involutive(E):
+    # E_{k-1} is involutive: step k-1 proved it, and E_0 has constant
+    # fields.  is_involutive checks first that it nests in E_k, then forms
+    # only the brackets with a field of E_k outside it.
+    try:
+        involutive = is_involutive(E, known=E_prev)
+    except ValueError:
+        raise InternalInvariantError(
+            f"nesting fails: E_{k-1} not in E_{k}") from None
+    if not involutive:
         raise InternalInvariantError(f"E_{k} is not involutive")
-    inside = E.echelon()
-    for v in E_prev.basis:
-        if not inside.contains(v.coeffs):
-            raise InternalInvariantError(f"nesting fails: E_{k-1} not in E_{k}")
     return DistributionStep(k=k, E_prev=E_prev, D=D, D_adapted=D_adapted,
                             Delta=Delta, E=E, report=report)
 
@@ -373,11 +378,8 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     P_adapted, _, report = adapted_certificate(chart, P)
     added = report.added_forms(sys.chart_adapted)
 
-    span_dtheta = Codistribution.reduced(
-        sys.chart_adapted,
-        [OneForm.unit(sys.chart_adapted, f"th{i}").coeffs
-         for i in range(1, sys.n + 1)])
-    inter_adapted = intersect(P_adapted, span_dtheta)
+    # on the adapted chart span{df} is span{dth}, the first n columns
+    inter_adapted = meet_coordinates(P_adapted, range(sys.n))
     if inter_adapted.dim != inter.dim:
         raise InternalInvariantError(
             "intersection dimensions disagree between charts")

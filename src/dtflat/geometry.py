@@ -11,6 +11,7 @@ identical basis), so every derived basis is deterministic.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -103,10 +104,13 @@ class OneForm(Row):
     prefix = "d"
 
 
+_MINUS_ONE = Scalar(-1)
+
+
 def _coeff_str(c: Scalar) -> str:
     if c == ONE:
         return ""
-    if c == Scalar(-1):
+    if c == _MINUS_ONE:
         return "-"
     s = str(c)
     if " " in s or "/" in s or s.startswith("-"):
@@ -437,6 +441,21 @@ def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
     return Codistribution.span(chart, forms)
 
 
+def meet_coordinates(p: Codistribution, columns: Sequence[int]) -> Codistribution:
+    """The forms of p whose coefficients vanish outside columns: p meet the
+    span of those coordinate differentials.  A form sum a_i p_i lies there
+    exactly when a is in the kernel of the other columns of p's basis, so
+    only those columns are solved, not the stacked system of intersect."""
+    chart = p.chart
+    keep = set(columns)
+    others = Echelon([w.coeffs[c] for w in p.basis]
+                     for c in range(chart.dim) if c not in keep)
+    p_rows = [w.coeffs for w in p.basis]
+    return Codistribution.span(chart, [
+        OneForm(chart, combine(a, p_rows))
+        for a in others.kernel(len(p_rows))])
+
+
 def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:
     _require_same_chart(p, q)
     return Codistribution.span(p.chart, list(p.basis) + list(q.basis))
@@ -489,12 +508,35 @@ def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:
 
 # ------------------------------------------------- involutivity, Frobenius
 
-def is_involutive(d: Distribution) -> bool:
-    """All pairwise Lie brackets of basis fields remain in the span."""
+def is_involutive(d: Distribution, known: Distribution | None = None) -> bool:
+    """Every Lie bracket of two fields of d lies in d.
+
+    The brackets of a generating set decide that.  Fields of d are
+    combinations sum_i a_i v_i of generators with rational coefficients,
+    and by Leibniz [a v, b w] = a b [v, w] + a v(b) w - b w(a) v, where
+    the last two terms lie in d already; so [X, Y] lies in d for all
+    fields X, Y of d once it does for all pairs of generators.
+
+    known, when given, is an involutive subdistribution of d (ValueError
+    when it is not inside d).  Its basis together with the reduced rows of
+    d at pivots that are not known's pivots generates d: the pivot
+    columns of a span are the leading columns of its elements, so known's
+    pivots are among d's, and rows with distinct leading columns are
+    independent.  Brackets of two fields of known lie in known, so only
+    the pairs with a new row are formed.  Without known every pair of
+    reduced basis rows is."""
     ech = d.echelon()
-    return all(ech.contains(lie_bracket(d.basis[i], d.basis[j]).coeffs)
-               for i in range(len(d.basis))
-               for j in range(i + 1, len(d.basis)))
+    base, old = (), set()
+    if known is not None:
+        _require_same_chart(d, known)
+        if not all(ech.contains(v.coeffs) for v in known.basis):
+            raise ValueError("known is not a subdistribution of d")
+        base, old = known.basis, set(known.echelon().pivots)
+    new = [VectorField(d.chart, r)
+           for r, p in zip(ech.rows, ech.pivots) if p not in old]
+    pairs = itertools.chain(itertools.product(base, new),
+                            itertools.combinations(new, 2))
+    return all(ech.contains(lie_bracket(v, w).coeffs) for v, w in pairs)
 
 
 def is_integrable(p: Codistribution) -> bool:

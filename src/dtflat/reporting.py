@@ -8,10 +8,10 @@ canonical scalar syntax, so two runs on the same input are byte-identical.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .decompose import CascadeResult
 from .flatness import FlatnessVerdict, ProjectabilityReport
@@ -172,7 +172,50 @@ def _cascade_json(cascade: CascadeResult) -> dict:
 
 
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(to_json_dict(report), indent=2, ensure_ascii=False) + "\n"
+    out: list = []
+    _write_json(to_json_dict(report), out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list, newline: str) -> None:
+    """Append value to out as json.dumps(value, indent=2,
+    ensure_ascii=False) writes it.  That call runs the pure-Python encoder
+    (the C one does not indent); this tree holds only dicts with str keys,
+    lists, tuples, str, int, bool and None, and anything else raises
+    TypeError.  newline is a line break followed by value's indentation."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        opener, closer = "{}" if is_dict else "[]"
+        if not value:
+            out.append(opener + closer)
+            return
+        inner = newline + "  "
+        out.append(opener)
+        sep = inner
+        for item in value.items() if is_dict else value:
+            out.append(sep)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, "
+                                    f"not {type(key).__name__}")
+                out.append(encode_basestring(key) + ": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + closer)
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 # ------------------------------------------------------------ text output

@@ -74,7 +74,6 @@ class DiscreteSystem:
             raise ValueError("need one update expression per state")
         self.f = tuple(Scalar.of(g) for g in f)
         self.hints = hints
-        self.warnings: list = []
 
         self.chart = Chart(self.state_names + self.input_names)
         reserved = ({f"th{i}" for i in range(1, self.n + 1)}
@@ -126,12 +125,20 @@ class DiscreteSystem:
                 if value != self.equilibrium[name_i]:
                     raise EquilibriumMismatch(
                         f"f does not fix the equilibrium: component {name_i}")
-            point_rank = _rank_at_point(self.jacobian, self.equilibrium)
-            if point_rank is not None and point_rank != self.n:
-                self.warnings.append(
-                    f"submersivity holds generically but the Jacobian rank "
-                    f"drops to {point_rank} at the equilibrium; proceeding "
-                    f"with generic ranks")
+
+    @cached_property
+    def warnings(self) -> list:
+        """What holds generically but not at the equilibrium: computed on
+        first read, so a derived system whose warnings no report reads
+        never evaluates its Jacobian there."""
+        if self.equilibrium is None:
+            return []
+        point_rank = _rank_at_point(self.jacobian, self.equilibrium)
+        if point_rank is None or point_rank == self.n:
+            return []
+        return [f"submersivity holds generically but the Jacobian rank "
+                f"drops to {point_rank} at the equilibrium; proceeding "
+                f"with generic ranks"]
 
     @cached_property
     def update_kernel(self) -> Distribution:

@@ -42,6 +42,7 @@ GOLDENS = [
     ("rat5", GOLDEN / "rat5.sys", []),
     ("nlchain5-decompose", GOLDEN / "nlchain5.sys", ["--decompose"]),
     ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
+    ("pointrank", GOLDEN / "pointrank.sys", []),
 ]
 
 
@@ -453,6 +454,27 @@ class TestRun:
             monkeypatch.setattr(module, "build_adapted_chart", counting)
         assert run([str(ACADEMIC), "--test", test, "--decompose"]) == 0
         assert calls == ["academic4"], calls
+
+    @pytest.mark.parametrize("path, n", [(ACADEMIC, 4),
+                                         (DATA / "mixed2.sys", 2)])
+    def test_decompose_evaluates_one_point_rank(self, monkeypatch, capsys,
+                                                path, n):
+        # only the reported system's warnings are read: the derived
+        # systems of the cascade never evaluate their Jacobian at a point
+        # (mixed2's carry an equilibrium, and evaluating it there on
+        # construction took three more)
+        import dtflat.systems as systems
+        real = systems._rank_at_point
+        calls = []
+
+        def counting(matrix, point):
+            calls.append(len(matrix))
+            return real(matrix, point)
+
+        monkeypatch.setattr(systems, "_rank_at_point", counting)
+        assert run([str(path), "--decompose"]) == 0
+        assert "triangular decomposition" in capsys.readouterr().out
+        assert calls == [n]
 
     def test_inversion_failure_exit_and_hint(self, tmp_path, capsys):
         p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"

@@ -359,6 +359,76 @@ class TestCrossCheck:
             codistribution_step(acad, acad_chart, 1, P1)
 
 
+class TestInvolutivityCheck:
+    """distribution_step checks that E_{k-1} nests in E_k and brackets only
+    the fields of E_k outside it: a fault there is still caught, with no
+    duality verifier behind it (test="distribution")."""
+
+    @staticmethod
+    def patch_E(monkeypatch, extra):
+        import dtflat.flatness as flatness
+        real = flatness.pullback_pi
+
+        def faulty(Delta, sys):
+            E = real(Delta, sys)
+            return Distribution.span(E.chart, list(E.basis) + extra(E.chart))
+
+        monkeypatch.setattr(flatness, "pullback_pi", faulty)
+
+    @pytest.mark.parametrize("extra", [
+        # [d/du1, d/dx1 + u1 d/dx2] = d/dx2: a known field with the new one
+        lambda ch: [field6(ch, ("x1", 1), ("x2", Scalar.var("u1")))],
+        # [d/dx1, d/dx2 + x1 d/dx3] = d/dx3: two new fields
+        lambda ch: [field6(ch, ("x1", 1)),
+                    field6(ch, ("x2", 1), ("x3", Scalar.var("x1")))],
+    ], ids=["known-with-new", "new-with-new"])
+    def test_non_involutive_E_is_caught(self, monkeypatch, extra):
+        import dtflat.flatness as flatness
+        sys = nlchain_n(4)
+        assert analyze(sys, test="distribution").flat
+        self.patch_E(monkeypatch, extra)
+        # no verifier runs behind the step: calling it would fail the test
+        monkeypatch.setattr(flatness, "verify_duality", None)
+        with pytest.raises(InternalInvariantError,
+                           match="E_1 is not involutive"):
+            analyze(sys, test="distribution")
+
+    def test_E_that_loses_E_prev_is_caught(self, monkeypatch):
+        import dtflat.flatness as flatness
+        real = flatness.pullback_pi
+        monkeypatch.setattr(
+            flatness, "pullback_pi",
+            lambda Delta, sys: Distribution.span(
+                sys.chart, [v for v in real(Delta, sys).basis
+                            if v != VectorField.unit(sys.chart, "u1")]))
+        with pytest.raises(InternalInvariantError,
+                           match=r"nesting fails: E_0 not in E_1"):
+            analyze(nlchain_n(3), test="distribution")
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_brackets_per_chain(self, monkeypatch, n):
+        # step k adds one field to the k fields of E_{k-1}: k brackets, and
+        # none at the stall step, n(n+1)/2 in all (all pairs: more)
+        import dtflat.flatness as flatness
+        import dtflat.geometry as geometry
+        calls, per_step = [], []
+        bracket, step = geometry.lie_bracket, flatness.distribution_step
+        monkeypatch.setattr(geometry, "lie_bracket",
+                            lambda v, w: calls.append(1) or bracket(v, w))
+
+        def counted(*args):
+            before = len(calls)
+            st = step(*args)
+            per_step.append(len(calls) - before)
+            return st
+
+        monkeypatch.setattr(flatness, "distribution_step", counted)
+        result = run_distribution_test(nlchain_n(n))
+        assert result.dims == list(range(1, n + 2))
+        assert per_step == list(range(1, n + 1)) + [0]
+        assert sum(per_step) == n * (n + 1) // 2
+
+
 class TestFixtures:
     def test_nonflat_stalls(self):
         v = analyze(nonflat2())

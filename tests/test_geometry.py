@@ -32,6 +32,7 @@ from dtflat.geometry import (
     is_involutive,
     lie_bracket,
     lie_derivative,
+    meet_coordinates,
     nullspace,
     rref,
     same_span,
@@ -769,3 +770,144 @@ class TestFrobeniusDuality:
         result = run_codistribution_test(make())
         for q in result.sequence:
             assert integrable_agrees_with_involutive_annihilator(q)
+
+
+class TestInvolutiveGivenKnown:
+    """is_involutive(d, known) forms only the brackets with a field of d
+    outside the involutive known; it must decide as the all-pairs check."""
+
+    def test_agrees_with_all_pairs_on_random_nested_pairs(self):
+        rng = random.Random(59)
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        names = list(chart.names)
+
+        def field():
+            return VectorField(chart, [rand_poly(rng, names) for _ in names])
+
+        def kernel_of_differentials(k):
+            # the annihilator of span{dg}: involutive by Frobenius
+            return annihilator(Codistribution.span(
+                chart, [d_scalar(chart, rand_rational(rng, names))
+                        for _ in range(k)]))
+
+        verdicts = []
+        for trial in range(30):
+            shape = trial % 3
+            if shape == 0:
+                # both involutive: the kernels of dg1 and of (dg1, dg2)
+                g = [d_scalar(chart, rand_rational(rng, names))
+                     for _ in range(2)]
+                d = annihilator(Codistribution.span(chart, g[:1]))
+                known = annihilator(Codistribution.span(chart, g))
+            elif shape == 1:
+                known = kernel_of_differentials(rng.randint(2, 3))
+                d = Distribution.span(chart, list(known.basis) + [field()])
+            else:
+                known = Distribution.span(chart, [field()])
+                d = Distribution.span(
+                    chart, list(known.basis)
+                    + [field() for _ in range(rng.randint(1, 2))])
+            assert is_involutive(known)
+            verdicts.append(is_involutive(d))
+            assert is_involutive(d, known) == verdicts[-1]
+        assert True in verdicts and False in verdicts
+
+    def test_raises_when_known_is_not_inside(self):
+        d = Distribution(CH3, [unit_f(CH3, "x1"), unit_f(CH3, "x2")])
+        for known in (Distribution(CH3, [unit_f(CH3, "u")]),
+                      Distribution(CH3, [VectorField(CH3, [ONE, ZERO, u])])):
+            with pytest.raises(ValueError, match="not a subdistribution"):
+                is_involutive(d, known)
+        assert is_involutive(d, Distribution(CH3, [unit_f(CH3, "x2")]))
+
+    def test_empty_known_forms_every_pair(self, monkeypatch):
+        import dtflat.geometry as geometry
+        calls = []
+        real = geometry.lie_bracket
+        monkeypatch.setattr(geometry, "lie_bracket",
+                            lambda v, w: calls.append(1) or real(v, w))
+        d = Distribution(CH6, [unit_f(CH6, x) for x in ("x1", "x2", "u1")])
+        assert is_involutive(d, Distribution(CH6, []))
+        assert is_involutive(d)
+        assert len(calls) == 3 + 3
+
+    def test_only_brackets_with_a_new_field(self, monkeypatch):
+        import dtflat.geometry as geometry
+        calls = []
+        real = geometry.lie_bracket
+        monkeypatch.setattr(geometry, "lie_bracket",
+                            lambda v, w: calls.append(1) or real(v, w))
+        x1 = Scalar.var("x1")
+        # known = span{d/dx1 + d/dx2}: neither basis field of d lies in it,
+        # but d/dx1 and known generate d, so one bracket decides
+        d = Distribution(CH3, [unit_f(CH3, "x1"), unit_f(CH3, "x2")])
+        known = Distribution(CH3, [VectorField(CH3, [ONE, ONE, ZERO])])
+        assert is_involutive(d, known) and len(calls) == 1
+        # d = known: no new field, no bracket
+        calls.clear()
+        assert is_involutive(d, d) and calls == []
+        # a bracket of the new field with a known field leaves d
+        d = Distribution(CH3, [unit_f(CH3, "u"),
+                               VectorField(CH3, [ONE, u, ZERO])])
+        known = Distribution(CH3, [unit_f(CH3, "u")])
+        calls.clear()
+        assert not is_involutive(d, known) and len(calls) == 1
+        # a bracket of two new fields leaves d
+        ch4 = Chart(("x1", "x2", "x3", "x4"))
+        known = Distribution(ch4, [unit_f(ch4, "x4")])
+        d = Distribution(ch4, [unit_f(ch4, "x4"), unit_f(ch4, "x1"),
+                               VectorField(ch4, [ZERO, ONE, x1, ZERO])])
+        assert not is_involutive(d, known)
+        assert not is_involutive(d)
+
+
+class TestMeetCoordinates:
+    """meet_coordinates(p, columns) against intersect with the explicit
+    span of the coordinate differentials: the same reduced basis."""
+
+    @staticmethod
+    def oracle(p, columns):
+        chart = p.chart
+        q = Codistribution(chart, [OneForm.unit(chart, chart.names[c])
+                                   for c in columns])
+        return intersect(p, q)
+
+    def test_random_spans(self):
+        rng = random.Random(61)
+        chart = Chart(("x1", "x2", "x3", "u1", "u2"))
+        names = list(chart.names)
+        dims = set()
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            rand = rand_rational if rng.random() < 0.3 else rand_poly
+            p = Codistribution.span(chart, [
+                OneForm(chart, [rand(rng, names) if rng.random() < 0.7
+                                else ZERO for _ in names])
+                for _ in range(k)])
+            columns = sorted(rng.sample(range(chart.dim),
+                                        rng.randint(1, chart.dim - 1)))
+            got = meet_coordinates(p, columns)
+            assert got.basis == self.oracle(p, columns).basis
+            dims.add(got.dim)
+        assert len(dims) >= 3
+
+    def test_span_of_df_meets_span_of_dx(self, acad):
+        n = acad.n
+        got = meet_coordinates(acad.differentials, range(n))
+        assert got.basis == self.oracle(acad.differentials, range(n)).basis
+        assert got.dim == 2  # the intersection of step 1 in the golden
+
+    def test_edge_cases(self):
+        p = Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
+                                      OneForm(CH3, [u, ZERO, ONE])])
+        empty = Codistribution(CH3, [])
+        for columns in ([], [0], [0, 1], [0, 1, 2]):
+            assert meet_coordinates(empty, columns).basis == ()
+        # all columns kept: p itself, as its reduced basis
+        assert meet_coordinates(p, range(3)).basis == p.basis
+        assert p.basis == self.oracle(p, range(3)).basis
+        # no column kept: nothing
+        assert meet_coordinates(p, []).basis == ()
+        # p in span{dx1, dx2} after one elimination
+        assert (meet_coordinates(p, [0, 1]).basis
+                == self.oracle(p, [0, 1]).basis)
