@@ -20,8 +20,8 @@ guarantees existence, not constructibility by this search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     EquilibriumMismatch,
@@ -70,11 +70,13 @@ def _rational_antiderivative(c: Scalar, name: str):
     if c.den.degree_in(name) > 0:
         return None
     uni = _as_uni(c.num, name)
+    # sum_deg coeff * name^(deg+1) / (deg+1), over the lcm k of the deg+1
+    k = math.lcm(*(deg + 1 for deg in uni))
     total = Poly({})
     for deg, coeff in uni.items():
         mono_pow = Poly({((name, deg + 1),): 1})
-        total = total + coeff.scale(Fraction(1, deg + 1)) * mono_pow
-    return Scalar(total, c.den)
+        total = total + coeff.scale(k // (deg + 1)) * mono_pow
+    return Scalar(total, c.den.scale(k))
 
 
 def _potential(w: OneForm):

@@ -1,16 +1,17 @@
 """Exact multivariate rational functions over the rationals.
 
-A Scalar is a quotient num/den of sparse polynomials with rational
+A Scalar is a quotient num/den of sparse polynomials with integer
 coefficients.  Every constructor reduces to a canonical form:
 
-  * gcd(num, den) = 1,
-  * den is monic under the fixed term order,
+  * num and den are coprime in Z[x], integer contents included,
+  * the leading coefficient of den under the fixed term order is positive,
   * no zero coefficients are stored.
 
-Under this normal form two Scalars are mathematically equal exactly when
-their term maps are identical, so ``==`` decides equality of rational
-functions.  The term order is graded lexicographic over name-sorted
-variables; it also fixes the printed form, which is bit-stable across runs.
+Z[x] is a unique factorization domain, so this form is unique: two Scalars
+are mathematically equal exactly when their term maps are identical, and
+``==`` decides equality of rational functions.  The term order is graded
+lexicographic over name-sorted variables.  The printed form divides num
+and den by the leading coefficient of den, and is bit-stable across runs.
 
 Values are immutable; all operations are pure functions.  No floating
 point enters any computation except the explicit ``eval_float`` helper,
@@ -126,37 +127,34 @@ def _leading(terms) -> Mono:
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q.
+    """Sparse multivariate polynomial over Z.
 
-    A coefficient is an int or a Fraction, never a float or a bool.
-    ``const``, ``from_terms``, ``scale`` and exact division store an
-    integral value as an int, so integer polynomials, the common case,
-    multiply and add in int arithmetic; a sum or product of Fractions may keep an integral
-    Fraction, which compares and hashes equal to the int.  A division of
-    coefficients goes through ``_recip``, since int / int is a float."""
+    Every coefficient is an int, never a Fraction, a float or a bool:
+    ``const``, ``from_terms`` and ``scale`` raise ValueError on a value
+    that is not an integer."""
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
-        # Internal constructor: assumes zero-free int or Fraction values.
-        # The term map is never changed once a Poly holds it, so the hash
-        # is computed on first use and kept.
+        # Internal constructor: assumes zero-free int values.  The term map
+        # is never changed once a Poly holds it, so the hash is computed on
+        # first use and kept.
         self.terms = terms
 
     @classmethod
     def from_terms(cls, items: Iterable) -> "Poly":
         terms: dict = {}
         for mono, coeff in items:
-            c = terms.get(mono, 0) + _coeff(coeff)
+            c = terms.get(mono, 0) + _as_int(coeff)
             if c:
-                terms[mono] = _integral(c)
+                terms[mono] = c
             else:
                 terms.pop(mono, None)
         return cls(terms)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = _coeff(c)
+        c = _as_int(c)
         return cls({_MONO_ONE: c} if c else {})
 
     @classmethod
@@ -171,7 +169,7 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _MONO_ONE in self.terms)
 
-    def const_value(self) -> int | Fraction:
+    def const_value(self) -> int:
         if not self.terms:
             return 0
         return self.terms[_MONO_ONE]
@@ -237,22 +235,11 @@ class Poly:
                     del terms[m]
         return Poly(terms)
 
-    def scale(self, c: int | Fraction) -> "Poly":
+    def scale(self, c: int) -> "Poly":
+        c = _as_int(c)
         if not c:
             return Poly({})
-        return Poly({m: _integral(v * c) for m, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return Poly({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -314,54 +301,47 @@ class Poly:
     # --------------------------------------------------------- printing
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        monos = sorted(self.terms, key=functools.cmp_to_key(_mono_cmp), reverse=True)
-        parts = []
-        for i, mono in enumerate(monos):
-            c = self.terms[mono]
-            neg = c < 0
-            mag = -c if neg else c
-            if mono == _MONO_ONE:
-                body = _frac_str(mag)
-            elif mag == 1:
-                body = _mono_str(mono)
-            else:
-                body = f"{_frac_str(mag)}*{_mono_str(mono)}"
-            if i == 0:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _terms_str(self.terms)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-_F1 = Fraction(1)
 _P0 = Poly({})
 _P1 = Poly({_MONO_ONE: 1})
 
 
-def _coeff(c) -> int | Fraction:
-    """A number as a coefficient: an int when integral, else a Fraction.
-    Fraction() takes a float exactly, and a bool becomes 0 or 1."""
-    return c if type(c) is int else _integral(Fraction(c))
+def _as_int(c) -> int:
+    """c as an int coefficient; ValueError unless c is an integer.  A bool
+    becomes 0 or 1."""
+    value = c if type(c) is int else Fraction(c)
+    if value.denominator != 1:
+        raise ValueError(f"polynomial coefficient {c!r} is not an integer")
+    return value.numerator
 
 
-def _integral(c: int | Fraction) -> int | Fraction:
-    """c with an integral Fraction stored as its int."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _recip(c: int | Fraction) -> Fraction:
-    """1/c of a nonzero coefficient as a Fraction: 1 / c is a float for an
-    int c."""
-    return _F1 / c
-
-
-def _frac_str(c: int | Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _terms_str(terms: dict, d: int = 1) -> str:
+    """The polynomial of the term map divided by the positive int d, in
+    decreasing term order."""
+    if not terms:
+        return "0"
+    monos = sorted(terms, key=functools.cmp_to_key(_mono_cmp), reverse=True)
+    parts = []
+    for i, mono in enumerate(monos):
+        c = terms[mono] if d == 1 else Fraction(terms[mono], d)
+        neg = c < 0
+        mag = -c if neg else c
+        if mono == _MONO_ONE:
+            body = str(mag)
+        elif mag == 1:
+            body = _mono_str(mono)
+        else:
+            body = f"{mag}*{_mono_str(mono)}"
+        if i == 0:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
 
 
 def _mono_str(mono: Mono) -> str:
@@ -376,11 +356,11 @@ def _mono_str(mono: Mono) -> str:
 # evaluation-homomorphism heuristic GCDHEU (Char, Geddes and Gonnet, J.
 # Symbolic Comput. 1989): map one variable to a large integer, recurse,
 # reconstruct the candidate from balanced digits, verify by exact trial
-# division, retry with a larger point on failure.  It runs on plain
-# integers (see _heu_gcd).  Acceptance is by exact division, so a wrong
-# candidate is never returned; if the heuristic gives up, a primitive
-# pseudo-remainder sequence over Fraction polynomials takes over, with its
-# content computations routed back through the fast path.
+# division, retry with a larger point on failure.  GCDHEU is defined over
+# Z[x], so it runs on the term maps as they are.  Acceptance is by exact
+# division, so a wrong candidate is never returned; if the heuristic gives
+# up, a primitive pseudo-remainder sequence takes over, with its content
+# computations routed back through the fast path.
 
 def _as_uni(p: Poly, x: str) -> dict:
     """View p as a univariate polynomial in x: degree -> Poly coefficient."""
@@ -431,41 +411,53 @@ def _uni_prem(f: dict, g: dict, x: str) -> dict:
     return r
 
 
-def _monic(p: Poly) -> Poly:
-    if p.is_zero():
+def _primitive(p: Poly) -> tuple:
+    """(content, primitive part) of a nonzero p: the content is the gcd of
+    the coefficients, signed like the leading one, so the primitive part
+    has a positive leading coefficient."""
+    c = math.gcd(*p.terms.values())
+    if p.terms[_leading(p.terms)] < 0:
+        c = -c
+    return c, _rescaled(p, 1, c)
+
+
+def _rescaled(p: Poly, a: int, b: int) -> Poly:
+    """p * a / b, where b divides a times every coefficient of p."""
+    if a == b:
         return p
-    _, lc = p.leading()
-    return p if lc == 1 else p.scale(_recip(lc))
+    return Poly({m: v * a // b for m, v in p.terms.items()})
 
 
 def _content(p: Poly, x: str) -> Poly:
+    """The gcd of p's coefficients as a polynomial in x, primitive with a
+    positive lead."""
     coeffs = list(_as_uni(p, x).values())
     g = coeffs[0]
     for c in coeffs[1:]:
         if g.is_const() or c.is_const():
             return _P1
         g = poly_gcd(g, c)
-    return _monic(g)
+    return _primitive(g)[1]
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; raises if b does not divide a."""
+    """Exact division a / b in Z[x]; raises if b does not divide a there.
+    A primitive b that divides a over Q divides it in Z[x] (Gauss's
+    lemma)."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return _P0
-    if b.is_const():
-        return a.scale(_recip(b.const_value()))
-    q = _divide(a.terms, b.terms, integral=False)
+    q = _divide(a.terms, b.terms)
     if q is None:
         raise ArithmeticError("inexact polynomial division")
     return Poly(q)
 
 
-def _divide(a: dict, b: dict, integral: bool) -> dict | None:
-    """Quotient term map of a / b (both nonzero), or None when b does not
-    divide a.  With integral set, a and b hold ints and a division of
-    coefficients that leaves a remainder also answers None."""
+def _divide(a: dict, b: dict) -> dict | None:
+    """Quotient term map of a / b in Z[x] (both nonzero), or None when b
+    does not divide a there.  A division of coefficients that leaves a
+    remainder answers None at once."""
     # The remainder's leading term comes from a heap keyed on
     # (-total degree, -exponent vector over the name-sorted variables):
     # the smallest key is the largest monomial under _mono_cmp.  A monomial
@@ -495,13 +487,9 @@ def _divide(a: dict, b: dict, integral: bool) -> dict | None:
         if not _mono_divides(lb_mono, lr_mono):
             return None
         qm = _mono_div(lr_mono, lb_mono)
-        if integral:
-            qc, rem = divmod(lr_coeff, lb_coeff)
-            if rem:
-                return None
-        else:
-            qc = (lr_coeff if lb_coeff == 1
-                  else _integral(lr_coeff * _recip(lb_coeff)))
+        qc, rem = divmod(lr_coeff, lb_coeff)
+        if rem:
+            return None
         q_terms[qm] = qc
         for mb, cb in tail:
             m = _mono_mul(qm, mb)
@@ -516,33 +504,6 @@ def _divide(a: dict, b: dict, integral: bool) -> dict | None:
                 else:
                     del r[m]
     return q_terms
-
-
-# The heuristic runs on integer term maps {mono: int}: GCDHEU is defined
-# over Z[x], so its evaluation values, balanced digits and trial divisions
-# need no rational number.  A map enters through _to_int_primitive and
-# leaves through _from_int: the accepted gcd, or both inputs when the
-# pseudo-remainder sequence takes over.  The two representations share
-# their integer coefficients, so the map becomes a Poly as it is.
-
-_I1 = {_MONO_ONE: 1}
-
-
-def _to_int_primitive(p: Poly) -> dict:
-    """Integer term map of p scaled to content 1 and a positive leading
-    coefficient."""
-    coeffs = p.terms.values()
-    den_lcm = math.lcm(*(c.denominator for c in coeffs))
-    num_gcd = math.gcd(*(c.numerator for c in coeffs))
-    if p.terms[_leading(p.terms)] < 0:
-        num_gcd = -num_gcd
-    return {m: c.numerator * (den_lcm // c.denominator) // num_gcd
-            for m, c in p.terms.items()}
-
-
-def _from_int(t: dict) -> Poly:
-    # a term map is never mutated once built, so Poly may share _I1
-    return Poly(t)
 
 
 def _is_int_const(t: dict) -> bool:
@@ -605,7 +566,7 @@ def _interp_digits(gamma: dict, x: str, xi: int) -> dict | None:
 
 
 def _heu_gcd(a: dict, b: dict) -> dict | None:
-    """Heuristic gcd of integer-primitive term maps; a verified exact
+    """Heuristic gcd of integer term maps; a verified exact primitive
     divisor or None.
 
     A candidate is accepted when it divides both inputs exactly in Z[x].
@@ -617,7 +578,7 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
     candidate divides everything and is accepted without a division."""
     common = sorted(_vars_of(a) & _vars_of(b))
     if not common:
-        return _I1
+        return _P1.terms
     x = common[-1]
     xi = 2 * min(_int_norm(a), _int_norm(b)) + 29
     for _ in range(6):
@@ -627,7 +588,7 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
             ca, pa = _int_split(A)
             cb, pb = _int_split(B)
             if _is_int_const(pa) or _is_int_const(pb):
-                sub = _I1
+                sub = _P1.terms
             else:
                 sub = _heu_gcd(pa, pb)
             if sub is not None:
@@ -637,18 +598,18 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
                 if cand:
                     _, cand = _int_split(cand)
                     if _is_int_const(cand) or (
-                            _divide(a, cand, integral=True) is not None
-                            and _divide(b, cand, integral=True) is not None):
+                            _divide(a, cand) is not None
+                            and _divide(b, cand) is not None):
                         return cand
         xi = 2 * xi + 29
     return None
 
 
 def _gcd_inner(a: Poly, b: Poly) -> Poly:
-    """gcd over Q up to a unit; inputs nonzero."""
+    """gcd up to a unit; inputs nonzero."""
     if a.is_const() or b.is_const():
         return _P1
-    if a == b:
+    if a == b or a == -b:
         return a
     if len(a.terms) == 1 or len(b.terms) == 1:
         # gcd with a monomial: componentwise minimum exponents over every
@@ -666,12 +627,10 @@ def _gcd_inner(a: Poly, b: Poly) -> Poly:
         return Poly({mono: 1})
     if not (a.vars() & b.vars()):
         return _P1
-    za = _to_int_primitive(a)
-    zb = _to_int_primitive(b)
-    got = _heu_gcd(za, zb)
+    got = _heu_gcd(a.terms, b.terms)
     if got is not None:
-        return _from_int(got)
-    return _prs_gcd(_from_int(za), _from_int(zb))
+        return Poly(got)
+    return _prs_gcd(a, b)
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
@@ -697,7 +656,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
         r = _uni_prem(f, g, x)
         if r:
             rp = _from_uni(r, x)
-            cont = _content(rp, x)  # monic, so a constant content is 1
+            cont = _content(rp, x)  # primitive, so a constant content is 1
             if not cont.is_const():
                 rp = poly_divexact(rp, cont)
             f, g = g, _as_uni(rp, x)
@@ -711,17 +670,20 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two polynomials over Q (zero if both are zero)."""
+    """gcd of two polynomials in Z[x], primitive with a positive leading
+    coefficient (zero if both are zero).  Integer contents are left out:
+    over Q the gcd is this one up to a nonzero constant."""
     if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
-    return _monic(_gcd_inner(a, b))
+        a, b = b, a
+    if a.is_zero():
+        return a
+    return _primitive(a if b.is_zero() else _gcd_inner(a, b))[1]
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
     """poly_gcd of nonzero a and b, which is 1 at once when either is a
-    constant: so every call of poly_gcd in the kernel is gcd work."""
+    constant: so every call of poly_gcd in the kernel is gcd work.  (A
+    constant gcd is 1.)"""
     if a.is_const() or b.is_const():
         return _P1
     return poly_gcd(a, b)
@@ -730,27 +692,27 @@ def _gcd(a: Poly, b: Poly) -> Poly:
 # --------------------------------------------------------------- Scalar
 
 class Scalar:
-    """Canonical rational function num/den over Q."""
+    """Canonical rational function num/den (see the module docstring)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.const(num)
-        if den is None:
-            den = _P1
-        elif isinstance(den, (int, Fraction)):
-            den = Poly.const(den)
+    def __init__(self, num, den=_P1):
+        """num/den of Polys, ints or Fractions."""
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            (num, q), (den, r) = _over_int(num), _over_int(den)
+            num, den = _rescaled(num, r, 1), _rescaled(den, q, 1)
         if den.is_zero():
             raise DivisionByZeroScalar("denominator is the zero polynomial")
         if num.is_zero():
             self.num, self.den = _P0, _P1
             return
         g = _gcd(num, den)
-        if not _is_one(g):
+        if not g.is_const():
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-        self.num, self.den = _monic_den(num, den)
+        s = _signed(num, den)
+        s = _canonical(s.num, s.den)
+        self.num, self.den = s.num, s.den
 
     # ------------------------------------------------------ constructors
 
@@ -772,10 +734,12 @@ class Scalar:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
+        """The value of a constant: an int when it is an integer."""
         if not self.is_const():
             raise ValueError("not a constant")
-        return self.num.const_value()
+        p, q = self.num.const_value(), self.den.const_value()
+        return p if q == 1 else Fraction(p, q)
 
     def vars(self) -> set:
         return self.num.vars() | self.den.vars()
@@ -794,24 +758,31 @@ class Scalar:
         for t = a*d' + c*b'.  t is coprime to b'*d': an irreducible p | b'
         divides neither d' (b', d' are coprime) nor a (gcd(a, b) = 1), so
         it does not divide t = a*d' + c*b', and likewise for d'.  So with
-        h = gcd(t, g) the canonical sum is (t/h) / (b' * (d/h)); for
-        g = 1 that is (a*d + c*b)/(b*d) with no gcd at all.  b' and d/h are
-        quotients of monic polynomials by monic gcds, hence monic."""
+        h = gcd(t, g) the sum is (t/h) / (b' * (d/h)) in lowest terms up to
+        an integer, which _canonical divides out; for g = 1 that is
+        (a*d + c*b)/(b*d) with no polynomial gcd at all.  g and h are
+        primitive, so the quotients are exact in Z[x], and b' and d/h have
+        positive leads like b and d.  When m*b = n*d for integers m and n
+        (b = d is m = n = 1), the sum is (m*a + n*c)/(m*b), with the one
+        gcd of its lowest terms."""
         other = Scalar.of(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b == d:
-            return Scalar(a + c, b)
+        ratio = _associates(b, d)
+        if ratio is not None:
+            m, n = ratio
+            return Scalar(_rescaled(a, m, 1) + _rescaled(c, n, 1),
+                          _rescaled(b, m, 1))
         g = _gcd(b, d)
-        if _is_one(g):
+        if g.is_const():
             return _canonical(a * d + c * b, b * d)
         b1 = poly_divexact(b, g)
         t = a * poly_divexact(d, g) + c * b1
         h = _gcd(t, g)
-        if not _is_one(h):
+        if not h.is_const():
             t = poly_divexact(t, h)
             d = poly_divexact(d, h)
         return _canonical(t, b1 * d)
@@ -833,9 +804,8 @@ class Scalar:
         return out
 
     def __mul__(self, other) -> "Scalar":
-        """A constant factor scales the numerator: c*(a/b) = (c*a)/b is
-        canonical as it is, so it takes no gcd.  Other products go
-        through the memo (see _product)."""
+        """A constant factor takes integer gcds only (see _scaled).  Other
+        products go through the memo (see _product)."""
         other = Scalar.of(other)
         if self.is_zero() or other.is_zero():
             return _S0
@@ -851,9 +821,7 @@ class Scalar:
         other = Scalar.of(other)
         if other.is_zero():
             raise DivisionByZeroScalar("division by the zero rational function")
-        inv = object.__new__(Scalar)
-        inv.num, inv.den = other.den, other.num
-        return self * inv
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
@@ -864,9 +832,7 @@ class Scalar:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZeroScalar("zero to a negative power")
-            base = object.__new__(Scalar)
-            base.num, base.den = self.den, self.num
-            base = Scalar(base.num, base.den)  # re-normalize monic den
+            base = _reciprocal(self)
             n = -n
         else:
             base = self
@@ -887,7 +853,7 @@ class Scalar:
     def __hash__(self):
         # a constant compares equal to its number, so it hashes as it
         if self.is_const():
-            return hash(self.num.const_value())
+            return hash(self.const_value())
         return hash((self.num, self.den))
 
     # ------------------------------------------------------ calculus etc
@@ -908,8 +874,8 @@ class Scalar:
         if self.is_zero():
             return self
         # renaming keeps num and den coprime but permutes the term order,
-        # so only the monic den needs restoring
-        return _canonical(self.num.rename(mapping), self.den.rename(mapping))
+        # so only the sign of den's lead needs restoring
+        return _signed(self.num.rename(mapping), self.den.rename(mapping))
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = self.vars() - set(point)
@@ -929,13 +895,17 @@ class Scalar:
     # --------------------------------------------------------- printing
 
     def __str__(self) -> str:
-        if self.den == _P1:
-            return str(self.num)
-        num_s = str(self.num)
+        """num/den divided by den's leading coefficient, so den prints monic,
+        and in parentheses unless it is one variable or a power of one."""
+        den = self.den.terms
+        d = den[_leading(den)]
+        num_s = _terms_str(self.num.terms, d)
+        if self.den.is_const():
+            return num_s
         if len(self.num.terms) > 1:
             num_s = f"({num_s})"
-        den_s = str(self.den)
-        if not _den_atomic(self.den):
+        den_s = _terms_str(den, d)
+        if len(den) != 1 or len(next(iter(den))) != 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -943,49 +913,76 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _is_one(p: Poly) -> bool:
-    return p.is_const() and p.const_value() == 1
+def _associates(b: Poly, d: Poly) -> tuple | None:
+    """Coprime positive ints (m, n) with m*b == n*d, or None when there
+    are none; b and d lead positive."""
+    if b.terms.keys() != d.terms.keys():
+        return None
+    mono, bv = next(iter(b.terms.items()))
+    dv = d.terms[mono]
+    g = math.gcd(bv, dv)
+    m, n = abs(dv) // g, abs(bv) // g
+    if all(m * v == n * d.terms[k] for k, v in b.terms.items()):
+        return m, n
+    return None
 
 
-def _monic_den(num: Poly, den: Poly) -> tuple:
-    """num/den rescaled so that den is monic."""
-    _, lc = den.leading()
-    if lc == 1:
-        return num, den
-    inv = _recip(lc)
-    return num.scale(inv), den.scale(inv)
+def _over_int(v) -> tuple:
+    """v, a Poly, an int or a Fraction, as (Poly p, int q) with v = p/q."""
+    if isinstance(v, Poly):
+        return v, 1
+    return Poly.const(v.numerator), v.denominator
 
 
 def _canonical(num: Poly, den: Poly) -> Scalar:
-    """The Scalar num/den for nonzero, coprime num and den: only den is
-    made monic, with no gcd."""
+    """The Scalar num/den for nonzero num and den whose only common
+    factors are integers, with lc(den) > 0: the integer content is divided
+    out, with no polynomial gcd."""
+    g = math.gcd(*num.terms.values(), *den.terms.values())
     out = object.__new__(Scalar)
-    out.num, out.den = _monic_den(num, den)
+    out.num, out.den = _rescaled(num, 1, g), _rescaled(den, 1, g)
     return out
 
 
+def _signed(num: Poly, den: Poly) -> Scalar:
+    """num/den for coprime num and den, signed so that den leads positive."""
+    if den.terms[_leading(den.terms)] < 0:
+        num, den = -num, -den
+    out = object.__new__(Scalar)
+    out.num, out.den = num, den
+    return out
+
+
+def _reciprocal(s: Scalar) -> Scalar:
+    """1/s of a nonzero canonical s: den/num is coprime already."""
+    return _signed(s.den, s.num)
+
+
 def _scaled(s: Scalar, c: Scalar) -> Scalar:
-    """s times the nonzero constant c.  Either may be the reciprocal that
-    __truediv__ builds, whose den need not be monic: so c is read as
-    num/den, and the den of s is made monic."""
-    v = c.num.const_value()
-    d = c.den.const_value()
-    if d != 1:
-        v = _integral(v * _recip(d))
-    return _canonical(s.num if v == 1 else s.num.scale(v), s.den)
+    """s = N/D times the nonzero constant c = p/q: (p*N)/(q*D), where only
+    gcd(p, content(D)) and gcd(q, content(N)) can cancel, since p, q and
+    N, D are coprime pairs.  q > 0, so the lead of D stays positive."""
+    p, q = c.num.const_value(), c.den.const_value()
+    kp = math.gcd(p, *s.den.terms.values())
+    kq = math.gcd(q, *s.num.terms.values())
+    out = object.__new__(Scalar)
+    out.num = _rescaled(s.num, p // kp, kq)
+    out.den = _rescaled(s.den, q // kq, kp)
+    return out
 
 
 def _product(x: Scalar, y: Scalar) -> Scalar:
     """(a/b)(c/d) with a and d, and c and b, cross-cancelled first.
-    After that n1*n2 and d1*d2 are coprime: each factor of a product is
-    coprime to both factors of the other (gcd(a, b) = gcd(c, d) = 1 and
-    the cross gcds are divided out), so no third gcd is needed."""
+    After that n1*n2 and d1*d2 have no common factor but an integer: each
+    factor of a product is coprime to both factors of the other (gcd(a, b)
+    = gcd(c, d) = 1 and the cross gcds are divided out), so no third gcd is
+    needed.  The gcds lead positive, and so does d1*d2."""
     g1 = _gcd(x.num, y.den)
     g2 = _gcd(y.num, x.den)
-    n1 = x.num if _is_one(g1) else poly_divexact(x.num, g1)
-    d2 = y.den if _is_one(g1) else poly_divexact(y.den, g1)
-    n2 = y.num if _is_one(g2) else poly_divexact(y.num, g2)
-    d1 = x.den if _is_one(g2) else poly_divexact(x.den, g2)
+    n1 = x.num if g1.is_const() else poly_divexact(x.num, g1)
+    d2 = y.den if g1.is_const() else poly_divexact(y.den, g1)
+    n2 = y.num if g2.is_const() else poly_divexact(y.num, g2)
+    d1 = x.den if g2.is_const() else poly_divexact(x.den, g2)
     return _canonical(n1 * n2, d1 * d2)
 
 
@@ -999,41 +996,47 @@ def _derivative(s: Scalar, name: str) -> Scalar:
 
 # Sums of products.  An entry of a reduced row is a sum of products whose
 # second factors are entries of the same column of an echelon form, and
-# those often share one denominator D.  A polynomial times n/D is a
-# polynomial over D, so such a group is summed as polynomials and made
-# canonical once.
+# those often share one denominator D up to an integer factor.  A
+# polynomial over Q times n/(k*D), k an integer, is a polynomial over D,
+# so such a group is summed as polynomials and made canonical once.
 
 def _grouped(pairs: Iterable[tuple]) -> tuple:
-    """(groups, rest) of the pairs (a, b): groups maps a denominator D to
-    the pairs whose a is a polynomial and whose b has denominator D, and
-    rest holds the other pairs."""
+    """(groups, rest) of the pairs (a, b): groups maps a primitive
+    polynomial D to the triples (k, a, b) of the pairs whose a is a
+    polynomial (its den is an integer) and whose b has den k'*D, where
+    k = a.den*k', so that a*b = a.num*b.num/(k*D); rest holds the other
+    pairs."""
     groups: dict = {}
     rest = []
     for a, b in pairs:
-        if _is_one(a.den):
-            groups.setdefault(b.den, []).append((a, b))
+        if a.den.is_const():
+            k, terms = _int_split(b.den.terms)
+            den = b.den if k == 1 else Poly(terms)
+            k *= a.den.const_value()
+            groups.setdefault(den, []).append((k, a, b))
         else:
             rest.append((a, b))
     return groups, rest
 
 
-def _numerator(group: list) -> Poly:
-    """N with sum(a*b) = N/D, for a group of pairs over one denominator D."""
+def _numerator(group: list) -> tuple:
+    """(N, k) with sum(a*b) = N/(k*D), for a group over one D."""
+    k = math.lcm(*(kab for kab, _, _ in group))
     total = _P0
-    for a, b in group:
-        total = total + a.num * b.num
-    return total
+    for kab, a, b in group:
+        total = total + _rescaled(a.num * b.num, k, kab)
+    return total, k
 
 
 def dot(pairs: Iterable[tuple]) -> Scalar:
     """The sum of a*b over the pairs (a, b) of Scalars.
 
     Each group of products whose a is a polynomial and whose b share a
-    denominator D is summed as the polynomial N over D and made canonical
-    once, as Scalar(N, D), where adding the products one at a time runs
-    gcds against D for each product and each sum.  A group of one product
-    is a*b, so the memo and the constant path still apply.  The groups
-    are then added with Scalar.__add__."""
+    denominator D up to an integer is summed as the polynomial N over k*D
+    and made canonical once, as Scalar(N, k*D), where adding the products
+    one at a time runs gcds against D for each product and each sum.  A
+    group of one product is a*b, so the memo and the constant path still
+    apply.  The groups are then added with Scalar.__add__."""
     return _summed(*_grouped(pairs))
 
 
@@ -1042,9 +1045,10 @@ def _summed(groups: dict, rest: list) -> Scalar:
     total = _S0
     for den, group in groups.items():
         if len(group) > 1:
-            total = total + Scalar(_numerator(group), den)
+            n, k = _numerator(group)
+            total = total + Scalar(n, _rescaled(den, k, 1))
         else:
-            a, b = group[0]
+            _, a, b = group[0]
             total = total + a * b
     for a, b in rest:
         total = total + a * b
@@ -1053,16 +1057,18 @@ def _summed(groups: dict, rest: list) -> Scalar:
 
 def equals_dot(c: Scalar, pairs: Iterable[tuple]) -> bool:
     """c == dot(pairs).  When every a is a polynomial and every b has one
-    denominator D, dot(pairs) is N/D, and the canonical c = p/q equals it
-    exactly when p*D == q*N (q and D are nonzero): no Scalar is built and
-    no gcd runs.  Other pairs are compared through dot."""
+    denominator D up to an integer, dot(pairs) is N/(k*D), and the
+    canonical c = p/q equals it exactly when p*k*D == q*N (q and D are
+    nonzero): no Scalar is built and no gcd runs.  Other pairs are
+    compared through dot."""
     groups, rest = _grouped(pairs)
     if rest or len(groups) > 1:
         return c == _summed(groups, rest)
     if not groups:
         return c.is_zero()
     (den, group), = groups.items()
-    n = _numerator(group)
+    n, k = _numerator(group)
+    den = _rescaled(den, k, 1)
     if c.den == den:
         return c.num == n
     return c.num * den == c.den * n
@@ -1071,10 +1077,9 @@ def equals_dot(c: Scalar, pairs: Iterable[tuple]) -> bool:
 # The memo.  Consecutive reductions of overlapping spans ask for many of
 # the same products and derivatives again; _remembered keeps the last
 # MEMO_SIZE of them, keyed by the operation and its operands.  Both are
-# pure functions of immutable values, and an operand is canonical (or
-# the reciprocal __truediv__ builds, which is fixed by the canonical
-# divisor), so equal keys have equal results and a hit returns exactly
-# what the computation would.  Sums are not remembered: a memo of sums
+# pure functions of immutable values, and an operand is canonical, so
+# equal keys have equal results and a hit returns exactly what the
+# computation would.  Sums are not remembered: a memo of sums
 # measured no gain.  cli.run empties the memo when it starts and when it
 # ends, so a run neither sees nor keeps the results of another.
 MEMO_SIZE = 256
@@ -1088,18 +1093,6 @@ def _remembered(op, a, b) -> Scalar:
 def clear_memo() -> None:
     """Forget every remembered product and derivative."""
     _remembered.cache_clear()
-
-
-def _den_atomic(p: Poly) -> bool:
-    """True when p prints as a token that binds tighter than division."""
-    if len(p.terms) != 1:
-        return False
-    mono, c = next(iter(p.terms.items()))
-    if c < 0:
-        return False
-    if mono == _MONO_ONE:
-        return c.denominator == 1
-    return c == 1 and len(mono) == 1
 
 
 class Substitution:

@@ -20,6 +20,7 @@ from .exprs import (
     ONE,
     ZERO,
     Scalar,
+    _primitive,
     dot,
     equals_dot,
     poly_divexact,
@@ -462,19 +463,21 @@ def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:
 
 
 def _clear_denominators(row: Sequence[Scalar]) -> Sequence[Scalar]:
-    """g * row, where g is the lcm of the (monic) denominators of row, so
-    every entry is a polynomial; row itself when they are all 1."""
+    """g * row, where g is the monic lcm of the denominators of row, so
+    every entry is a polynomial; row itself when they are all constants.
+    With each den k*P, P primitive, g is G/lc(G) for G the lcm of the P's,
+    and c*g = c.num*(G/P) / (k*lc(G))."""
+    parts = [_primitive(c.den) for c in row]
     g = None
-    for c in row:
-        if c.den.is_const() or c.den == g:
+    for _, p in parts:
+        if p.is_const() or p == g:
             continue
-        if g is None:
-            g = c.den
-        else:
-            g = g * poly_divexact(c.den, poly_gcd(g, c.den))
+        g = p if g is None else g * poly_divexact(p, poly_gcd(g, p))
     if g is None:
         return row
-    return [Scalar(c.num * poly_divexact(g, c.den)) for c in row]
+    lc = g.leading()[1]
+    return [Scalar(c.num * poly_divexact(g, p), k * lc)
+            for c, (k, p) in zip(row, parts)]
 
 
 def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:

@@ -43,6 +43,7 @@ GOLDENS = [
     ("nlchain5-decompose", GOLDEN / "nlchain5.sys", ["--decompose"]),
     ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
     ("pointrank", GOLDEN / "pointrank.sys", []),
+    ("lcden", GOLDEN / "lcden.sys", ["--decompose"]),
 ]
 
 

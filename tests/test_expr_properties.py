@@ -4,10 +4,13 @@ calculus identities, and the float cross-check of the derivative.
 The random expression generator is seeded, so every run exercises the same
 cases; hypothesis drives the structural laws where shrinking helps."""
 
+import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dtflat.exprs as exprs
@@ -192,16 +195,10 @@ def test_gcd_maximality_via_cofactors():
 
 def test_heuristic_gcd_matches_remainder_sequence():
     # dual-route check of the kernel primitive: the evaluation heuristic
-    # and the pseudo-remainder sequence must agree up to a constant
-    # on the same inputs; the heuristic takes integer term maps, the
-    # remainder sequence the polynomials made from them
-    from dtflat.exprs import (
-        _from_int,
-        _heu_gcd,
-        _monic,
-        _prs_gcd,
-        _to_int_primitive,
-    )
+    # and the pseudo-remainder sequence must agree up to a constant on the
+    # same integer polynomials, contents included; the heuristic takes
+    # their term maps
+    from dtflat.exprs import _heu_gcd, _primitive, _prs_gcd
     rng = random.Random(31337)
     agreements = 0
     for _ in range(60):
@@ -210,16 +207,15 @@ def test_heuristic_gcd_matches_remainder_sequence():
         b = random_poly(rng, 2)
         if g0.is_zero() or a.is_zero() or b.is_zero():
             continue
-        A = _to_int_primitive(a * g0)
-        B = _to_int_primitive(b * g0)
-        pa, pb = _from_int(A), _from_int(B)
+        pa, pb = (a * g0).scale(rng.choice([1, 2, -6])), b * g0
         if pa.is_const() or pb.is_const() or not (pa.vars() & pb.vars()):
             continue
-        heu = _heu_gcd(A, B)
+        heu = _heu_gcd(pa.terms, pb.terms)
         if heu is None:
             continue
+        assert math.gcd(*heu.values()) == 1
         prs = _prs_gcd(pa, pb)
-        assert _monic(_from_int(heu)) == _monic(prs)
+        assert _primitive(Poly(heu))[1] == _primitive(prs)[1]
         agreements += 1
     assert agreements >= 40
 
@@ -227,37 +223,37 @@ def test_heuristic_gcd_matches_remainder_sequence():
 def test_integer_trial_division_agrees_with_division_over_q():
     # Gauss's lemma: a primitive divisor b divides an integer polynomial
     # over Q exactly when the quotient is integral, so the division in
-    # Z[x] may stop at the first coefficient remainder
-    from dtflat.exprs import (
-        _divide,
-        _from_int,
-        _to_int_primitive,
-        poly_divexact,
-    )
+    # Z[x] may stop at the first coefficient remainder.  Division over Q
+    # is read off the lowest terms of p/b, which come from the gcd
+    from dtflat.exprs import _divide, _primitive, poly_divexact
     rng = random.Random(27182)
     exact = inexact = 0
     for _ in range(80):
         a, b = random_poly(rng), random_poly(rng, 4)
         if a.is_zero() or b.is_zero() or b.is_const():
             continue
-        zb = _to_int_primitive(b)
-        pb = _from_int(zb)
+        _, pb = _primitive(b)
         for p in (a * pb, a * pb + random_poly(rng, 2)):
             if p.is_zero():
                 continue
-            za = _to_int_primitive(p)
-            got = _divide(za, zb, integral=True)
-            try:
-                want = poly_divexact(_from_int(za), pb)
-            except ArithmeticError:
+            got = _divide(p.terms, pb.terms)
+            over_q = Scalar(p, pb)
+            if not over_q.den.is_const():
                 assert got is None
+                with pytest.raises(ArithmeticError):
+                    poly_divexact(p, pb)
                 inexact += 1
             else:
-                assert got is not None and _from_int(got) == want
+                assert over_q.den == Poly.const(1)
+                assert got is not None and Poly(got) == over_q.num
+                assert poly_divexact(p, pb) == over_q.num
                 exact += 1
-    # 3*x1 + 1 over 2*x1 + 1: the leading coefficients leave a remainder
+    # 3*x1 + 1 over 2*x1 + 1: the leading coefficients leave a remainder,
+    # and so does 2*x1 + 4 over the non-primitive 2*x1 + 2
     x = (("x1", 1),)
-    assert _divide({x: 3, (): 1}, {x: 2, (): 1}, integral=True) is None
+    assert _divide({x: 3, (): 1}, {x: 2, (): 1}) is None
+    assert _divide({x: 2, (): 4}, {x: 2, (): 2}) is None
+    assert _divide({x: 4, (): 4}, {x: 2, (): 2}) == {(): 2}
     assert exact >= 40 and inexact >= 20
 
 
@@ -286,11 +282,15 @@ def test_hypothesis_print_parse_roundtrip(a):
 
 
 def assert_canonical(r: Scalar):
-    """r is term for term the Scalar its constructor makes of r.num/r.den,
-    with a monic denominator coprime to the numerator."""
+    """r is term for term the Scalar its constructor makes of r.num/r.den:
+    integer coefficients, num and den coprime in Z[x], integer contents
+    included, and a positive leading coefficient of den."""
     ref = Scalar(r.num, r.den)
     assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
-    assert r.den.leading()[1] == 1
+    coeffs = [*r.num.terms.values(), *r.den.terms.values()]
+    assert all(type(c) is int for c in coeffs), coeffs
+    assert math.gcd(*coeffs) == 1
+    assert r.den.leading()[1] > 0
     assert poly_gcd(r.num, r.den) == Poly.const(1)
 
 
@@ -312,6 +312,25 @@ def test_hypothesis_results_are_canonical(a, b, c, v):
     assert_canonical(x)
     assert_canonical(x - y)
     assert x - y == a / c
+
+
+@given(st.integers(min_value=0, max_value=10**9),
+       st.integers(min_value=-12, max_value=12).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_hypothesis_canonical_form_is_unique(seed, k):
+    # N/D and (k*c*N)/(k*c*D) are one rational function, so they have one
+    # canonical form: the same terms, the same hash, and a printed form
+    # that parses back to it
+    rng = random.Random(seed)
+    n, d, c = random_poly(rng), random_poly(rng), random_poly(rng, 2)
+    assume(not (d.is_zero() or c.is_zero()))
+    n = n.scale(rng.choice([1, 3, -4]))
+    s = Scalar(n, d)
+    t = Scalar((n * c).scale(k), (d * c).scale(k))
+    assert s.num.terms == t.num.terms and s.den.terms == t.den.terms
+    assert hash(s) == hash(t)
+    assert_canonical(s)
+    assert parse_scalar(str(s)) == s
 
 
 def terms_with_types(s: Scalar) -> tuple:
@@ -345,6 +364,33 @@ def test_hypothesis_memo_matches_the_computation(a, b, v):
             assert got.den.terms == quotient.den.terms
             assert exprs._remembered.cache_info().hits > after.hits
             assert got * b == a
+
+
+def test_sums_over_associate_denominators_run_one_gcd(monkeypatch):
+    # 2*x1 + 2 and 3*x1 + 3 differ by an integer factor: the sum is taken
+    # over 6*x1 + 6 with the one gcd of its lowest terms, as over equal
+    # denominators, and no gcd of the two denominators
+    x, y = Scalar.var("x1"), Scalar.var("x2")
+    a, b = y / (2 * x + 2), (x - y) / (3 * x + 3)
+    want = (2 * x + y) / (6 * x + 6)
+    calls = []
+    real = exprs.poly_gcd
+
+    def spy(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(exprs, "poly_gcd", spy)
+    sums = (a + b, b + a)
+    assert len(calls) == 2
+    for r in sums:
+        assert_canonical(r)
+        assert r.num.terms == want.num.terms and r.den.terms == want.den.terms
+    assert str(sums[0]) == "(1/3*x1 + 1/6*x2)/(x1 + 1)"
+    # the same monomials in other proportions are not associates
+    r = y / (x + 2) + 1 / (2 * x + 2)
+    assert_canonical(r)
+    assert r == (2 * y * (x + 1) + (x + 2)) / (2 * (x + 1) * (x + 2))
 
 
 def test_sums_over_denominators_with_a_common_factor():

@@ -19,7 +19,7 @@ from dtflat.exprs import (
     ONE,
     Poly,
     Scalar,
-    _monic,
+    _primitive,
     parse_scalar,
     poly_divexact,
     poly_gcd,
@@ -57,12 +57,14 @@ class TestArithmetic:
         with pytest.raises(DivisionByZeroScalar):
             x1 / (x2 - x2)
 
-    def test_den_is_monic(self):
-        s = x1 / (2 * u1 + 4)
-        # leading coefficient of the denominator is 1 after normalization
-        _, lc = s.den.leading()
-        assert lc == 1
-        assert s == (x1 / 2) / (u1 + 2)
+    def test_den_is_primitive_with_positive_lead(self):
+        s = x1 / (-2 * u1 - 4)
+        # num and den have integer coefficients, no common integer factor,
+        # and the den leads with a positive coefficient
+        assert s.num.terms == {(("x1", 1),): -1}
+        assert s.den.terms == {(("u1", 1),): 2, (): 4}
+        assert s == (-x1 / 2) / (u1 + 2)
+        assert str(s) == "-1/2*x1/(u1 + 2)"
 
     def test_pow(self):
         assert (x1 + 1) ** 0 == ONE
@@ -238,56 +240,65 @@ X, Y, Z = (((name, 1),) for name in ("x", "y", "z"))
 
 
 def assert_exact(p: Poly, want: dict):
-    """p has the terms want, with an int for every integral coefficient and
-    a Fraction for every other one: never a float."""
+    """p has the terms want, with an int for every coefficient: never a
+    Fraction, a float or a bool."""
     assert p.terms == want
     for c in p.terms.values():
-        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+        assert type(c) is int, repr(c)
 
 
 class TestExactCoefficients:
-    """Each division of coefficients, at each site, on int operands: an
-    int / int there would be a float."""
+    """Each division of coefficients, at each site, on int operands stays
+    in the integers: an int / int there would be a float, and a Fraction
+    would leave Z[x]."""
 
     x = Poly.variable("x")
 
-    def test_monic(self):
-        assert_exact(_monic(self.x.scale(3) + Poly.const(1)),
-                     {X: 1, (): Fraction(1, 3)})
+    def test_primitive(self):
+        assert _primitive(self.x.scale(3) + Poly.const(1)) == (
+            1, self.x.scale(3) + Poly.const(1))
+        content, part = _primitive(self.x.scale(-6) + Poly.const(4))
+        assert content == -2
+        assert_exact(part, {X: 3, (): -2})
 
     def test_divexact_by_a_constant(self):
-        assert_exact(poly_divexact(self.x.scale(2), Poly.const(3)),
-                     {X: Fraction(2, 3)})
+        assert_exact(poly_divexact(self.x.scale(6), Poly.const(3)), {X: 2})
+        with pytest.raises(ArithmeticError):
+            poly_divexact(self.x.scale(2), Poly.const(3))
 
     def test_divexact_quotient(self):
-        # (2*x^2 + x) / (3*x): the quotient's coefficients divide by 3
+        # (2*x^2 + x) / x is exact in Z[x]; by 3*x the quotient's
+        # coefficients would divide by 3
         p = self.x * self.x.scale(2) + self.x
-        assert_exact(poly_divexact(p, self.x.scale(3)),
-                     {X: Fraction(2, 3), (): Fraction(1, 3)})
+        assert_exact(poly_divexact(p, self.x), {X: 2, (): 1})
+        with pytest.raises(ArithmeticError):
+            poly_divexact(p, self.x.scale(3))
 
     def test_remainder_sequence_gcd(self, monkeypatch):
         monkeypatch.setattr(exprs, "_heu_gcd", lambda a, b: None)
         y = Poly.variable("y")
-        g = self.x.scale(3) + Poly.const(1)
+        g = self.x.scale(-3) + Poly.const(1)
         got = poly_gcd(g * (y + Poly.const(1)), g * (y + Poly.const(2)))
-        assert_exact(got, {X: 1, (): Fraction(1, 3)})
+        assert_exact(got, {X: 3, (): -1})
 
     def test_scalar_constructor(self):
         s = Scalar(1, 3)
-        assert_exact(s.num, {(): Fraction(1, 3)})
-        assert_exact(s.den, {(): 1})
+        assert_exact(s.num, {(): 1})
+        assert_exact(s.den, {(): 3})
 
     def test_product_over_a_nonmonic_denominator(self):
         s = Scalar.var("x") / (3 * Scalar.var("y"))
-        assert_exact(s.num, {X: Fraction(1, 3)})
-        assert_exact(s.den, {Y: 1})
+        assert_exact(s.num, {X: 1})
+        assert_exact(s.den, {Y: 3})
 
     def test_rename(self):
-        # x + 2*y leads with x; after x -> z it leads with 2*y
-        s = (Scalar(1) / (Scalar.var("x") + 2 * Scalar.var("y"))).rename(
+        # x - 2*y leads with x; after x -> z it leads with -2*y, so both
+        # signs flip
+        s = (Scalar(1) / (Scalar.var("x") - 2 * Scalar.var("y"))).rename(
             {"x": "z"})
-        assert_exact(s.num, {(): Fraction(1, 2)})
-        assert_exact(s.den, {Y: 1, Z: Fraction(1, 2)})
+        assert_exact(s.num, {(): -1})
+        assert_exact(s.den, {Y: 2, Z: -1})
+        assert str(s) == "-1/2/(y - 1/2*z)"
 
     def test_eval_at_an_integer_point(self):
         p = Scalar.var("x") * Scalar.var("x") + 2
@@ -298,18 +309,31 @@ class TestExactCoefficients:
 
     def test_solve_linear_in(self):
         s = solve_linear_in(3 * Scalar.var("x"), Scalar(1), "x")
-        assert_exact(s.num, {(): Fraction(1, 3)})
-        assert_exact(s.den, {(): 1})
+        assert_exact(s.num, {(): 1})
+        assert_exact(s.den, {(): 3})
 
     def test_parse(self):
-        s = parse_scalar("1/3")
-        assert_exact(s.num, {(): Fraction(1, 3)})
-        assert_exact(s.den, {(): 1})
+        s = parse_scalar("-2/6")
+        assert_exact(s.num, {(): -1})
+        assert_exact(s.den, {(): 3})
+        assert s.const_value() == Fraction(-1, 3)
+        assert type(parse_scalar("6/3").const_value()) is int
 
     @pytest.mark.parametrize("value, want", [(True, 1), (Fraction(6, 3), 2),
-                                             (Fraction(2, 4), Fraction(1, 2))])
+                                             (Fraction(-4, 2), -2)])
     def test_constants_are_stored_exactly(self, value, want):
         assert_exact(Poly.const(value), {(): want})
+        assert_exact(Poly.from_terms([(X, value)]), {X: want})
+        assert_exact(self.x.scale(value), {X: want})
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5])
+    def test_non_integral_coefficients_are_refused(self, value):
+        with pytest.raises(ValueError):
+            Poly.const(value)
+        with pytest.raises(ValueError):
+            Poly.from_terms([(X, value)])
+        with pytest.raises(ValueError):
+            self.x.scale(value)
 
 
 class TestHash:
@@ -363,11 +387,16 @@ class TestConstantFactor:
 
     def test_int_and_fraction_operands(self):
         assert (2 * self.a) * Fraction(1, 2) == self.a
-        x1sq, x2 = (("x1", 2),), (("x2", 1),)
-        # a = (1/2*x1^2 + 3/2*x2)/(u1 + 1/2) with its den made monic
-        assert_exact((self.a * 2).num, {x1sq: 1, x2: 3})
-        assert_exact((Fraction(1, 3) * self.a).num,
-                     {x1sq: Fraction(1, 6), x2: Fraction(1, 2)})
+        x1sq, x2, u1_ = (("x1", 2),), (("x2", 1),), (("u1", 1),)
+        # a = (x1^2 + 3*x2)/(2*u1 + 1); 2 scales the num, 1/3 the den
+        assert_exact((self.a * 2).num, {x1sq: 2, x2: 6})
+        assert_exact((Fraction(1, 3) * self.a).num, {x1sq: 1, x2: 3})
+        assert_exact((Fraction(1, 3) * self.a).den, {u1_: 6, (): 3})
+        # 3/2 * (2*x1^2 + 6*x2)/(2*u1 + 1): the 2 under 3 cancels the
+        # num's content, and nothing is left to cancel with the den
+        b = 2 * self.a
+        assert_exact((Fraction(3, 2) * b).num, {x1sq: 3, x2: 9})
+        assert_exact((Fraction(3, 2) * b).den, {u1_: 2, (): 1})
 
     def test_zero(self, monkeypatch):
         for z in (Scalar(0), x1 - x1):
@@ -378,15 +407,17 @@ class TestConstantFactor:
                                    Scalar(Fraction(3, 4))])
     def test_division_by_a_constant(self, c, monkeypatch):
         # a / c multiplies by the reciprocal c.den/c.num, whose den is a
-        # constant other than 1: read as num only, it would multiply by 1
+        # constant other than 1 (and a positive one): read as num only, it
+        # would multiply by 1
         got = self.without_gcd(monkeypatch, truediv, self.a, c)
         assert_same_terms(got, exprs._product(self.a, Scalar(1) / c))
         assert got * c == self.a
 
     def test_constant_over_a_polynomial(self, monkeypatch):
-        # c / p multiplies c by the reciprocal 1/p, whose den p need not be
-        # monic: the result's den is made monic
-        p = 2 * x1 + 1
+        # c / p multiplies c by the reciprocal 1/p, whose den p leads
+        # negative here: the reciprocal flips both signs
+        p = 1 - 2 * x1
         got = self.without_gcd(monkeypatch, truediv, Scalar(3), p)
-        assert got.den.leading()[1] == 1
+        assert got.den.leading()[1] == 2
         assert_same_terms(got, Scalar(Poly.const(3), p.num))
+        assert_exact(got.num, {(): -3})

@@ -6,21 +6,22 @@ same ``Matrix`` as sympy's ``DomainMatrix`` over its fraction field
 4x4 cases).
 
 The gcd cases cover both of its routes, the integer heuristic and the
-pseudo-remainder sequence it falls back to, and the boundary between
-them: the heuristic works on plain ints, and what comes out holds ints
-and Fractions only, never a float or a bool.
+pseudo-remainder sequence it falls back to.  Both work on integer
+polynomials, and what comes out holds ints only, never a Fraction, a
+float or a bool.
 
 The random cases are seeded, so every run exercises the same inputs."""
 
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import dtflat.exprs as exprs
-from corpus import academic4
+from dtflat.cli import run
 from dtflat.exprs import Poly, Scalar, poly_gcd
-from dtflat.flatness import analyze
 from dtflat.geometry import generic_rank
 from test_subs_oracle import VARS, random_poly, random_rational, to_sympy
 
@@ -77,15 +78,19 @@ def chain_poly(rng: random.Random, n: int) -> Poly:
 
 
 def rational_poly(rng: random.Random, big: int) -> Poly:
-    """A random polynomial in x1..x3 with non-integer rational
-    coefficients of numerators and denominators up to big."""
+    """The primitive integer associate of a random polynomial in x1..x3
+    with non-integer rational coefficients of numerators and denominators
+    up to big: over Q both have the same gcds up to a unit."""
     terms = {}
     for _ in range(rng.randint(2, 4)):
         mono = tuple(sorted((f"x{i}", rng.randint(1, 2))
                             for i in rng.sample(range(1, 4), rng.randint(0, 2))))
         terms[mono] = Fraction(rng.choice([-1, 1]) * rng.randint(1, big),
                                rng.randint(2, big))
-    return Poly.from_terms(terms.items())
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: int(c * scale) for m, c in terms.items()}
+    content = math.gcd(*ints.values())
+    return Poly.from_terms((m, c // content) for m, c in ints.items())
 
 
 def with_negative_lead(p: Poly) -> Poly:
@@ -110,8 +115,9 @@ def chain_cases(seed: int) -> list:
 
 
 def rational_cases(seed: int) -> list:
-    """(a, b) pairs with a shared factor, non-integer rational
-    coefficients, and in half the pairs negative leading coefficients."""
+    """(a, b) pairs with a shared factor, the primitive associates of
+    polynomials with non-integer rational coefficients, and in half the
+    pairs negative leading coefficients."""
     rng = random.Random(seed)
     cases = []
     for _ in range(12):
@@ -125,15 +131,17 @@ def rational_cases(seed: int) -> list:
 
 
 def assert_gcds_match_sympy(cases) -> int:
-    """Every gcd equals sympy's up to a unit, is monic and holds only ints
-    and Fractions; returns the number of nontrivial gcds."""
+    """Every gcd equals sympy's up to a unit, holds only ints and is
+    primitive with a positive lead; returns the number of nontrivial
+    gcds."""
     nontrivial = 0
     for a, b in cases:
         ours = poly_gcd(a, b)
         theirs = sympy.gcd(poly_to_sympy(a), poly_to_sympy(b))
         assert same_up_to_unit(poly_to_sympy(ours), theirs), (a, b)
-        assert ours.leading()[1] == 1
-        assert all(type(c) in (int, Fraction) for c in ours.terms.values())
+        assert all(type(c) is int for c in ours.terms.values())
+        assert math.gcd(*ours.terms.values()) == 1
+        assert ours.leading()[1] > 0
         nontrivial += not ours.is_const()
     return nontrivial
 
@@ -159,7 +167,7 @@ def test_gcd_matches_sympy_on_the_remainder_sequence(monkeypatch):
 def test_gcd_after_an_unlucky_evaluation_point(monkeypatch):
     # a = g*(y + 1) and b = g*(y + xi + 2) in x and y, where xi is the
     # first point the heuristic puts y at (the last shared variable; xi
-    # comes from the smaller norm, a's).  The cofactors' values xi + 1 and
+    # comes from the smaller norm, a's, of the inputs as they are).  The cofactors' values xi + 1 and
     # 2*(xi + 1) share the factor xi + 1, so the first candidate is
     # g*(y + 1), which does not divide b, and the heuristic must retry at
     # a larger point.  g has large coefficients, which makes xi and the
@@ -180,7 +188,7 @@ def test_gcd_after_an_unlucky_evaluation_point(monkeypatch):
              + (x * y).scale(Fraction(rng.randint(-10**6, 10**6)))
              + Poly.const(rng.randint(1, 10**6)))
         a = g * (y + Poly.const(1))
-        xi = 2 * max(abs(c) for c in exprs._to_int_primitive(a).values()) + 29
+        xi = 2 * max(abs(c) for c in a.terms.values()) + 29
         b = g * (y + Poly.const(xi + 2))
         points.clear()
         ours = poly_gcd(a, b)
@@ -190,40 +198,34 @@ def test_gcd_after_an_unlucky_evaluation_point(monkeypatch):
         assert same_up_to_unit(poly_to_sympy(ours), poly_to_sympy(g))
 
 
-def test_only_exact_coefficients_leave_the_kernel(monkeypatch):
-    # every gcd and every canonical Scalar built during an analysis holds
-    # ints and Fractions only: no float from an int / int division, and
-    # no bool
+DATA = Path(__file__).parent / "data"
+
+
+def test_only_exact_coefficients_leave_the_kernel(monkeypatch, capsys,
+                                                  tmp_path):
+    # every Poly built during a run, hence every gcd and every canonical
+    # Scalar, holds ints only: no Fraction, no float from an int / int
+    # division, and no bool
+    real_init = Poly.__init__
     bad = []
-    real_gcd = exprs.poly_gcd
-    real_init = Scalar.__init__
-    real_canonical = exprs._canonical
+    built = 0
 
-    def check(p: Poly, where: str):
-        bad.extend(f"{where}: {c!r}" for c in p.terms.values()
-                   if type(c) not in (int, Fraction))
+    def init(self, terms):
+        nonlocal built
+        real_init(self, terms)
+        built += 1
+        bad.extend(repr(c) for c in terms.values() if type(c) is not int)
 
-    def gcd(a, b):
-        g = real_gcd(a, b)
-        check(g, "poly_gcd")
-        return g
-
-    def init(self, num, den=None):
-        real_init(self, num, den)
-        check(self.num, "Scalar.num")
-        check(self.den, "Scalar.den")
-
-    def canonical(num, den):
-        s = real_canonical(num, den)
-        check(s.num, "_canonical num")
-        check(s.den, "_canonical den")
-        return s
-
-    monkeypatch.setattr(exprs, "poly_gcd", gcd)
-    monkeypatch.setattr(Scalar, "__init__", init)
-    monkeypatch.setattr(exprs, "_canonical", canonical)
-    assert analyze(academic4()).flat is True
-    assert bad == []
+    monkeypatch.setattr(Poly, "__init__", init)
+    for argv in ([DATA / "academic4.sys", "--decompose"],
+                 [DATA / "golden" / "nlchain5.sys"],
+                 [DATA / "golden" / "rat4.sys"],
+                 [DATA / "golden" / "lcden.sys", "--decompose"]):
+        built = 0
+        report = tmp_path / "report.json"
+        assert run([*map(str, argv), "--json", str(report)]) == 0
+        assert built > 1000 and bad == [], (argv, bad[:5])
+    capsys.readouterr()
 
 
 def random_expression(rng: random.Random, depth: int = 2) -> tuple:
@@ -268,7 +270,8 @@ def grlex_str(expr) -> str:
 
 def test_scalar_canonical_form_matches_sympy_cancel():
     # sympy.cancel gives the same rational function in lowest terms; the
-    # kernel's form must be that one, scaled to a monic denominator under
+    # kernel's form must be that one, scaled to integer coefficients with
+    # no common integer factor and a denominator that leads positive under
     # graded lex order, and must print its terms in that order
     rng = random.Random(20241021)
     nontrivial_dens = 0
@@ -279,7 +282,10 @@ def test_scalar_canonical_form_matches_sympy_cancel():
         assert sympy.expand(num * q - p * den) == 0, ours
         assert sympy.gcd(num, den).is_Rational                 # coprime
         assert sympy.cancel(den / q).is_Rational               # lowest terms
-        assert sympy.Poly(den, *GENS).LC(order="grlex") == 1   # monic
+        num_p, den_p = sympy.Poly(num, *GENS), sympy.Poly(den, *GENS)
+        assert num_p.domain == den_p.domain == sympy.ZZ
+        assert sympy.igcd(num_p.content(), den_p.content()) == 1
+        assert den_p.LC(order="grlex") > 0
         assert str(ours.num) == grlex_str(num)
         assert str(ours.den) == grlex_str(den)
         # the printed form depends on the value only
