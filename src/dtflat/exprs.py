@@ -281,13 +281,27 @@ class Poly:
         return Poly(terms)
 
     def eval_fraction(self, point: Mapping[str, Fraction]) -> int | Fraction:
+        """The value at a rational point, in integers until one division:
+        with x_v = a_v/b_v and d_v = deg_v p, p * prod_v b_v^d_v is the
+        sum over terms c * prod_v a_v^e_v * b_v^(d_v - e_v)."""
+        degs: dict = {}
+        for mono in self.terms:
+            for n, e in mono:
+                if e > degs.get(n, 0):
+                    degs[n] = e
+        powers = {}
+        scale = 1
+        for n, d in degs.items():
+            a, b = point[n].numerator, point[n].denominator
+            powers[n] = [a ** e * b ** (d - e) for e in range(d + 1)]
+            scale *= b ** d
         total = 0
         for mono, c in self.terms.items():
-            v = c
-            for n, e in mono:
-                v *= point[n] ** e
-            total += v
-        return total
+            exps = dict(mono)
+            for n, row in powers.items():
+                c *= row[exps.get(n, 0)]
+            total += c
+        return total if scale == 1 else Fraction(total, scale)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -1143,6 +1157,14 @@ class Substitution:
                 den = den * _power(self._dens[v], -k)
         return Scalar(num, den)
 
+    def bind(self, name: str, value: "Scalar") -> None:
+        """Add name -> value, where value is free of every bound name and
+        name is in no bound value; the powers built so far stay valid."""
+        value = Scalar.of(value)
+        self.bindings[name] = value
+        self._nums[name] = [_P1, value.num]
+        self._dens[name] = [_P1, value.den]
+
     def _compose(self, p: Poly, names: list, degs: dict) -> Poly:
         """sum_t c_t * m_t * prod_v a_v^e_v * b_v^(d_v - e_v) over the terms
         of p, one bound name per level of recursion."""
@@ -1199,6 +1221,22 @@ def solve_linear_in(lhs: Scalar, rhs: Scalar, name: str) -> Scalar:
     c1 = uni[1]
     c0 = uni.get(0, _P0)
     return Scalar(-c0) / Scalar(c1)
+
+
+def solves_linear(e: Scalar, name: str, s: Scalar) -> bool:
+    """Whether name = s, for s free of the variable, solves e = 0 with the
+    numerator of e of degree one in it, c1*name + c0.  With the variable
+    not in e's denominator that is c1*num(s) + c0*den(s) == 0, polynomial
+    products and no gcd; otherwise s is substituted into e."""
+    uni = _as_uni(e.num, name)
+    if max(uni, default=0) != 1:
+        return False
+    if e.den.degree_in(name):
+        try:
+            return e.subs({name: s}).is_zero()
+        except SubstitutionSingular:
+            return False
+    return (uni[1] * s.num + uni.get(0, _P0) * s.den).is_zero()
 
 
 # --------------------------------------------------------------- parsing

@@ -11,6 +11,7 @@ keeps both forward-flatness tests exact.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -28,9 +29,18 @@ from .errors import (
     NotProjectable,
     NotShiftable,
     SubmersivityFailed,
+    SubstitutionSingular,
     UnsupportedShift,
 )
-from .exprs import ONE, ZERO, Scalar, Substitution, solve_linear_in
+from .exprs import (
+    ONE,
+    ZERO,
+    Scalar,
+    Substitution,
+    poly_divexact,
+    solve_linear_in,
+    solves_linear,
+)
 from .geometry import (
     Chart,
     Codistribution,
@@ -252,7 +262,31 @@ def build_adapted_chart(sys: DiscreteSystem,
                         hint: AdaptedChartHint | None = None) -> AdaptedChart:
     """Select m coordinates as xi (lowest-index admissible subset first,
     honoring hints) and invert th = f by a greedy pass of single-variable
-    linear solves.  Both chart invariants are verified symbolically."""
+    linear solves.
+
+    The inverse G of the chart map F = (f, h) is proved from its solves,
+    with no symbolic composition G o F:
+    - triangular_solve checks each solution s_v against its own equation,
+      the unknowns solved before it kept as symbols: the numerator
+      c1*v + c0 of the equation vanishes at v = s_v, and c1 stays nonzero
+      once the earlier solutions are composed into it;
+    - the chart Jacobian J_F has full generic rank (checked below for each
+      selection), so F is dominant, and a nonzero rational function stays
+      nonzero composed with F.
+    Then G o F = id as rational maps.  Take a generic point p and
+    (th, xi) = F(p), and go along the solve order, with the unknowns solved
+    so far already known to take their values at p.  Equation i holds at p
+    (so does an equation composed before it was solved), and its c1 is
+    nonzero there (c1 composed with G is nonzero, and stays so composed
+    with F), so its one root v = s_v, evaluated at the earlier values, is
+    p_v: G_v(F(p)) = p_v.  So F o G = id on the dense image of F as well.
+    Two guards decide nothing but catch a faulty kernel:
+    - the chain is expanded into G by Scalar.subs; one exact evaluation of
+      G o F at a seeded rational point where no denominator vanishes checks
+      the expansion (by Schwartz-Zippel a wrong one almost never passes);
+    - the transport moves every span into the chart and back.
+    A hinted inverse has no solves behind it, so _verify_inverse composes
+    it with F symbolically."""
     hint = hint if hint is not None else sys.hints
     names = sys.chart.names
     if hint is not None and hint.inverse is not None and not hint.h_vars:
@@ -289,10 +323,7 @@ def build_adapted_chart(sys: DiscreteSystem,
         if inverse is None:
             failures.append((h_names, "no triangular linear solve order"))
             continue
-        problem = _verify_inverse(sys, h_names, inverse)
-        if problem:
-            raise InversionFailed(
-                f"internal: computed inverse failed verification: {problem}")
+        _check_at_point(sys, h_names, inverse)
         return AdaptedChart(sys, h_names, inverse)
 
     detail = "; ".join(f"xi={list(h)}: {why}" for h, why in failures[:6])
@@ -307,35 +338,86 @@ def triangular_solve(equations, unknowns):
     variable and is linear in it after clearing denominators.
 
     equations: list of (expr, target) Scalars; targets must be free of the
-    unknowns.  Returns {unknown: Scalar} with solutions free of every
-    unknown, or None when the greedy pass gets stuck.
+    unknowns (ValueError otherwise).  Returns {unknown: Scalar} with
+    solutions free of every unknown, in solve order, or None when the
+    greedy pass gets stuck.
+
+    Each equation e = expr - target is solved where it stands, with the
+    unknowns solved before it kept as symbols, and its solution is checked
+    against e (InversionFailed when it fails); the chain of these local
+    solutions is composed, in solve order, into the returned ones.  The
+    picks are those of solving the composed equations, as long as no
+    equation's denominator vanishes once composed (it cannot for a dominant
+    map, see build_adapted_chart).  The numerator of e is c1*v + c0, and
+    its composition (c1*v + c0) o G is linear in v exactly when c1 o G is
+    nonzero; with v not in e's denominator, that composed denominator is
+    free of v, so the composed equation picks v too, with the root s_v o G.
+    Every other local outcome can differ from the composed one, so an
+    equation that mentions a solved unknown is then composed and decided
+    as it reads composed.
     """
-    work = [[expr, target, False] for expr, target in equations]
+    names = set(unknowns)
+    work = []
+    for expr, target in equations:
+        if target.vars() & names:
+            raise ValueError(f"target {target} mentions an unknown")
+        work.append(expr - target)
     unsolved = list(unknowns)
-    solved: dict = {}
+    solved = Substitution({})
     progress = True
     while unsolved and progress:
         progress = False
-        for eq in work:
-            if eq[2]:
+        for i, e in enumerate(work):
+            if e is None:
                 continue
-            expr = eq[0].subs(solved) if solved else eq[0]
-            eq[0] = expr
-            present = [v for v in unsolved if v in expr.vars()]
-            if len(present) != 1:
+            step = _solve_one(e, unsolved, solved)
+            if step is None and not e.vars().isdisjoint(solved.bindings):
+                e = work[i] = e.subs(solved)
+                step = _solve_one(e, unsolved, solved)
+            if step is None:
                 continue
-            v = present[0]
-            try:
-                sol = solve_linear_in(expr, eq[1], v)
-            except (NotLinearInVariable, CoefficientVanishes):
-                continue
-            solved[v] = sol
+            v, value = step
+            solved.bind(v, value)
             unsolved.remove(v)
-            eq[2] = True
+            work[i] = None
             progress = True
     if unsolved:
         return None
-    return solved
+    return solved.bindings
+
+
+def _solve_one(e: Scalar, unsolved: list, solved: Substitution):
+    """(v, s_v o G) when e = 0 determines its one unsolved unknown v
+    linearly, with the solved unknowns kept as symbols and the pick the same
+    as on e o G (see triangular_solve); None otherwise."""
+    names = e.vars()
+    present = [v for v in unsolved if v in names]
+    if len(present) != 1:
+        return None
+    v = present[0]
+    composes = not names.isdisjoint(solved.bindings)
+    if composes and v in e.den.vars():
+        return None
+    try:
+        s = solve_linear_in(e, ZERO, v)
+    except (NotLinearInVariable, CoefficientVanishes):
+        return None
+    if not solves_linear(e, v, s):
+        raise InversionFailed(
+            f"internal: the solution for {v} does not solve its equation")
+    if not composes:
+        return v, s
+    # c1 is h*den(s) for h = gcd(c0, c1); den(s) o G is nonzero when the
+    # composition below succeeds, so only h needs a test
+    c1 = e.num.diff(v)
+    if not c1.is_const():
+        h = poly_divexact(c1, s.den)
+        if not h.is_const() and Scalar(h).subs(solved).is_zero():
+            return None
+    try:
+        return v, s.subs(solved)
+    except SubstitutionSingular:
+        return None
 
 
 def _invert_greedy(sys: DiscreteSystem, h_names: tuple):
@@ -354,10 +436,40 @@ def _invert_greedy(sys: DiscreteSystem, h_names: tuple):
     return inverse
 
 
+# seed of the rational points at which _check_at_point evaluates G o F
+_POINT_SEED = 20240817
+_POINT_TRIES = 8
+
+
+def _check_at_point(sys: DiscreteSystem, h_names: tuple,
+                    inverse: Mapping[str, Scalar]) -> None:
+    """G o F = id at one seeded rational point where no denominator of f
+    or of the inverse vanishes, in exact Fraction arithmetic: the guard on
+    the expansion of the inverse (see build_adapted_chart)."""
+    rng = random.Random(_POINT_SEED)
+    for _ in range(_POINT_TRIES):
+        p = {v: Fraction(rng.randint(-999, 999)) for v in sys.chart.names}
+        try:
+            q = {f"th{i}": g.eval_at(p) for i, g in enumerate(sys.f, start=1)}
+            q.update((f"xi{j}", p[h]) for j, h in enumerate(h_names, start=1))
+            back = {v: g.eval_at(q) for v, g in inverse.items()}
+        except EvalSingular:
+            continue
+        wrong = [v for v in sys.chart.names if back[v] != p[v]]
+        if wrong:
+            raise InversionFailed(
+                f"internal: computed inverse fails at a rational point for "
+                f"{wrong}")
+        return
+    raise InversionFailed(
+        f"internal: computed inverse is singular at {_POINT_TRIES} rational "
+        f"points")
+
+
 def _verify_inverse(sys: DiscreteSystem, h_names: tuple,
                     inverse: Mapping[str, Scalar]) -> str | None:
-    """Round trip: substituting th = f(x,u), xi = h(x,u) into the inverse
-    must return each original coordinate exactly."""
+    """Round trip for a hinted inverse: substituting th = f(x,u),
+    xi = h(x,u) into it must return each original coordinate exactly."""
     forward = {f"th{i}": g for i, g in enumerate(sys.f, start=1)}
     for j, h in enumerate(h_names, start=1):
         forward[f"xi{j}"] = Scalar.var(h)

@@ -1,5 +1,6 @@
 """Front end: file parsing, flag handling, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,7 +45,27 @@ GOLDENS = [
     ("rat4-decompose", GOLDEN / "rat4.sys", ["--decompose"]),
     ("pointrank", GOLDEN / "pointrank.sys", []),
     ("lcden", GOLDEN / "lcden.sys", ["--decompose"]),
+    ("rat6", GOLDEN / "rat6.sys", []),
 ]
+
+
+RAT7_JSON_SHA256 = \
+    "0e09e5c2c261b5e7429ae45bc4437b81d5a064ee7a218f085ec0fc0540c27eff"
+
+
+def rat_text(n: int) -> str:
+    """The .sys text of the rational tower x_i+ = x_{i+1}/(1 + x_i^2),
+    x_n+ = u1*(1 + x1), laid out as tests/data/golden/rat*.sys."""
+    dynamics = [f"  x{i}+ = x{i + 1}/(1 + x{i}^2)" for i in range(1, n)]
+    dynamics.append(f"  x{n}+ = u1*(1 + x1)")
+    return "\n".join([
+        f"name: rat{n}",
+        "states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
+        "inputs: u1",
+        "dynamics:",
+        *dynamics,
+        "equilibrium: " + " ".join(["0"] * (n + 1)),
+    ]) + "\n"
 
 
 def assert_golden(tmp_path, capsys, name, path, flags):
@@ -260,6 +281,20 @@ class TestRun:
     @pytest.mark.parametrize("name, path, flags", GOLDENS)
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         assert_golden(tmp_path, capsys, name, path, flags)
+
+    def test_rat7_report_digest(self, tmp_path):
+        # rat7's JSON report is 161 KB, so only its sha256 is kept; the
+        # tower's text is rat6.sys one level up
+        assert rat_text(6) == (GOLDEN / "rat6.sys").read_text()
+        out_path = tmp_path / "rat7.json"
+        assert run([str(write(tmp_path, rat_text(7))),
+                    "--json", str(out_path)]) == 0
+        data = out_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == RAT7_JSON_SHA256
+        report = json.loads(data)
+        assert report["distribution_test"]["dims"] == list(range(1, 9))
+        assert report["codistribution_test"]["dims"] == list(range(7, -1, -1))
+        assert report["verdict"]["duality_ok"] is True
 
     def test_goldens_replayed_in_reverse_in_one_process(self, tmp_path,
                                                         capsys):

@@ -24,6 +24,7 @@ from dtflat.exprs import (
     poly_divexact,
     poly_gcd,
     solve_linear_in,
+    solves_linear,
 )
 
 x1, x2, x3, x4 = (Scalar.var(f"x{i}") for i in range(1, 5))
@@ -142,6 +143,18 @@ class TestSolveLinear:
         with pytest.raises(CoefficientVanishes):
             solve_linear_in(x2 + x3, x2 + x3, "x1")
 
+    def test_solves_linear(self):
+        th1 = Scalar.var("th1")
+        e = F1 - th1
+        sol = solve_linear_in(F1, th1, "x2")
+        assert solves_linear(e, "x2", sol)
+        assert not solves_linear(e, "x2", sol + 1)
+        assert not solves_linear(x2 * x2 - th1, "x2", th1)
+        # the variable in the denominator: e is substituted
+        e = Scalar(1) / x2 - th1
+        assert solves_linear(e, "x2", Scalar(1) / th1)
+        assert not solves_linear(e, "x2", th1)
+
 
 class TestZeroAndEval:
     def test_is_zero_commutator(self):
@@ -157,6 +170,20 @@ class TestZeroAndEval:
     def test_eval_unbound(self):
         with pytest.raises(ValueError):
             (x1 + x2).eval_at({"x1": Fraction(1)})
+
+    def test_eval_fraction_matches_term_by_term(self):
+        # one division at the end gives the value of the Fraction sum
+        p = (x1 * x1 * x2 - 3 * x2 * x3 + 7 * x1 + 5).num
+        for point in ({"x1": Fraction(2, 3), "x2": Fraction(-5, 7),
+                       "x3": Fraction(4)},
+                      {"x1": 2, "x2": -1, "x3": 3}):
+            want = Fraction(0)
+            for mono, c in p.terms.items():
+                term = Fraction(c)
+                for name, e in mono:
+                    term *= Fraction(point[name]) ** e
+                want += term
+            assert p.eval_fraction(point) == want
 
 
 class TestParsing:

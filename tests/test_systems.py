@@ -5,7 +5,8 @@ from functools import partial
 
 import pytest
 
-from corpus import mk, nonflat2
+from corpus import mk, nonflat2, rat_n
+from dtflat.decompose import decompose_step
 from dtflat.errors import (
     EquilibriumMismatch,
     HintInvalid,
@@ -166,6 +167,61 @@ class TestAdaptedChart:
         with pytest.raises(InversionFailed) as err:
             build_adapted_chart(s)
         assert err.value.hint is not None
+
+    def test_wrong_local_solution_fails_the_build(self, monkeypatch):
+        import dtflat.systems as systems
+        real = systems.solve_linear_in
+        monkeypatch.setattr(systems, "solve_linear_in",
+                            lambda lhs, rhs, name: real(lhs, rhs, name) + ONE)
+        with pytest.raises(InversionFailed):
+            build_adapted_chart(rat_n(3))
+
+    def test_corrupted_inverse_component_fails_the_point_check(self,
+                                                               monkeypatch):
+        # every solve checks out; only the expansion is wrong
+        import dtflat.systems as systems
+        real = systems.triangular_solve
+
+        def corrupted(equations, unknowns):
+            out = dict(real(equations, unknowns))
+            out["x3"] = out["x3"] + Scalar.var("th1") ** 2
+            return out
+
+        monkeypatch.setattr(systems, "triangular_solve", corrupted)
+        with pytest.raises(InversionFailed, match="rational point"):
+            build_adapted_chart(rat_n(3))
+
+    def test_wrong_local_solution_fails_decompose_step(self, acad,
+                                                       acad_verdict,
+                                                       monkeypatch):
+        # both inverses of the step (states, then inputs) solve through
+        # triangular_solve, so a wrong solution raises before any cascade
+        import dtflat.systems as systems
+        real = systems.solve_linear_in
+        p2 = acad_verdict.codistribution.sequence[1]
+        monkeypatch.setattr(systems, "solve_linear_in",
+                            lambda lhs, rhs, name: real(lhs, rhs, name) + ONE)
+        with pytest.raises(InversionFailed, match="does not solve"):
+            decompose_step(acad, p2)
+
+    def test_only_a_hinted_inverse_is_composed(self, monkeypatch):
+        import dtflat.systems as systems
+        calls = []
+        real = systems._verify_inverse
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(systems, "_verify_inverse", spy)
+        s = mk(["x1"], ["u1"], ["x1 + u1"])
+        build_adapted_chart(s)
+        build_adapted_chart(rat_n(3))
+        assert calls == []
+        inverse = {"x1": parse_scalar("xi1"), "u1": parse_scalar("th1 - xi1")}
+        build_adapted_chart(s, AdaptedChartHint(h_vars=("x1",),
+                                                inverse=inverse))
+        assert calls == [("x1",)]
 
     def test_rank_test_starts_from_span_df(self, rref_calls):
         # x1+ = u1, x2+ = x1: xi = x1 lies in span{df} = span{du1, dx1}, so
@@ -447,6 +503,44 @@ class TestTriangularSolve:
         a, b = Scalar.var("a"), Scalar.var("b")
         t1, t2 = Scalar.var("t1"), Scalar.var("t2")
         assert triangular_solve([(a * b, t1), (a + b, t2)], ["a", "b"]) is None
+
+    def test_target_mentioning_an_unknown_is_rejected(self):
+        a, b = Scalar.var("a"), Scalar.var("b")
+        with pytest.raises(ValueError, match="mentions an unknown"):
+            triangular_solve([(a, b), (b, Scalar.var("t"))], ["a", "b"])
+
+    def test_solutions_come_in_solve_order(self):
+        # the second equation is solved for b with a kept as a symbol, and
+        # b = t2/t1^2 is the chain a = t1, b = t2/a^2 composed
+        a, b = Scalar.var("a"), Scalar.var("b")
+        t1, t2 = Scalar.var("t1"), Scalar.var("t2")
+        sol = triangular_solve([(a, t1), (a * a * b, t2)], ["a", "b"])
+        assert list(sol) == ["a", "b"]
+        assert sol["b"] == t2 / (t1 * t1)
+
+    def test_pick_after_an_unknown_cancels(self):
+        # c drops out of the second equation once a = t1 is composed into
+        # it, so it solves b before the third equation solves c, as it does
+        # when every equation is composed before it is read
+        a, b, c = Scalar.var("a"), Scalar.var("b"), Scalar.var("c")
+        t1, t2, t3 = Scalar.var("t1"), Scalar.var("t2"), Scalar.var("t3")
+        sol = triangular_solve(
+            [(a, t1), (c * (a - t1) + b, t2), (c, t3)], ["a", "b", "c"])
+        assert list(sol) == ["a", "b", "c"]
+        assert sol == {"a": t1, "b": t2, "c": t3}
+
+    @pytest.mark.parametrize("expr", [
+        "(a - t1)*b - t2",       # c1 = a - t1 is the solution's denominator
+        "(a - t1)*(b - t2)",     # c1 = a - t1 is a common factor with c0
+    ])
+    def test_coefficient_vanishing_once_composed_does_not_pick(self, expr):
+        # with a = t1 the second equation no longer determines b, so the
+        # third one solves it
+        a, b = Scalar.var("a"), Scalar.var("b")
+        t1, t3 = Scalar.var("t1"), Scalar.var("t3")
+        eq = parse_scalar(expr)
+        sol = triangular_solve([(a, t1), (eq, ZERO), (b, t3)], ["a", "b"])
+        assert sol == {"a": t1, "b": t3}
 
 
 class TestSubmersivityInvariance:
