@@ -10,6 +10,7 @@ exits nonzero with a remediation hint when one is known.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,7 +224,10 @@ def parse_system(path, chart_hint: list | None = None,
 
 # -------------------------------------------------------------------- cli
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first run and reused: parsing
+    leaves it unchanged, and a process may run many analyses."""
     ap = argparse.ArgumentParser(
         prog="dtflat",
         description="Exact forward-flatness analysis of discrete-time "

@@ -732,7 +732,7 @@ class Scalar:
 
     @classmethod
     def of(cls, value) -> "Scalar":
-        if isinstance(value, Scalar):
+        if type(value) is Scalar:
             return value
         return cls(value)
 
@@ -742,17 +742,21 @@ class Scalar:
 
     # ----------------------------------------------------------- queries
 
+    # is_zero and is_const read the term maps: the kernel asks them more
+    # than anything else, most often of zeros and constants
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        num, den = self.num.terms, self.den.terms
+        return ((not num or (len(num) == 1 and _MONO_ONE in num))
+                and len(den) == 1 and _MONO_ONE in den)
 
     def const_value(self) -> int | Fraction:
         """The value of a constant: an int when it is an integer."""
         if not self.is_const():
             raise ValueError("not a constant")
-        p, q = self.num.const_value(), self.den.const_value()
+        p, q = self.num.terms.get(_MONO_ONE, 0), self.den.terms[_MONO_ONE]
         return p if q == 1 else Fraction(p, q)
 
     def vars(self) -> set:
@@ -859,10 +863,14 @@ class Scalar:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if other is self:
+            return True
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = Scalar(other)
-        return (isinstance(other, Scalar)
-                and self.num == other.num and self.den == other.den)
+        return (self.num.terms == other.num.terms
+                and self.den.terms == other.den.terms)
 
     def __hash__(self):
         # a constant compares equal to its number, so it hashes as it
@@ -1004,7 +1012,7 @@ def _derivative(s: Scalar, name: str) -> Scalar:
     dn = s.num.diff(name)
     dd = s.den.diff(name)
     if dd.is_zero():
-        return Scalar(dn, s.den)
+        return Scalar(dn, s.den) if dn.terms else _S0
     return Scalar(dn * s.den - s.num * dd, s.den * s.den)
 
 

@@ -29,10 +29,10 @@ from .geometry import (
     annihilator,
     combine,
     interior_product,
-    intersect,
     invariant_closure,
     is_integrable,
     is_involutive,
+    meet_annihilator,
     meet_coordinates,
     nullspace,
     rref,
@@ -369,8 +369,12 @@ class CodistributionStep:
 
 def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
                         P: Codistribution) -> CodistributionStep:
-    span_df = sys.differentials
-    inter = intersect(P, span_df)
+    # P_k meet span{df}, as the forms of P_k that annihilate ker df (the
+    # closure below needs ker df too).  That is exact: ker df is
+    # ann(span{df}), so ann(ker df) contains span{df}; the system's
+    # construction checks that span{df} has rank n, and ann(ker df) has
+    # dimension n + m - m = n, so the two are equal.
+    inter = meet_annihilator(P, sys.update_kernel)
 
     # Adapted-chart route: the annihilator of P_k, normalized, yields the
     # derivative rows whose span extends the intersection to the smallest

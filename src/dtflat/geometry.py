@@ -68,7 +68,13 @@ class Row:
         if len(coeffs) != chart.dim:
             raise ValueError("coefficient count does not match chart dimension")
         self.chart = chart
-        self.coeffs = tuple(Scalar.of(c) for c in coeffs)
+        # Scalars are kept as they are; a loop finds any other value faster
+        # than converting every entry
+        self.coeffs = tuple(coeffs)
+        for c in self.coeffs:
+            if type(c) is not Scalar:
+                self.coeffs = tuple(Scalar.of(c) for c in coeffs)
+                break
 
     @classmethod
     def unit(cls, chart: Chart, name: str):
@@ -105,14 +111,13 @@ class OneForm(Row):
     prefix = "d"
 
 
-_MINUS_ONE = Scalar(-1)
-
-
 def _coeff_str(c: Scalar) -> str:
-    if c == ONE:
-        return ""
-    if c == _MINUS_ONE:
-        return "-"
+    if c.is_const():
+        value = c.const_value()
+        if value == 1:
+            return ""
+        if value == -1:
+            return "-"
     s = str(c)
     if " " in s or "/" in s or s.startswith("-"):
         s = f"({s})"
@@ -180,8 +185,9 @@ class Echelon:
         lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
         if lead is None:
             return False
-        if row[lead] != ONE:
-            row = _normalize(row, row[lead])
+        pivot = row[lead]
+        if not (pivot.is_const() and pivot.const_value() == 1):
+            row = _normalize(row, pivot)
         for i, other in enumerate(self.rows):
             if not other[lead].is_zero():
                 self.rows[i] = _eliminate(other, other[lead], row)
@@ -224,7 +230,7 @@ def _eliminate(row: list, factor: Scalar, pivot_row: list) -> list:
 
 
 def _normalize(row: list, pivot: Scalar) -> list:
-    return [c / pivot for c in row]
+    return [c if c.is_zero() else c / pivot for c in row]
 
 
 def rref(rows: Iterable[Sequence[Scalar]]) -> tuple:
@@ -351,24 +357,40 @@ def same_span(a, b) -> bool:
 
 # ------------------------------------- Lie calculus of fields and 1-forms
 
+# Most coefficients in the Lie calculus are zeros and constants.  The
+# functions below differentiate only coefficients that are not constant
+# and form a product or a sum only for nonzero terms; the skipped terms
+# are zero, and sums are canonical, so every result is the value the
+# full formula gives.
+
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^i = sum_j (v^j d_j w^i - w^j d_j v^i)."""
     _require_same_chart(v, w)
-    names = v.chart.names
+    names, vc, wc = v.chart.names, v.coeffs, w.coeffs
+    v_zero = [c.is_zero() for c in vc]
+    w_zero = [c.is_zero() for c in wc]
     out = []
     for i in range(len(names)):
         total = ZERO
-        for j, nj in enumerate(names):
-            if not v.coeffs[j].is_zero():
-                total = total + v.coeffs[j] * w.coeffs[i].diff(nj)
-            if not w.coeffs[j].is_zero():
-                total = total - w.coeffs[j] * v.coeffs[i].diff(nj)
+        dw, dv = not wc[i].is_const(), not vc[i].is_const()
+        if dw or dv:
+            for j, nj in enumerate(names):
+                if dw and not v_zero[j]:
+                    d = wc[i].diff(nj)
+                    if not d.is_zero():
+                        total = total + vc[j] * d
+                if dv and not w_zero[j]:
+                    d = vc[i].diff(nj)
+                    if not d.is_zero():
+                        total = total - wc[j] * d
         out.append(total)
     return VectorField(v.chart, out)
 
 
 def d_scalar(chart: Chart, g: Scalar) -> OneForm:
     """Differential of a function: the 1-form of its partials."""
+    if g.is_const():
+        return OneForm(chart, [ZERO] * chart.dim)
     return OneForm(chart, [g.diff(n) for n in chart.names])
 
 
@@ -386,30 +408,49 @@ def lie_derivative(v: VectorField, w: OneForm) -> OneForm:
     """Cartan formula in coordinates, L_v w = v . dw + d(v . w):
     (L_v w)_j = sum_i v^i (d_i w_j - d_j w_i) + d_j(v . w).  Each component
     d_i w_j - d_j w_i (i < j) is formed once, and only when v^i or v^j is
-    nonzero."""
+    nonzero and w_i or w_j is not constant."""
     _require_same_chart(v, w)
     names, vc, wc = w.chart.names, v.coeffs, w.coeffs
-    out = [ZERO] * len(names)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if vc[i].is_zero() and vc[j].is_zero():
+    n = len(names)
+    v_zero = [c.is_zero() for c in vc]
+    w_const = [c.is_const() for c in wc]
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if v_zero[i] and v_zero[j] or w_const[i] and w_const[j]:
                 continue
-            c = wc[j].diff(names[i]) - wc[i].diff(names[j])
+            a, b = _cross_partials(wc, w_const, names, i, j)
+            c = a if b.is_zero() else a - b
             if c.is_zero():
                 continue
-            if not vc[i].is_zero():
+            if not v_zero[i]:
                 out[j] = out[j] + vc[i] * c
-            if not vc[j].is_zero():
+            if not v_zero[j]:
                 out[i] = out[i] - vc[j] * c
-    exact = d_scalar(w.chart, interior_product(v, w))
-    return OneForm(w.chart, [a + b for a, b in zip(out, exact.coeffs)])
+    vw = interior_product(v, w)
+    if not vw.is_const():
+        for j, name in enumerate(names):
+            d = vw.diff(name)
+            if not d.is_zero():
+                out[j] = out[j] + d
+    return OneForm(w.chart, out)
+
+
+def _cross_partials(c: Sequence[Scalar], const: Sequence[bool],
+                    names: Sequence[str], i: int, j: int) -> tuple:
+    """(d_i c_j, d_j c_i), differentiating only entries not constant."""
+    return (ZERO if const[j] else c[j].diff(names[i]),
+            ZERO if const[i] else c[i].diff(names[j]))
 
 
 def is_closed(w: OneForm) -> bool:
     """dw = 0: d_i w_j == d_j w_i for every pair i < j."""
     names, c = w.chart.names, w.coeffs
-    return all(c[j].diff(names[i]) == c[i].diff(names[j])
-               for i in range(len(names)) for j in range(i + 1, len(names)))
+    const = [x.is_const() for x in c]
+    return all(a == b for a, b in (
+        _cross_partials(c, const, names, i, j)
+        for i in range(len(names)) for j in range(i + 1, len(names))
+        if not (const[i] and const[j])))
 
 
 # ------------------------------------------------------------ annihilators
@@ -425,36 +466,45 @@ def annihilator(space: Span) -> Span:
     return dual.span(chart, [dual.element(chart, k) for k in kernel])
 
 
-def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
-    """Forms expressible with rational-function coefficients in both bases,
-    found by solving the stacked linear system over the function field."""
-    _require_same_chart(p, q)
+# Meets of a codistribution p with a second span.  A form sum a_i p_i of
+# p lies in the second span exactly when a solves a linear system with
+# one column per basis form of p, so only that system is solved, not the
+# stacked system of both bases with n + m rows and dim p + dim q columns.
+
+def _meet(p: Codistribution,
+          conditions: Iterable[Sequence[Scalar]]) -> Codistribution:
+    """The forms sum a_i p_i with a in the kernel of the condition rows,
+    as the canonical reduced basis of their span; p itself when it has no
+    forms."""
+    if not p.basis:
+        return p
     chart = p.chart
-    if not p.basis or not q.basis:
-        return Codistribution(chart, [])
-    # Columns: coefficients a of p-basis and b of q-basis with
-    # sum a_i p_i - sum b_j q_j = 0, one row per chart coordinate.
-    rows = [[w.coeffs[c] for w in p.basis] + [-w.coeffs[c] for w in q.basis]
-            for c in range(chart.dim)]
     p_rows = [w.coeffs for w in p.basis]
-    forms = [OneForm(chart, combine(vec[:len(p_rows)], p_rows))
-             for vec in nullspace(rows)]
-    return Codistribution.span(chart, forms)
+    return Codistribution.span(chart, [
+        OneForm(chart, combine(a, p_rows))
+        for a in Echelon(conditions).kernel(len(p_rows))])
 
 
 def meet_coordinates(p: Codistribution, columns: Sequence[int]) -> Codistribution:
     """The forms of p whose coefficients vanish outside columns: p meet the
-    span of those coordinate differentials.  A form sum a_i p_i lies there
-    exactly when a is in the kernel of the other columns of p's basis, so
-    only those columns are solved, not the stacked system of intersect."""
-    chart = p.chart
+    span of those coordinate differentials.  The conditions are the other
+    columns of p's basis.  The codistribution step uses it on the adapted
+    chart, where span{df} is span{dth}; on (x, u) it uses
+    meet_annihilator."""
     keep = set(columns)
-    others = Echelon([w.coeffs[c] for w in p.basis]
-                     for c in range(chart.dim) if c not in keep)
-    p_rows = [w.coeffs for w in p.basis]
-    return Codistribution.span(chart, [
-        OneForm(chart, combine(a, p_rows))
-        for a in others.kernel(len(p_rows))])
+    return _meet(p, ([w.coeffs[c] for w in p.basis]
+                     for c in range(p.chart.dim) if c not in keep))
+
+
+def meet_annihilator(p: Codistribution, d: Distribution) -> Codistribution:
+    """The forms of p that vanish on every field of d: p meet ann(d).  The
+    conditions are the pairings [v . p_i], one row per field v of d.  The
+    codistribution step takes P_k meet span{df} this way, as the forms of
+    P_k that annihilate ker df: over the function field ann(ann(S)) = S
+    for every span S, so ann(ker df) = span{df}."""
+    _require_same_chart(p, d)
+    return _meet(p, ([interior_product(v, w) for w in p.basis]
+                     for v in d.basis))
 
 
 def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:

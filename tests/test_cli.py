@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,6 +198,22 @@ class TestRun:
         assert run([str(NONFLAT)]) == 0
         out = capsys.readouterr().out
         assert "forward-flat: NO" in out
+
+    def test_parser_built_on_first_run_and_reused(self, capsys):
+        import dtflat.cli as cli
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import dtflat.cli as c; "
+                "print(c._build_parser.cache_info().currsize)")
+        fresh = subprocess.run([sys.executable, "-c", code], cwd=src,
+                               capture_output=True, text=True, check=True)
+        assert fresh.stdout.split() == ["0"]  # not built at import
+        cli._build_parser.cache_clear()
+        assert run([str(NONFLAT)]) == 0
+        assert run([str(ACADEMIC), "--test", "distribution"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        out = capsys.readouterr().out
+        assert "forward-flat: NO" in out and "forward-flat: YES" in out
 
     def test_exit_nonzero_on_error(self, tmp_path, capsys):
         p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"

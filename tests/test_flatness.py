@@ -2,6 +2,7 @@
 example, hand-derived fixtures, scaling families, and randomized
 systems."""
 
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from corpus import (
     nonflat2,
     nonflat3,
     random_flat_corpus,
+    random_small_system,
     rat_n,
 )
 from dtflat.cli import parse_system
@@ -48,6 +50,7 @@ from dtflat.geometry import (
     sum_codistributions,
 )
 from dtflat.systems import build_adapted_chart, pushforward_projectable
+from oracles import intersect
 from test_transport import distribution_to_adapted
 
 DATA = Path(__file__).parent / "data"
@@ -357,6 +360,45 @@ class TestCrossCheck:
         with pytest.raises(InternalInvariantError, match="adapted-chart closure "
                            "and coordinate-free closure disagree"):
             codistribution_step(acad, acad_chart, 1, P1)
+
+
+class TestIntersectionStep:
+    """Each codistribution step takes P_k meet span{df} as the forms of P_k
+    that annihilate ker df; the reference solves the stacked system of
+    both bases.  The reduced bases must be identical."""
+
+    SYSTEMS = {
+        "academic4": academic4, "integrator1": integrator1, "chain2": chain2,
+        "mimo3": mimo3, "nonflat2": nonflat2, "nonflat3": nonflat3,
+        "mixed2": lambda: parse_system(DATA / "mixed2.sys")[0],
+        "rat4": lambda: rat_n(4), "nlchain5": lambda: nlchain_n(5),
+    }
+
+    @staticmethod
+    def shapes(system):
+        """(dim P_k, dim of the meet) of every step, each checked against
+        the reference."""
+        out = []
+        for st in run_codistribution_test(system).steps:
+            ref = intersect(st.P, system.differentials)
+            assert st.intersection.basis == ref.basis
+            out.append((st.P.dim, st.intersection.dim))
+        return out
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_corpus_systems(self, name):
+        assert self.shapes(self.SYSTEMS[name]())
+
+    def test_random_systems(self):
+        systems = [random_small_system(random.Random(seed), name=f"small{seed}")
+                   for seed in range(20)]
+        systems += random_flat_corpus(seed=71, count=20)
+        shapes = [s for system in systems for s in self.shapes(system)]
+        assert len(systems) == 40
+        # proper meets, whole P_k and empty meets all occur
+        assert any(0 < m < p for p, m in shapes)
+        assert any(0 < m == p for p, m in shapes)
+        assert any(m == 0 < p for p, m in shapes)
 
 
 class TestInvolutivityCheck:

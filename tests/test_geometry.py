@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import academic4, nlchain_n, rat_n
 from dtflat.errors import ChartMismatch
-from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
+from dtflat.exprs import ONE, ZERO, Poly, Scalar, parse_scalar
 from dtflat.flatness import run_codistribution_test
 from dtflat.geometry import (
     Chart,
@@ -25,18 +27,19 @@ from dtflat.geometry import (
     d_scalar,
     generic_rank,
     interior_product,
-    intersect,
     invariant_closure,
     is_closed,
     is_integrable,
     is_involutive,
     lie_bracket,
     lie_derivative,
+    meet_annihilator,
     meet_coordinates,
     nullspace,
     rref,
     same_span,
 )
+from oracles import intersect
 
 CH6 = Chart(("x1", "x2", "x3", "x4", "u1", "u2"))
 CH3 = Chart(("x1", "x2", "u"))
@@ -911,3 +914,217 @@ class TestMeetCoordinates:
         # p in span{dx1, dx2} after one elimination
         assert (meet_coordinates(p, [0, 1]).basis
                 == self.oracle(p, [0, 1]).basis)
+
+
+# ------------------------------------ skipped zero and constant work
+#
+# The Lie calculus differentiates only coefficients that are not constant
+# and adds only nonzero products.  The references below form every term,
+# on entries that are mostly zeros and constants, as the kernel meets them.
+
+NAMES4 = ("x1", "x2", "x3", "u")
+CH4 = Chart(NAMES4)
+VARS4 = [Scalar.var(n) for n in NAMES4]
+
+constants = st.builds(lambda p, q: Scalar(Fraction(p, q)),
+                      st.integers(-3, 3), st.integers(1, 3))
+polynomials = st.builds(
+    lambda c, k, i, j, e: c + Scalar(k) * VARS4[i] * VARS4[j] ** e,
+    constants, st.sampled_from([-2, -1, 1, 3]), st.integers(0, 3),
+    st.integers(0, 3), st.integers(0, 2))
+rationals = st.builds(lambda p, i, k: p / (VARS4[i] * VARS4[i] + k),
+                      polynomials, st.integers(0, 3), st.integers(0, 2))
+entries = st.one_of(st.just(ZERO), st.just(ZERO), constants, polynomials,
+                    rationals)
+rows4 = st.lists(entries, min_size=4, max_size=4)
+
+
+def full_lie_bracket(v, w):
+    """[v, w]^i = sum_j (v^j d_j w^i - w^j d_j v^i), every term formed."""
+    names = v.chart.names
+    return VectorField(v.chart, [
+        sum((v.coeffs[j] * w.coeffs[i].diff(nj)
+             - w.coeffs[j] * v.coeffs[i].diff(nj)
+             for j, nj in enumerate(names)), ZERO)
+        for i in range(len(names))])
+
+
+def full_lie_derivative(v, w):
+    """(L_v w)_j = sum_i v^i (d_i w_j - d_j w_i) + d_j(v . w), every
+    term formed."""
+    names, vc, wc = v.chart.names, v.coeffs, w.coeffs
+    vw = sum((a * b for a, b in zip(vc, wc)), ZERO)
+    return OneForm(v.chart, [
+        sum((vc[i] * (wc[j].diff(ni) - wc[i].diff(nj))
+             for i, ni in enumerate(names)), ZERO) + vw.diff(nj)
+        for j, nj in enumerate(names)])
+
+
+def full_is_closed(w):
+    names, c = w.chart.names, w.coeffs
+    return all(c[j].diff(ni) == c[i].diff(nj)
+               for i, ni in enumerate(names) for j, nj in enumerate(names))
+
+
+class TestSkippedWork:
+    @given(rows4, rows4)
+    @settings(max_examples=60, deadline=None)
+    def test_lie_bracket(self, v, w):
+        v, w = VectorField(CH4, v), VectorField(CH4, w)
+        assert lie_bracket(v, w) == full_lie_bracket(v, w)
+
+    @given(rows4, rows4)
+    @settings(max_examples=60, deadline=None)
+    def test_lie_derivative(self, v, w):
+        v, w = VectorField(CH4, v), OneForm(CH4, w)
+        assert lie_derivative(v, w) == full_lie_derivative(v, w)
+
+    @given(rows4)
+    @settings(max_examples=60, deadline=None)
+    def test_is_closed_and_d_scalar(self, w):
+        w = OneForm(CH4, w)
+        assert is_closed(w) == full_is_closed(w)
+        for g in w.coeffs:
+            dg = d_scalar(CH4, g)
+            assert dg.coeffs == tuple(g.diff(n) for n in NAMES4)
+            assert is_closed(dg)
+
+    def test_exact_form_of_a_constant_contraction(self):
+        # v . w = 2 is constant, so d(v . w) adds nothing; v . dw does
+        x1 = VARS4[0]
+        v = VectorField(CH4, [ONE, ZERO, ZERO, ZERO])
+        w = OneForm(CH4, [Scalar(2), x1, ZERO, ZERO])
+        assert interior_product(v, w) == Scalar(2)
+        assert lie_derivative(v, w) == OneForm(CH4, [ZERO, ONE, ZERO, ZERO])
+        assert lie_derivative(v, w) == full_lie_derivative(v, w)
+
+
+class TestPivotNormalization:
+    """Echelon.add divides a new row by its leading entry unless that entry
+    is the constant 1."""
+
+    LEADS = [ONE, Scalar(-1), Scalar(2), Scalar(Fraction(1, 2)),
+             Scalar.var("x1"), parse_scalar("(1 + x1)/x2")]
+
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    def test_row_divided_by_its_leading_entry(self, lead, monkeypatch):
+        a, b = parse_scalar("x1*x2 - 3"), parse_scalar("1/(x1 + 2)")
+        row = [ZERO, lead, a, b]
+        divisions = []
+        real = Scalar.__truediv__
+        monkeypatch.setattr(Scalar, "__truediv__", lambda s, o:
+                            divisions.append(1) or real(s, o))
+        ech = Echelon()
+        assert ech.add(row)
+        monkeypatch.undo()
+        assert ech.pivots == [1]
+        assert ech.rows == [[ZERO, ONE, a / lead, b / lead]]
+        # a leading 1 divides nothing; otherwise lead, a and b are divided
+        # and the zero entry is kept
+        assert len(divisions) == (0 if lead == ONE else 3)
+        assert rref([row]) == (ech.rows, ech.pivots)
+
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    def test_leading_entry_after_reduction(self, lead):
+        # the second row leads with lead only once the first is removed
+        x2 = Scalar.var("x2")
+        first = [ONE, x2, ZERO]
+        second = [x2, x2 * x2 + lead, Scalar(5)]
+        rows, pivots = rref([first, second])
+        assert pivots == [0, 1]
+        assert rows[1] == [ZERO, ONE, Scalar(5) / lead]
+        assert rows[0] == [ONE, ZERO, -x2 * Scalar(5) / lead]
+        assert rref([second, first]) == (rows, pivots)
+
+
+class TestScalarConstants:
+    """==, hash, is_zero, is_const and const_value of equal constants built
+    along different paths."""
+
+    x1 = Scalar.var("x1")
+
+    def test_equal_constants(self):
+        x1 = self.x1
+        threes = [Scalar(3), Scalar(Fraction(6, 2)), Scalar(Poly.const(3)),
+                  Scalar(Poly.const(6), Poly.const(2)), (x1 * 3) / x1,
+                  (x1 + 1) * (3 / (x1 + 1)), Scalar.of(3)]
+        halves = [Scalar(Fraction(1, 2)), Scalar(1) / 2,
+                  Scalar(Poly.const(1), Poly.const(2)),
+                  (x1 + 1) / (2 * x1 + 2), parse_scalar("x1/(2*x1)")]
+        for group, value in ((threes, 3), (halves, Fraction(1, 2))):
+            for a in group:
+                assert a.is_const() and not a.is_zero()
+                assert a.const_value() == value
+                assert a == value and a == Scalar(value)
+                assert hash(a) == hash(value)
+                for b in group:
+                    assert a == b and not (a != b)
+        assert all(a != b for a in threes for b in halves)
+        assert type(Scalar(3).const_value()) is int
+
+    def test_zero_along_every_path(self):
+        x1 = self.x1
+        zeros = [ZERO, Scalar(0), Scalar(Fraction(0, 5)),
+                 Scalar(Poly.const(0)), Scalar(Poly({}), Poly.const(7)),
+                 x1 - x1, (x1 + 1) * 0, x1.diff("x2"), ONE.diff("x1")]
+        for z in zeros:
+            assert z.is_zero() and z.is_const()
+            assert z == ZERO and z == 0 and z.const_value() == 0
+            assert hash(z) == hash(0)
+
+    def test_non_constants(self):
+        x1 = self.x1
+        for s in (x1, 1 / x1, (x1 * x1) / x1, parse_scalar("(x1 + 1)/2")):
+            assert not s.is_const() and not s.is_zero()
+            assert s == s and s != ONE and s != 1
+            with pytest.raises(ValueError):
+                s.const_value()
+        assert x1 == (x1 * x1) / x1
+        assert x1 != "x1" and ONE != "1" and ONE != 1.0
+
+    def test_of_keeps_a_scalar(self):
+        s = parse_scalar("x1 + 1/2")
+        assert Scalar.of(s) is s
+        assert Scalar.of(2) == Scalar(2)
+        assert Scalar.of(Fraction(1, 3)) == Scalar(Fraction(1, 3))
+
+    def test_row_keeps_its_scalars(self):
+        s = parse_scalar("x1 + 1/2")
+        row = OneForm(CH3, [s, ONE, ZERO])
+        assert row.coeffs[0] is s and row.coeffs[1] is ONE
+        mixed = OneForm(CH3, [s, 2, Fraction(1, 2)])
+        assert mixed.coeffs == (s, Scalar(2), Scalar(Fraction(1, 2)))
+        assert all(type(c) is Scalar for c in mixed.coeffs)
+
+
+class TestMeetAnnihilator:
+    """meet_annihilator(p, d) against intersect(p, ann(d))."""
+
+    def test_random_spans(self):
+        rng = random.Random(67)
+        chart = Chart(("x1", "x2", "x3", "u1"))
+        names = list(chart.names)
+        dims = set()
+        for _ in range(30):
+            rand = rand_rational if rng.random() < 0.3 else rand_poly
+            p, d = (span_cls.span(chart, [
+                        row_cls(chart, [rand(rng, names) if rng.random() < 0.6
+                                        else ZERO for _ in names])
+                        for _ in range(k)])
+                    for (span_cls, row_cls), k in zip(
+                        KINDS[::-1], (rng.randint(1, 3), rng.randint(1, 2))))
+            got = meet_annihilator(p, d)
+            assert got.basis == intersect(p, annihilator(d)).basis
+            dims.add(got.dim)
+        assert len(dims) >= 3
+
+    def test_edge_cases(self):
+        p = Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
+                                      OneForm(CH3, [u, ZERO, ONE])])
+        none = Distribution(CH3, [])
+        assert meet_annihilator(Codistribution(CH3, []), none).basis == ()
+        assert meet_annihilator(p, none).basis == p.basis
+        everything = annihilator(Codistribution(CH3, []))
+        assert meet_annihilator(p, everything).basis == ()
+        with pytest.raises(ChartMismatch):
+            meet_annihilator(p, Distribution(CH6, []))
