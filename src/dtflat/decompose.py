@@ -31,14 +31,13 @@ from .errors import (
     InternalInvariantError,
     NormalizationFailed,
 )
-from .exprs import ONE, ZERO, Poly, Scalar, _as_uni
+from .exprs import ONE, ZERO, Poly, Scalar, Substitution, _as_uni
 from .geometry import (
     Codistribution,
     Echelon,
     OneForm,
     _clear_denominators,
     annihilator,
-    combine,
     d_scalar,
     generic_rank,
     invariant_closure,
@@ -49,7 +48,7 @@ from .geometry import (
     same_span,
     sum_codistributions,
 )
-from .systems import DiscreteSystem, pullback_f, triangular_solve
+from .systems import DiscreteSystem, pullback, pullback_f, triangular_solve
 
 
 # --------------------------------------------------------- first integrals
@@ -138,22 +137,18 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
     coordinate differentials, constant-coefficient combinations, exact
     forms (term-by-term rational antiderivative), monomial integrating
     factors; finally user hints.  Fails with the residual forms attached.
+
+    The Frobenius test runs only when a form is left over, before any hint
+    is tried: a p that fails it raises IntegralsNotFound there.  When every
+    basis form w is integrated, each has a g with dg = mu*w, mu nonzero, so
+    p is the span of the dg and is integrable; the search then needs no
+    Frobenius test of its own, and repeats none for the P_2 that
+    decompose_step passes (codistribution_step tested it already).
     """
     for w in p.basis:
         for j in range(sys.n, sys.n + sys.m):
             if not w.coeffs[j].is_zero():
                 raise ValueError("codistribution is not inside span{dx}")
-    if not is_integrable(p):
-        raise IntegralsNotFound(
-            "codistribution fails the Frobenius condition; no first "
-            "integrals exist")
-    return _first_integrals(p, sys, hints)
-
-
-def _first_integrals(p: Codistribution, sys: DiscreteSystem,
-                     hints: list | None) -> FirstIntegralSet:
-    """find_first_integrals for a p already known to lie in span{dx} and
-    to pass the Frobenius test, as P_2 does."""
     state_set = set(sys.state_names)
     if not p.basis:
         return FirstIntegralSet([], "coordinate-pick")
@@ -187,6 +182,10 @@ def _first_integrals(p: Codistribution, sys: DiscreteSystem,
             residual.append(w)
 
     if residual:
+        if not is_integrable(p):
+            raise IntegralsNotFound(
+                "codistribution fails the Frobenius condition; no first "
+                "integrals exist")
         if hints:
             return _integrals_from_hints(p, sys, hints)
         raise IntegralsNotFound(
@@ -319,9 +318,8 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
             f"input Jacobian; it is {input_rank}")
 
     # P_2 is integrable (codistribution_step checks it, the annihilator of
-    # the involutive E_1 is by Frobenius, and so are their moved tails), and
-    # its basis is reduced
-    integrals = _first_integrals(p2, sys, integral_hints)
+    # the involutive E_1 is by Frobenius, and so are their moved tails)
+    integrals = find_first_integrals(p2, sys, integral_hints)
     n2 = p2.dim
     completion = _complete_states(
         [d_scalar(sys.chart, g) for g in integrals.functions], sys)
@@ -546,10 +544,10 @@ def _carry(tail, parent: DiscreteSystem, step: TriangularDecomposition):
     t, sub = step.transformed, step.subsystem
     phi = {**step.state_inverse, **step.input_inverse}
     jac = [[phi[z].diff(v) for v in t.chart.names] for z in parent.chart.names]
+    phi = Substitution(phi)
     own, carried = set(sub.state_names), []
     for P in tail:
-        rows, _ = rref(combine([c.subs(phi) for c in w.coeffs], jac)
-                       for w in P.basis)
+        rows, _ = rref(pullback(w.coeffs, phi, jac) for w in P.basis)
         if len(rows) != P.dim or any(
                 c.vars() - own or (j >= sub.n and not c.is_zero())
                 for r in rows for j, c in enumerate(r)):

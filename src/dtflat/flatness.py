@@ -7,7 +7,7 @@ nested sequence of integrable codistributions starting from the state
 differentials.  Each iteration of either test also produces a
 projectability certificate: the largest projectable subdistribution is the
 kernel of the matrix stacking all xi-derivatives of the mixed coefficient
-block of a normalized basis, and the same independent derivative rows give
+block of a reduced basis, and the same independent derivative rows give
 the 1-forms that extend the intersection step of the dual test.  The
 verifier pairs the two sequences step by step: interior products must
 vanish identically and the dimensions must be complementary.
@@ -34,8 +34,7 @@ from .geometry import (
     is_involutive,
     meet_annihilator,
     meet_coordinates,
-    nullspace,
-    rref,
+    meet_kernel,
     same_span,
     sum_codistributions,
 )
@@ -49,35 +48,7 @@ from .systems import (
 )
 
 
-# ------------------------------------------------------- normalized bases
-
-@dataclass(frozen=True)
-class NormalizedBasis:
-    """Echelon basis of a distribution on the adapted chart: the first
-    fields carry an identity block on their pivot th-columns, the trailing
-    fields have xi-components only.  Frozen, as the chart keeps it for
-    both tests (adapted_certificate)."""
-
-    fields: list
-    theta_pivots: list  # pivot columns among the th-block, ascending
-    xi_pivots: list     # pivot columns among the xi-block (chart indices)
-
-    @property
-    def dbar(self) -> int:
-        return len(self.theta_pivots)
-
-
-def normalize_distribution_basis(dist: Distribution, n_states: int) -> NormalizedBasis:
-    """The reduced echelon basis of the distribution: the span is unchanged
-    and the output is canonical.  A basis that is already reduced (as
-    Span.span, the transport into the adapted chart and annihilator build
-    it) costs no arithmetic, only tests for zero."""
-    rows, pivots = rref(v.coeffs for v in dist.basis)
-    fields = [VectorField(dist.chart, r) for r in rows]
-    theta_pivots = [p for p in pivots if p < n_states]
-    xi_pivots = [p for p in pivots if p >= n_states]
-    return NormalizedBasis(fields, theta_pivots, xi_pivots)
-
+# ------------------------------------------------ projectability certificate
 
 @dataclass(frozen=True)
 class ProjectabilityReport:
@@ -140,13 +111,20 @@ def _xi_derivative_closure(mixed_block: list, xi_names: tuple) -> tuple:
         level = nxt
 
 
-def projectability_report(norm: NormalizedBasis, chart: Chart,
+def projectability_report(ann: Distribution,
                           n_states: int) -> ProjectabilityReport:
-    """Build the derivative-row certificate for a normalized basis."""
-    xi_names = chart.names[n_states:]
-    dbar = norm.dbar
-    nonpivot_theta = [i for i in range(n_states) if i not in norm.theta_pivots]
-    theta_fields = norm.fields[:dbar]
+    """Build the derivative-row certificate for ann, a distribution on the
+    adapted chart given by its canonical reduced basis, as annihilator
+    builds it.  Its pivots ascend, so the fields with a th pivot come
+    first, each with 1 at its own pivot and 0 at the other pivots, and the
+    fields after them have xi-components only."""
+    xi_names = ann.chart.names[n_states:]
+    leads = [next(j for j, c in enumerate(v.coeffs) if not c.is_zero())
+             for v in ann.basis]
+    theta_pivots = [p for p in leads if p < n_states]
+    dbar = len(theta_pivots)
+    nonpivot_theta = [i for i in range(n_states) if i not in theta_pivots]
+    theta_fields = ann.basis[:dbar]
     mixed_block = [[theta_fields[k].coeffs[i] for k in range(dbar)]
                    for i in nonpivot_theta]
     rows, ech = _xi_derivative_closure(mixed_block, xi_names)
@@ -162,7 +140,7 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
                     raise InternalInvariantError(
                         "kernel of the derivative matrix depends on xi")
     report = ProjectabilityReport(
-        dbar=dbar, dim=len(norm.fields), theta_pivots=list(norm.theta_pivots),
+        dbar=dbar, dim=ann.dim, theta_pivots=theta_pivots,
         mixed_block=mixed_block, independent_rows=independent,
         rank=len(ech.rows),
         kernel_basis=kernel)
@@ -172,8 +150,9 @@ def projectability_report(norm: NormalizedBasis, chart: Chart,
 
 
 def adapted_certificate(chart: AdaptedChart, P: Codistribution) -> tuple:
-    """P on the adapted chart, the normalized basis of its annihilator
-    there, and the projectability certificate of that basis.
+    """P on the adapted chart, its annihilator there (the canonical
+    reduced basis, which projectability_report reads) and the
+    projectability certificate of that annihilator.
 
     Step k of both tests needs this for the same span: the distribution
     test for the annihilator of E_{k-1}, which by duality is P_k with the
@@ -183,23 +162,22 @@ def adapted_certificate(chart: AdaptedChart, P: Codistribution) -> tuple:
     basis that is not the reduced one can only miss the cache."""
     cert = chart.certificates.get(P.basis)
     if cert is None:
-        n = chart.sys.n
         P_adapted = chart.to_adapted(P)
-        norm = normalize_distribution_basis(annihilator(P_adapted), n)
-        cert = (P_adapted, norm, projectability_report(norm, chart.chart, n))
+        ann = annihilator(P_adapted)
+        cert = (P_adapted, ann, projectability_report(ann, chart.sys.n))
         chart.certificates[P.basis] = cert
     return cert
 
 
-def _projectable_core(norm: NormalizedBasis, report: ProjectabilityReport,
+def _projectable_core(ann: Distribution, report: ProjectabilityReport,
                       chart: AdaptedChart) -> Distribution:
     """Largest projectable subdistribution on the adapted chart: kernel
-    combinations of the theta-pivot fields of the normalized basis joined
-    with its xi-only fields."""
-    theta_rows = [v.coeffs for v in norm.fields[:norm.dbar]]
+    combinations of the theta-pivot fields of the reduced annihilator
+    joined with its xi-only fields."""
+    theta_rows = [v.coeffs for v in ann.basis[:report.dbar]]
     fields = [VectorField(chart.chart, combine(vec, theta_rows))
               for vec in report.kernel_basis]
-    fields.extend(norm.fields[norm.dbar:])
+    fields.extend(ann.basis[report.dbar:])
     dbar_dist = Distribution.span(chart.chart, fields)
     if dbar_dist.dim != report.projectable_dim:
         raise InternalInvariantError(
@@ -217,31 +195,23 @@ def largest_projectable_subdistribution(dist: Distribution,
     The adapted chart is used for the certificate and the core only; the
     subdistribution on (x, u) is built on (x, u), as the part of dist that
     the rho-forms of the certificate annihilate.  On the adapted chart the
-    normalized basis of dist has theta-pivot fields theta_k, which carry 1
-    at their own pivot and 0 at the other pivots, and xi-only fields.  A
+    reduced basis of dist has theta-pivot fields theta_k, which carry 1 at
+    their own pivot and 0 at the other pivots, and xi-only fields.  A
     rho-form lives on the theta-pivot columns, so rho_j(theta_k) =
     -row_j[k] and rho_j vanishes on the xi-only fields: a field
     sum_k c_k theta_k + (xi-only part) pairs to zero with every rho_j
     exactly when c lies in the kernel of the derivative rows, i.e. exactly
     on the core.  The interior product does not depend on the chart, so on
-    (x, u) the combinations sum_i a_i v_i of dist's basis with a in the
-    kernel of the pairing matrix [rho_j(v_i)] span the core, and their
-    reduced basis is the canonical one that pulling the core back through
-    the chart would give.  Without derivative rows nothing is annihilated
-    and the subdistribution is dist itself."""
-    _, norm, report = adapted_certificate(chart, annihilator(dist))
-    core = _projectable_core(norm, report, chart)
-    if not report.independent_rows:
-        D = Distribution.span(dist.chart, dist.basis)
-    else:
-        rhos = [chart.form_from_adapted(w)
-                for w in report.added_forms(chart.chart)]
-        pairing = [[interior_product(v, rho) for v in dist.basis]
-                   for rho in rhos]
-        rows = [v.coeffs for v in dist.basis]
-        D = Distribution.span(dist.chart, [
-            VectorField(dist.chart, combine(a, rows))
-            for a in nullspace(pairing)])
+    (x, u) the core is meet_kernel of dist with the pairing rows
+    [rho_j(v_i)], and its reduced basis is the canonical one that pulling
+    the core back through the chart would give.  Without derivative rows
+    nothing is annihilated and the subdistribution is dist itself."""
+    _, ann, report = adapted_certificate(chart, annihilator(dist))
+    core = _projectable_core(ann, report, chart)
+    rhos = [chart.form_from_adapted(w)
+            for w in report.added_forms(chart.chart)]
+    D = meet_kernel(dist, ([interior_product(v, rho) for v in dist.basis]
+                           for rho in rhos))
     inside = dist.echelon()
     for v in D.basis:
         if not inside.contains(v.coeffs):
@@ -376,7 +346,7 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     # dimension n + m - m = n, so the two are equal.
     inter = meet_annihilator(P, sys.update_kernel)
 
-    # Adapted-chart route: the annihilator of P_k, normalized, yields the
+    # Adapted-chart route: the reduced annihilator of P_k yields the
     # derivative rows whose span extends the intersection to the smallest
     # xi-invariant codistribution.
     P_adapted, _, report = adapted_certificate(chart, P)

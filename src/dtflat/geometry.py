@@ -466,22 +466,25 @@ def annihilator(space: Span) -> Span:
     return dual.span(chart, [dual.element(chart, k) for k in kernel])
 
 
-# Meets of a codistribution p with a second span.  A form sum a_i p_i of
-# p lies in the second span exactly when a solves a linear system with
-# one column per basis form of p, so only that system is solved, not the
-# stacked system of both bases with n + m rows and dim p + dim q columns.
+# Meets of a span p with a second span.  An element sum a_i p_i of p lies
+# in the second span exactly when a solves a linear system with one column
+# per basis row of p, so only that system is solved, not the stacked
+# system of both bases with n + m rows and dim p + dim q columns.
 
-def _meet(p: Codistribution,
-          conditions: Iterable[Sequence[Scalar]]) -> Codistribution:
-    """The forms sum a_i p_i with a in the kernel of the condition rows,
-    as the canonical reduced basis of their span; p itself when it has no
-    forms."""
+def meet_kernel(p: Span, conditions: Iterable[Sequence[Scalar]]) -> Span:
+    """The elements sum a_i p_i of p, a span of either kind, with a in the
+    kernel of the condition rows (one entry per basis row of p), as the
+    canonical reduced basis of their span; p itself when it is empty.
+    Without conditions that is p's reduced basis.  The codistribution step
+    meets P_k with span{df} this way (meet_coordinates, meet_annihilator),
+    and the distribution step takes D_{k-1} as the fields of E_{k-1} that
+    the rho-forms annihilate."""
     if not p.basis:
         return p
     chart = p.chart
     p_rows = [w.coeffs for w in p.basis]
-    return Codistribution.span(chart, [
-        OneForm(chart, combine(a, p_rows))
+    return type(p).span(chart, [
+        p.element(chart, combine(a, p_rows))
         for a in Echelon(conditions).kernel(len(p_rows))])
 
 
@@ -492,8 +495,8 @@ def meet_coordinates(p: Codistribution, columns: Sequence[int]) -> Codistributio
     chart, where span{df} is span{dth}; on (x, u) it uses
     meet_annihilator."""
     keep = set(columns)
-    return _meet(p, ([w.coeffs[c] for w in p.basis]
-                     for c in range(p.chart.dim) if c not in keep))
+    return meet_kernel(p, ([w.coeffs[c] for w in p.basis]
+                           for c in range(p.chart.dim) if c not in keep))
 
 
 def meet_annihilator(p: Codistribution, d: Distribution) -> Codistribution:
@@ -503,8 +506,8 @@ def meet_annihilator(p: Codistribution, d: Distribution) -> Codistribution:
     P_k that annihilate ker df: over the function field ann(ann(S)) = S
     for every span S, so ann(ker df) = span{df}."""
     _require_same_chart(p, d)
-    return _meet(p, ([interior_product(v, w) for w in p.basis]
-                     for v in d.basis))
+    return meet_kernel(p, ([interior_product(v, w) for w in p.basis]
+                           for v in d.basis))
 
 
 def sum_codistributions(p: Codistribution, q: Codistribution) -> Codistribution:

@@ -181,11 +181,7 @@ class AdaptedChart:
         self.h_names = h_names
         self.chart = sys.chart_adapted
         # forward map: each adapted coordinate as a function on (x, u)
-        self.forward = {}
-        for i, g in enumerate(sys.f, start=1):
-            self.forward[f"th{i}"] = g
-        for j, h in enumerate(h_names, start=1):
-            self.forward[f"xi{j}"] = Scalar.var(h)
+        self.forward = _forward_map(sys, h_names)
         # inverse map: each original coordinate as a function on (th, xi)
         self.inverse = dict(inverse)
         # both maps are fixed, so their powers are built once per chart
@@ -217,16 +213,14 @@ class AdaptedChart:
     def form_to_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.sys.chart:
             raise ValueError("form is not on the system chart")
-        coeffs = [c if c.is_zero() else self.scalar_to_adapted(c)
-                  for c in w.coeffs]
-        return OneForm(self.chart, combine(coeffs, self._jac_inverse))
+        return OneForm(self.chart,
+                       pullback(w.coeffs, self._into, self._jac_inverse))
 
     def form_from_adapted(self, w: OneForm) -> OneForm:
         if w.chart != self.chart:
             raise ValueError("form is not on the adapted chart")
-        coeffs = [c if c.is_zero() else self.scalar_from_adapted(c)
-                  for c in w.coeffs]
-        return OneForm(self.sys.chart, combine(coeffs, self._jac_forward))
+        return OneForm(self.sys.chart,
+                       pullback(w.coeffs, self._out, self._jac_forward))
 
     # -------------------------------------------------------------- spans
 
@@ -436,6 +430,15 @@ def _invert_greedy(sys: DiscreteSystem, h_names: tuple):
     return inverse
 
 
+def _forward_map(sys: DiscreteSystem, h_names: tuple) -> dict:
+    """The chart map F = (f, h): each adapted coordinate th_i, xi_j as a
+    function on (x, u)."""
+    forward = {f"th{i}": g for i, g in enumerate(sys.f, start=1)}
+    forward.update((f"xi{j}", Scalar.var(h))
+                   for j, h in enumerate(h_names, start=1))
+    return forward
+
+
 # seed of the rational points at which _check_at_point evaluates G o F
 _POINT_SEED = 20240817
 _POINT_TRIES = 8
@@ -446,12 +449,12 @@ def _check_at_point(sys: DiscreteSystem, h_names: tuple,
     """G o F = id at one seeded rational point where no denominator of f
     or of the inverse vanishes, in exact Fraction arithmetic: the guard on
     the expansion of the inverse (see build_adapted_chart)."""
+    forward = _forward_map(sys, h_names)
     rng = random.Random(_POINT_SEED)
     for _ in range(_POINT_TRIES):
         p = {v: Fraction(rng.randint(-999, 999)) for v in sys.chart.names}
         try:
-            q = {f"th{i}": g.eval_at(p) for i, g in enumerate(sys.f, start=1)}
-            q.update((f"xi{j}", p[h]) for j, h in enumerate(h_names, start=1))
+            q = {a: g.eval_at(p) for a, g in forward.items()}
             back = {v: g.eval_at(q) for v, g in inverse.items()}
         except EvalSingular:
             continue
@@ -470,10 +473,7 @@ def _verify_inverse(sys: DiscreteSystem, h_names: tuple,
                     inverse: Mapping[str, Scalar]) -> str | None:
     """Round trip for a hinted inverse: substituting th = f(x,u),
     xi = h(x,u) into it must return each original coordinate exactly."""
-    forward = {f"th{i}": g for i, g in enumerate(sys.f, start=1)}
-    for j, h in enumerate(h_names, start=1):
-        forward[f"xi{j}"] = Scalar.var(h)
-    forward = Substitution(forward)
+    forward = Substitution(_forward_map(sys, h_names))
     for v in sys.chart.names:
         expr = inverse.get(v)
         if expr is None:
@@ -547,20 +547,37 @@ def backward_shift_codistribution(pplus: Codistribution,
         for row in rows])
 
 
-def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:
-    """One application of the shift operator to a function of the states."""
+def _require_states(g: Scalar, sys: DiscreteSystem) -> None:
     bad = g.vars() - set(sys.state_names)
     if bad:
         raise UnsupportedShift(
             f"forward shift is only modeled for state functions; "
             f"{sorted(bad)} are not states")
+
+
+def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:
+    """One application of the shift operator to a function of the states."""
+    _require_states(g, sys)
     return g.subs({x: gi for x, gi in zip(sys.state_names, sys.f)})
 
 
+def pullback(coeffs: Sequence[Scalar], phi: Substitution,
+             jac: Sequence[Sequence[Scalar]]) -> list:
+    """The coefficients of the pullback of the form sum_a coeffs[a] dy_a
+    through a map y = phi(z): sum_a coeffs[a](phi) dphi_a, where row a of
+    jac is dphi_a on z.  Zero coefficients are not substituted."""
+    return combine([c if c.is_zero() else c.subs(phi) for c in coeffs], jac)
+
+
 def pullback_f(p: Codistribution, sys: DiscreteSystem) -> Codistribution:
-    """f^* p on (x, u) for p in span{dx}: sum a_i dx_i to sum a_i(f) df_i."""
+    """f^* p on (x, u) for p in span{dx} with coefficients in the states:
+    sum a_i dx_i to sum a_i(f) df_i, that is, each a_i forward-shifted."""
     if any(w.coeffs[sys.n:] != (ZERO,) * sys.m for w in p.basis):
         raise ValueError("codistribution is not inside span{dx}")
-    return Codistribution.span(sys.chart, [OneForm(sys.chart, combine(
-        [forward_shift(c, sys) for c in w.coeffs[:sys.n]], sys.jacobian))
+    for w in p.basis:
+        for c in w.coeffs[:sys.n]:
+            _require_states(c, sys)
+    shift = Substitution(dict(zip(sys.state_names, sys.f)))
+    return Codistribution.span(sys.chart, [
+        OneForm(sys.chart, pullback(w.coeffs[:sys.n], shift, sys.jacobian))
         for w in p.basis])

@@ -1,29 +1,30 @@
 """Reference computations the tests compare the package against."""
 
 from dtflat.geometry import (
-    Codistribution,
-    OneForm,
+    Span,
     _require_same_chart,
     combine,
     nullspace,
 )
 
 
-def intersect(p: Codistribution, q: Codistribution) -> Codistribution:
-    """Forms expressible with rational-function coefficients in both bases,
-    found by solving the stacked linear system over the function field.
-    The codistribution step does not use it: it takes P_k meet span{df}
-    with geometry.meet_annihilator, and the meet with span{dth} with
-    geometry.meet_coordinates; both are checked against this."""
+def intersect(p: Span, q: Span) -> Span:
+    """Elements expressible with rational-function coefficients in both
+    bases of two spans of one kind, found by solving the stacked linear
+    system over the function field.  The package does not use it: the
+    codistribution step takes P_k meet span{df} with
+    geometry.meet_annihilator, and the meet with span{dth} with
+    geometry.meet_coordinates, and the distribution step takes D_{k-1}
+    with geometry.meet_kernel; each is checked against this."""
     _require_same_chart(p, q)
-    chart = p.chart
+    chart, kind = p.chart, type(p)
     if not p.basis or not q.basis:
-        return Codistribution(chart, [])
+        return kind(chart, [])
     # Columns: coefficients a of p-basis and b of q-basis with
     # sum a_i p_i - sum b_j q_j = 0, one row per chart coordinate.
     rows = [[w.coeffs[c] for w in p.basis] + [-w.coeffs[c] for w in q.basis]
             for c in range(chart.dim)]
     p_rows = [w.coeffs for w in p.basis]
-    forms = [OneForm(chart, combine(vec[:len(p_rows)], p_rows))
-             for vec in nullspace(rows)]
-    return Codistribution.span(chart, forms)
+    return kind.span(chart, [
+        p.element(chart, combine(vec[:len(p_rows)], p_rows))
+        for vec in nullspace(rows)])

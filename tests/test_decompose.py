@@ -44,6 +44,7 @@ from dtflat.geometry import (
     VectorField,
     d_scalar,
     generic_rank,
+    is_integrable,
     same_span,
 )
 from dtflat.systems import DiscreteSystem, build_adapted_chart
@@ -101,11 +102,39 @@ class TestFirstIntegrals:
         assert ratio.is_const()
 
     def test_nonintegrable_rejected(self):
+        # the Frobenius test runs once the search leaves a form over, and
+        # before hints: with or without them, the same error
         s = mk(["x", "y", "z"], ["u1"], ["y", "z", "u1"], name="contact")
         ch = s.chart
-        w = form(ch, ("x", Scalar.var("y") * -1), ("z", 1))
+        p = Codistribution(ch, [form(ch, ("x", Scalar.var("y") * -1),
+                                     ("z", 1))])
+        raised = []
+        for hints in (None, [parse_scalar("x")], [parse_scalar("z - x*y")]):
+            with pytest.raises(IntegralsNotFound) as err:
+                find_first_integrals(p, s, hints=hints)
+            raised.append((type(err.value), str(err.value), err.value.hint))
+        assert raised == [(IntegralsNotFound,
+                           "codistribution fails the Frobenius condition; "
+                           "no first integrals exist", None)] * 3
+
+    def test_frobenius_runs_only_on_a_residual(self, acad, monkeypatch):
+        import dtflat.decompose as decompose
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return is_integrable(p)
+
+        monkeypatch.setattr(decompose, "is_integrable", spy)
+        p2 = analyze(acad).codistribution.steps[0].P_next
+        find_first_integrals(p2, acad)
+        decompose_step(acad, p2)
+        assert calls == []
+        s = mk(["x1", "x2"], ["u1"], ["x2", "u1"], name="chain")
+        w = form(s.chart, ("x1", parse_scalar("1/x1")), ("x2", 1))
         with pytest.raises(IntegralsNotFound):
-            find_first_integrals(Codistribution(ch, [w]), s)
+            find_first_integrals(Codistribution(s.chart, [w]), s)
+        assert len(calls) == 1
 
     def test_input_component_rejected(self, acad):
         ch = acad.chart

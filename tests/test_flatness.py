@@ -27,11 +27,11 @@ from dtflat.exprs import ONE, ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
     ProjectabilityReport,
     _xi_derivative_closure,
+    adapted_certificate,
     analyze,
     codistribution_step,
     distribution_step,
     largest_projectable_subdistribution,
-    normalize_distribution_basis,
     projectability_report,
     run_codistribution_test,
     run_distribution_test,
@@ -569,54 +569,69 @@ class TestFixtures:
             assert cascade.depth == kbar - 1
 
 
-# ------------------------------------------------------- normalized bases
+# ------------------------------------- certificates of reduced annihilators
 
 class TestNormalizeBasis:
+    """The certificate needs no normalization step: projectability_report
+    reads the theta pivots and the mixed block from the canonical reduced
+    basis, normalized to 1 at each pivot, that Distribution.span and
+    annihilator build."""
+
     def test_elimination(self, acad):
         ch = acad.chart_adapted
-        d = Distribution(ch, [
-            VectorField(ch, [ONE, ONE, ZERO, ZERO, ZERO, ZERO]),
-            VectorField(ch, [ZERO, ONE, ZERO, ZERO, ZERO, ZERO])])
-        norm = normalize_distribution_basis(d, acad.n)
-        assert norm.dbar == 2
-        assert norm.theta_pivots == [0, 1]
-        expect = Distribution(ch, [VectorField.unit(ch, "th1"),
-                                   VectorField.unit(ch, "th2")])
-        assert same_span(Distribution(ch, norm.fields), expect)
+        ann = Distribution.span(ch, [
+            field6(ch, ("th1", 1), ("th2", 1)), field6(ch, ("th2", 1)),
+            field6(ch, ("th1", 1), ("xi1", 1))])
+        rep = projectability_report(ann, acad.n)
+        assert rep.theta_pivots == [0, 1] and rep.dbar == 2
+        assert rep.dim == 3
+        assert same_span(Distribution(ch, ann.basis[:rep.dbar]), Distribution(
+            ch, [VectorField.unit(ch, "th1"), VectorField.unit(ch, "th2")]))
+        assert ann.basis[rep.dbar:] == (VectorField.unit(ch, "xi1"),)
+        # the mixed block holds the non-pivot th-coefficients of the
+        # theta-pivot fields: zero here
+        assert rep.mixed_block == [[ZERO, ZERO], [ZERO, ZERO]]
 
     def test_xi_only_field(self, acad):
         ch = acad.chart_adapted
-        d = Distribution(ch, [VectorField.unit(ch, "xi1")])
-        norm = normalize_distribution_basis(d, acad.n)
-        assert norm.dbar == 0
-        assert norm.xi_pivots == [4]
+        ann = Distribution.span(ch, [VectorField.unit(ch, "xi1")])
+        rep = projectability_report(ann, acad.n)
+        assert rep.dbar == 0 and rep.theta_pivots == [] and rep.dim == 1
+        assert rep.projectable_dim == 1
 
-    def test_reduced_basis_taken_as_is(self, acad, acad_chart, row_operations):
+    def test_reduced_basis_taken_as_is(self, acad, acad_chart,
+                                       row_operations):
         e1 = Distribution(acad.chart, [field6(acad.chart, ("x2", -3), ("x4", 1)),
                                        field6(acad.chart, ("u1", 1)),
                                        field6(acad.chart, ("u2", 1))])
         d = distribution_to_adapted(acad_chart, e1)
         rows, pivots = rref([v.coeffs for v in d.basis])
+        assert [v.coeffs for v in d.basis] == [tuple(r) for r in rows]
         del row_operations[:]
-        norm = normalize_distribution_basis(d, acad.n)
+        rep = projectability_report(d, acad.n)
+        # pivots and the mixed block are read, and the derivative closure
+        # adds no rank here, so nothing is eliminated or normalized
         assert row_operations == []
-        assert [v.coeffs for v in norm.fields] == [tuple(r) for r in rows]
-        assert norm.fields == list(d.basis)
-        assert norm.theta_pivots + norm.xi_pivots == pivots == [0, 1, 3]
+        assert rep.theta_pivots == pivots == [0, 1, 3]
+        assert rep.mixed_block == [[d.basis[k].coeffs[2] for k in range(3)]]
+        assert rep.rank == 0 and rep.independent_rows == []
 
     def test_identity_blocks(self, acad, acad_chart):
-        # normalized theta-pivot fields carry 1 at their own pivot and 0 at
-        # the other pivots; trailing fields have no theta components
-        e0 = Distribution(acad.chart, [VectorField.unit(acad.chart, u)
-                                       for u in acad.input_names])
-        norm = normalize_distribution_basis(
-            distribution_to_adapted(acad_chart, e0), acad.n)
-        for i, p in enumerate(norm.theta_pivots):
-            for j, q in enumerate(norm.theta_pivots):
-                expected = ONE if i == j else ZERO
-                assert norm.fields[i].coeffs[q] == expected
-        for f in norm.fields[norm.dbar:]:
-            assert all(c.is_zero() for c in f.coeffs[:acad.n])
+        # on every step of the worked example, the reduced annihilator's
+        # theta-pivot fields carry 1 at their own pivot and 0 at the other
+        # pivots, and the trailing fields have no theta components
+        xi_only = 0
+        for st in run_codistribution_test(acad, acad_chart).steps:
+            _, ann, rep = adapted_certificate(acad_chart, st.P)
+            assert rep is st.report
+            assert rep.dim == ann.dim
+            for i in range(rep.dbar):
+                for j, q in enumerate(rep.theta_pivots):
+                    assert ann.basis[i].coeffs[q] == (ONE if i == j else ZERO)
+            for f in ann.basis[rep.dbar:]:
+                assert all(c.is_zero() for c in f.coeffs[:acad.n])
+                xi_only += 1
+        assert xi_only > 0
 
 
 class TestProjectableSubdistribution:

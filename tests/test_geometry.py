@@ -35,6 +35,7 @@ from dtflat.geometry import (
     lie_derivative,
     meet_annihilator,
     meet_coordinates,
+    meet_kernel,
     nullspace,
     rref,
     same_span,
@@ -1098,25 +1099,34 @@ class TestScalarConstants:
 
 
 class TestMeetAnnihilator:
-    """meet_annihilator(p, d) against intersect(p, ann(d))."""
+    """meet_annihilator(p, d) against intersect(p, ann(d)); for a
+    distribution p and a codistribution d, meet_kernel(p, pairings) the
+    same way, as the distribution step takes D_{k-1}."""
 
     def test_random_spans(self):
-        rng = random.Random(67)
         chart = Chart(("x1", "x2", "x3", "u1"))
         names = list(chart.names)
-        dims = set()
-        for _ in range(30):
-            rand = rand_rational if rng.random() < 0.3 else rand_poly
-            p, d = (span_cls.span(chart, [
-                        row_cls(chart, [rand(rng, names) if rng.random() < 0.6
-                                        else ZERO for _ in names])
-                        for _ in range(k)])
-                    for (span_cls, row_cls), k in zip(
-                        KINDS[::-1], (rng.randint(1, 3), rng.randint(1, 2))))
-            got = meet_annihilator(p, d)
-            assert got.basis == intersect(p, annihilator(d)).basis
-            dims.add(got.dim)
-        assert len(dims) >= 3
+        for kinds in (KINDS[::-1], KINDS):
+            rng = random.Random(67)
+            dims = set()
+            for _ in range(30):
+                rand = rand_rational if rng.random() < 0.3 else rand_poly
+                p, d = (span_cls.span(chart, [
+                            row_cls(chart, [rand(rng, names)
+                                            if rng.random() < 0.6
+                                            else ZERO for _ in names])
+                            for _ in range(k)])
+                        for (span_cls, row_cls), k in zip(
+                            kinds, (rng.randint(1, 3), rng.randint(1, 2))))
+                if isinstance(p, Codistribution):
+                    got = meet_annihilator(p, d)
+                else:
+                    got = meet_kernel(p, ([interior_product(v, w)
+                                           for v in p.basis] for w in d.basis))
+                    assert isinstance(got, Distribution)
+                assert got.basis == intersect(p, annihilator(d)).basis
+                dims.add(got.dim)
+            assert len(dims) >= 3
 
     def test_edge_cases(self):
         p = Codistribution.span(CH3, [OneForm(CH3, [ONE, u, ZERO]),
@@ -1128,3 +1138,7 @@ class TestMeetAnnihilator:
         assert meet_annihilator(p, everything).basis == ()
         with pytest.raises(ChartMismatch):
             meet_annihilator(p, Distribution(CH6, []))
+        empty = Distribution(CH3, [])
+        assert meet_kernel(empty, []) is empty
+        d = Distribution.span(CH3, [VectorField(CH3, [ONE, u, ZERO])])
+        assert meet_kernel(d, []).basis == d.basis
