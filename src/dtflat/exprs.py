@@ -97,18 +97,26 @@ def _mono_cmp(a: Mono, b: Mono) -> int:
     return 0
 
 
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    """True when monomial a divides b."""
-    exps = dict(b)
-    return all(exps.get(n, 0) >= e for n, e in a)
-
-
-def _mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b, assuming b divides a."""
-    exps = dict(a)
-    for n, e in b:
-        exps[n] -= e
-    return tuple(sorted((n, e) for n, e in exps.items() if e))
+def _mono_quotient(a: Mono, b: Mono) -> Mono | None:
+    """a / b, or None when monomial b does not divide a."""
+    if not b:
+        return a
+    out = []
+    j = 0
+    for n, e in a:
+        if j < len(b):
+            nb, eb = b[j]
+            if nb < n:
+                return None  # b has a variable that a lacks
+            if nb == n:
+                j += 1
+                if e < eb:
+                    return None
+                if e > eb:
+                    out.append((n, e - eb))
+                continue
+        out.append((n, e))
+    return tuple(out) if j == len(b) else None
 
 
 def _vars_of(terms) -> set:
@@ -471,7 +479,36 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 def _divide(a: dict, b: dict) -> dict | None:
     """Quotient term map of a / b in Z[x] (both nonzero), or None when b
     does not divide a there.  A division of coefficients that leaves a
-    remainder answers None at once."""
+    remainder answers None at once.
+
+    Three shapes are answered in one pass over the terms, with no heap.
+    A single term c*m divides a exactly when it divides each term of a,
+    coefficient and monomial.  a == b gives 1.  Otherwise, for operands
+    of the same length, the quotient of the leading terms q is the answer
+    when q*t is a term of a for every term t of b (a == -b included): the
+    len(b) distinct terms of q*b are then all of a.  When that check
+    fails, a quotient of more terms may still keep the length, as for
+    (x^2 - 1)/(x - 1), and the general loop decides."""
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        q_terms: dict = {}
+        for m, c in a.items():
+            qm = _mono_quotient(m, mb)
+            qc, rem = divmod(c, cb)
+            if qm is None or rem:
+                return None
+            q_terms[qm] = qc
+        return q_terms
+    if len(a) == len(b):
+        if a == b:
+            return {_MONO_ONE: 1}
+        la, lb = _leading(a), _leading(b)
+        qm = _mono_quotient(la, lb)
+        qc, rem = divmod(a[la], b[lb])
+        if qm is None or rem:
+            return None  # the loop's first step would fail the same way
+        if all(a.get(_mono_mul(qm, m)) == qc * c for m, c in b.items()):
+            return {qm: qc}
     # The remainder's leading term comes from a heap keyed on
     # (-total degree, -exponent vector over the name-sorted variables):
     # the smallest key is the largest monomial under _mono_cmp.  A monomial
@@ -498,11 +535,9 @@ def _divide(a: dict, b: dict) -> dict | None:
         lr_coeff = r.pop(lr_mono, None)
         if lr_coeff is None:
             continue
-        if not _mono_divides(lb_mono, lr_mono):
-            return None
-        qm = _mono_div(lr_mono, lb_mono)
+        qm = _mono_quotient(lr_mono, lb_mono)
         qc, rem = divmod(lr_coeff, lb_coeff)
-        if rem:
+        if qm is None or rem:
             return None
         q_terms[qm] = qc
         for mb, cb in tail:

@@ -519,7 +519,9 @@ def _clear_denominators(row: Sequence[Scalar]) -> Sequence[Scalar]:
     """g * row, where g is the monic lcm of the denominators of row, so
     every entry is a polynomial; row itself when they are all constants.
     With each den k*P, P primitive, g is G/lc(G) for G the lcm of the P's,
-    and c*g = c.num*(G/P) / (k*lc(G))."""
+    and c*g = c.num*(G/P) / (k*lc(G)).  The cofactor G/P is 1 for P = G
+    and G for a constant P, so only a proper factor P is divided out; a
+    zero entry stays as it is."""
     parts = [_primitive(c.den) for c in row]
     g = None
     for _, p in parts:
@@ -529,8 +531,16 @@ def _clear_denominators(row: Sequence[Scalar]) -> Sequence[Scalar]:
     if g is None:
         return row
     lc = g.leading()[1]
-    return [Scalar(c.num * poly_divexact(g, p), k * lc)
-            for c, (k, p) in zip(row, parts)]
+
+    def cleared(c: Scalar, k: int, p) -> Scalar:
+        if c.is_zero():
+            return c
+        if p == g:
+            return Scalar(c.num, k * lc)
+        return Scalar(c.num * (g if p.is_const() else poly_divexact(g, p)),
+                      k * lc)
+
+    return [cleared(c, k, p) for c, (k, p) in zip(row, parts)]
 
 
 def invariant_closure(p0: Codistribution, d: Distribution) -> Codistribution:

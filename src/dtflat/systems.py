@@ -547,20 +547,6 @@ def backward_shift_codistribution(pplus: Codistribution,
         for row in rows])
 
 
-def _require_states(g: Scalar, sys: DiscreteSystem) -> None:
-    bad = g.vars() - set(sys.state_names)
-    if bad:
-        raise UnsupportedShift(
-            f"forward shift is only modeled for state functions; "
-            f"{sorted(bad)} are not states")
-
-
-def forward_shift(g: Scalar, sys: DiscreteSystem) -> Scalar:
-    """One application of the shift operator to a function of the states."""
-    _require_states(g, sys)
-    return g.subs({x: gi for x, gi in zip(sys.state_names, sys.f)})
-
-
 def pullback(coeffs: Sequence[Scalar], phi: Substitution,
              jac: Sequence[Sequence[Scalar]]) -> list:
     """The coefficients of the pullback of the form sum_a coeffs[a] dy_a
@@ -574,9 +560,14 @@ def pullback_f(p: Codistribution, sys: DiscreteSystem) -> Codistribution:
     sum a_i dx_i to sum a_i(f) df_i, that is, each a_i forward-shifted."""
     if any(w.coeffs[sys.n:] != (ZERO,) * sys.m for w in p.basis):
         raise ValueError("codistribution is not inside span{dx}")
+    states = set(sys.state_names)
     for w in p.basis:
         for c in w.coeffs[:sys.n]:
-            _require_states(c, sys)
+            bad = c.vars() - states
+            if bad:
+                raise UnsupportedShift(
+                    f"forward shift is only modeled for state functions; "
+                    f"{sorted(bad)} are not states")
     shift = Substitution(dict(zip(sys.state_names, sys.f)))
     return Codistribution.span(sys.chart, [
         OneForm(sys.chart, pullback(w.coeffs[:sys.n], shift, sys.jacobian))

@@ -53,6 +53,8 @@ GOLDENS = [
 
 RAT7_JSON_SHA256 = \
     "0e09e5c2c261b5e7429ae45bc4437b81d5a064ee7a218f085ec0fc0540c27eff"
+NLCHAIN16_JSON_SHA256 = \
+    "cd97a700a3549ff53a3414b698b4f6d86c47d6a43922c024ed097a53370664fa"
 
 
 def rat_text(n: int) -> str:
@@ -62,6 +64,21 @@ def rat_text(n: int) -> str:
     dynamics.append(f"  x{n}+ = u1*(1 + x1)")
     return "\n".join([
         f"name: rat{n}",
+        "states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
+        "inputs: u1",
+        "dynamics:",
+        *dynamics,
+        "equilibrium: " + " ".join(["0"] * (n + 1)),
+    ]) + "\n"
+
+
+def nlchain_text(n: int) -> str:
+    """The .sys text of the polynomial chain x_i+ = x_{i+1} + x1*x_i,
+    x_n+ = u1 + x1^2, laid out as tests/data/golden/nlchain*.sys."""
+    dynamics = [f"  x{i}+ = x{i + 1} + x1*x{i}" for i in range(1, n)]
+    dynamics.append(f"  x{n}+ = u1 + x1^2")
+    return "\n".join([
+        f"name: nlchain{n}",
         "states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
         "inputs: u1",
         "dynamics:",
@@ -312,6 +329,20 @@ class TestRun:
         report = json.loads(data)
         assert report["distribution_test"]["dims"] == list(range(1, 9))
         assert report["codistribution_test"]["dims"] == list(range(7, -1, -1))
+        assert report["verdict"]["duality_ok"] is True
+
+    def test_nlchain16_report_digest(self, tmp_path):
+        # the widest polynomial chain kept: its closures clear many rows of
+        # constant and shared denominators; only the JSON's sha256 is kept
+        assert nlchain_text(8) == (GOLDEN / "nlchain8.sys").read_text()
+        out_path = tmp_path / "nlchain16.json"
+        assert run([str(write(tmp_path, nlchain_text(16))),
+                    "--json", str(out_path)]) == 0
+        data = out_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == NLCHAIN16_JSON_SHA256
+        report = json.loads(data)
+        assert report["distribution_test"]["dims"] == list(range(1, 18))
+        assert report["codistribution_test"]["dims"] == list(range(16, -1, -1))
         assert report["verdict"]["duality_ok"] is True
 
     def test_goldens_replayed_in_reverse_in_one_process(self, tmp_path,

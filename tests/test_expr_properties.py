@@ -257,6 +257,67 @@ def test_integer_trial_division_agrees_with_division_over_q():
     assert exact >= 40 and inexact >= 20
 
 
+def int_poly(rng: random.Random, nterms: int) -> Poly:
+    """A nonzero integer polynomial of at most nterms terms in VARS."""
+    while True:
+        p = Poly.from_terms(
+            (tuple((v, e) for v in sorted(VARS) if (e := rng.randint(0, 2))),
+             rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, 6]))
+            for _ in range(rng.randint(1, nterms)))
+        if not p.is_zero():
+            return p
+
+
+# (q, b) of each shape exact division knows: a single-term divisor (a
+# constant, a monomial, a term), a == +-b, a single-term quotient, and a
+# quotient and divisor of several terms, which the heap loop divides
+DIVISION_SHAPES = {
+    "constant divisor": lambda rng: (int_poly(rng, 4), Poly.const(
+        rng.choice([-4, -1, 1, 3]))),
+    "single-term divisor": lambda rng: (int_poly(rng, 4), int_poly(rng, 1)),
+    "equal operands": lambda rng: (Poly.const(rng.choice([-1, 1])),
+                                   int_poly(rng, 4)),
+    "single-term quotient": lambda rng: (int_poly(rng, 1), int_poly(rng, 4)),
+    "general": lambda rng: (int_poly(rng, 3), int_poly(rng, 4)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DIVISION_SHAPES))
+def test_division_by_shape_agrees_with_lowest_terms(shape, monkeypatch):
+    # q*b / b gives q back, and adding r leaves an exact division exactly
+    # when the lowest terms of (q*b + r)/b have the denominator 1: the
+    # canonical form divides integer contents out too, so that is
+    # division in Z[x] even for a constant or non-primitive b.  The shapes
+    # other than the general one never build the heap on exact input
+    from dtflat.exprs import _divide, poly_divexact
+    heaps = []
+    real = exprs.heapq.heapify
+    monkeypatch.setattr(exprs.heapq, "heapify",
+                        lambda h: (heaps.append(1), real(h))[1])
+    rng = random.Random(f"division {shape}")
+    exact = inexact = 0
+    for _ in range(100):
+        q, b = DIVISION_SHAPES[shape](rng)
+        assert _divide((q * b).terms, b.terms) == q.terms
+        if shape != "general":
+            assert heaps == []
+        p = q * b + int_poly(rng, 2)
+        if p.is_zero():
+            continue
+        got = _divide(p.terms, b.terms)
+        lowest = Scalar(p, b)
+        if lowest.den != Poly.const(1):
+            assert got is None
+            with pytest.raises(ArithmeticError):
+                poly_divexact(p, b)
+            inexact += 1
+        else:
+            assert got == lowest.num.terms
+            exact += 1
+        heaps.clear()
+    assert exact >= 2 and inexact >= 30
+
+
 @st.composite
 def scalars(draw):
     seed = draw(st.integers(min_value=0, max_value=10**9))

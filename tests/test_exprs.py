@@ -274,6 +274,77 @@ def assert_exact(p: Poly, want: dict):
         assert type(c) is int, repr(c)
 
 
+class TestDivisionShapes:
+    """Exact division answers a single-term divisor, a == +-b and a
+    single-term quotient in one pass, without the heap of the general
+    loop; every answer, exact or not, is the one the loop gives."""
+
+    x, y = Poly.variable("x"), Poly.variable("y")
+
+    @pytest.fixture
+    def heapified(self, monkeypatch):
+        """One entry per heap the division builds while the test runs."""
+        calls, real = [], exprs.heapq.heapify
+
+        def spy(heap):
+            calls.append(len(heap))
+            return real(heap)
+
+        monkeypatch.setattr(exprs.heapq, "heapify", spy)
+        return calls
+
+    def test_single_term_divisors(self, heapified):
+        x, y = self.x, self.y
+        p = x * x * y.scale(6) + x * y.scale(3)
+        assert_exact(poly_divexact(p, x * y.scale(3)), {X: 2, (): 1})
+        assert_exact(poly_divexact(p, x * y.scale(-3)), {X: -2, (): -1})
+        assert_exact(poly_divexact(p, Poly.const(3)),
+                     {(("x", 2), ("y", 1)): 2, (("x", 1), ("y", 1)): 1})
+        assert poly_divexact(p, Poly.const(1)) == p
+        assert poly_divexact(p, Poly.const(-1)) == -p
+        assert heapified == []
+
+    def test_single_term_divisor_that_does_not_divide(self, heapified):
+        x, y = self.x, self.y
+        # 4*x*y leaves a remainder by 3*x*y; x does not divide by x*y, and
+        # x*y has a variable that x^2 lacks
+        p = x * x * y.scale(6) + x * y.scale(4)
+        assert exprs._divide(p.terms, (x * y.scale(3)).terms) is None
+        with pytest.raises(ArithmeticError):
+            poly_divexact(p, x * y.scale(3))
+        with pytest.raises(ArithmeticError):
+            poly_divexact(p, Poly.const(4))
+        assert exprs._divide((x * x * y + x).terms, (x * y).terms) is None
+        assert exprs._divide((x * x).terms, y.terms) is None
+        assert heapified == []
+
+    def test_equal_and_opposite_operands(self, heapified):
+        p = self.x * self.x - self.y.scale(3) + Poly.const(2)
+        assert_exact(poly_divexact(p, p), {(): 1})
+        assert_exact(poly_divexact(-p, p), {(): -1})
+        assert_exact(poly_divexact(p, -p), {(): -1})
+        assert heapified == []
+
+    def test_single_term_quotient(self, heapified):
+        x, y = self.x, self.y
+        b = x * y + Poly.const(2)
+        assert_exact(poly_divexact((x * x).scale(3) * b, b), {(("x", 2),): 3})
+        assert_exact(poly_divexact(b.scale(-2), b), {(): -2})
+        assert heapified == []
+        # same length and lead quotient 1, but x*y + 3 is not 1*b: the
+        # loop decides, and finds the remainder
+        assert exprs._divide((x * y + Poly.const(3)).terms, b.terms) is None
+        assert len(heapified) == 1
+
+    def test_equal_length_two_term_quotient_falls_through(self, heapified):
+        # (x^2 - 1)/(x - 1) keeps the length with a quotient of two terms:
+        # the single-term check fails and the loop gives x + 1
+        one = Poly.const(1)
+        assert_exact(poly_divexact(self.x * self.x - one, self.x - one),
+                     {X: 1, (): 1})
+        assert len(heapified) == 1
+
+
 class TestExactCoefficients:
     """Each division of coefficients, at each site, on int operands stays
     in the integers: an int / int there would be a float, and a Fraction

@@ -598,6 +598,63 @@ class TestClearedClosure:
             ech, again = Echelon(rows), Echelon(cleared)
             assert (again.rows, again.pivots) == (ech.rows, ech.pivots)
 
+    # primitive factors in x1 and x2; numerators are in u alone, so no
+    # factor cancels and each entry's denominator is an integer times the
+    # product of the factors drawn for it
+    FACTORS = [parse_scalar(t) for t in
+               ("1 + x1^2", "x2 - 3", "x1*x2 + 1", "x1", "2*x2 + 1")]
+
+    def test_rows_against_the_monic_lcm(self):
+        # g is the product of each factor to its largest power over the
+        # row, divided by its leading coefficient, and the cleared row is
+        # [c * g]: zero entries, a denominator shared by several entries,
+        # distinct ones and constants, mixed
+        rng = random.Random(1729)
+        seen = {"zero": 0, "whole lcm": 0, "proper factor": 0, "constant": 0}
+        for _ in range(40):
+            shared = {i: rng.randint(1, 2)
+                      for i in rng.sample(range(len(self.FACTORS)), 2)}
+            kinds = rng.choices(["zero", "shared", "distinct", "constant"],
+                                k=rng.randint(2, 6))
+            powers = []
+            for kind in kinds:
+                if kind == "shared":
+                    powers.append(shared)
+                elif kind == "distinct":
+                    powers.append({i: rng.randint(1, 2) for i in rng.sample(
+                        range(len(self.FACTORS)), rng.randint(1, 3))})
+                else:
+                    powers.append({} if kind == "constant" else None)
+            row = []
+            for e in powers:
+                if e is None:
+                    row.append(ZERO)
+                    continue
+                den = Scalar(rng.choice([1, 2, -3, 6]))
+                for i, k in e.items():
+                    den = den * self.FACTORS[i] ** k
+                row.append((rng.choice([-2, 1, 3]) + rng.choice([0, 1, 4]) * u)
+                           / den)
+            lcm = {}
+            for e in powers:
+                for i, k in (e or {}).items():
+                    lcm[i] = max(k, lcm.get(i, 0))
+            got = _clear_denominators(row)
+            if not lcm:
+                assert got is row
+                continue
+            g = ONE
+            for i, k in lcm.items():
+                g = g * self.FACTORS[i] ** k
+            g = g / g.num.leading()[1]
+            assert got == [c * g for c in row]
+            for c, new, e in zip(row, got, powers):
+                if e is None:
+                    assert new is c
+                seen["zero" if e is None else "constant" if not e
+                     else "whole lcm" if e == lcm else "proper factor"] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_polynomial_rows_pass_through(self):
         for row in ([ZERO] * 3, [ONE, u * u - 2, ZERO],
                     [Scalar(Fraction(1, 2)), -u, Scalar(3)]):

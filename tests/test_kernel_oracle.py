@@ -1,6 +1,7 @@
-"""The polynomial gcd and the generic rank against sympy, which shares no
-code with the kernel: ``poly_gcd`` against ``sympy.gcd`` (equal up to a
-nonzero constant factor) and ``generic_rank`` against the rank of the
+"""The polynomial gcd, exact division and the generic rank against sympy,
+which shares no code with the kernel: ``poly_gcd`` against ``sympy.gcd``
+(equal up to a nonzero constant factor), ``poly_divexact`` against
+``sympy.div`` and ``generic_rank`` against the rank of the
 same ``Matrix`` as sympy's ``DomainMatrix`` over its fraction field
 (exact; ``Matrix.rank`` with a ``cancel`` zero test is far slower on the
 4x4 cases).
@@ -21,8 +22,9 @@ import pytest
 
 import dtflat.exprs as exprs
 from dtflat.cli import run
-from dtflat.exprs import Poly, Scalar, poly_gcd
+from dtflat.exprs import Poly, Scalar, poly_divexact, poly_gcd
 from dtflat.geometry import generic_rank
+from test_expr_properties import DIVISION_SHAPES, int_poly
 from test_subs_oracle import VARS, random_poly, random_rational, to_sympy
 
 sympy = pytest.importorskip("sympy")
@@ -162,6 +164,34 @@ def test_gcd_matches_sympy_on_the_remainder_sequence(monkeypatch):
     # rational pairs run.
     monkeypatch.setattr(exprs, "_heu_gcd", lambda a, b: None)
     assert assert_gcds_match_sympy(rational_cases(20241019)) >= 15
+
+
+@pytest.mark.parametrize("shape", sorted(DIVISION_SHAPES))
+def test_divexact_matches_sympy_div_by_shape(shape):
+    # poly_divexact against sympy's division over QQ on each shape exact
+    # division knows: b divides p in Z[x] exactly when sympy leaves no
+    # remainder and an integral quotient (b alone is a Groebner basis of
+    # the ideal it generates, so the remainder decides divisibility)
+    gens = sympy.symbols("u1 x1 x2")
+    rng = random.Random(f"sympy division {shape}")
+    exact = inexact = 0
+    for _ in range(25):
+        q, b = DIVISION_SHAPES[shape](rng)
+        for p in (q * b, q * b + int_poly(rng, 2)):
+            if p.is_zero():
+                continue
+            quo, rem = sympy.div(poly_to_sympy(p), poly_to_sympy(b), *gens,
+                                 domain="QQ")
+            if rem == 0 and all(c.is_integer
+                                for c in sympy.Poly(quo, *gens).coeffs()):
+                ours = poly_divexact(p, b)
+                assert sympy.expand(poly_to_sympy(ours) - quo) == 0, (p, b)
+                exact += 1
+            else:
+                with pytest.raises(ArithmeticError):
+                    poly_divexact(p, b)
+                inexact += 1
+    assert exact >= 25 and inexact >= 5
 
 
 def test_gcd_after_an_unlucky_evaluation_point(monkeypatch):

@@ -32,7 +32,6 @@ from dtflat.systems import (
     DiscreteSystem,
     backward_shift_codistribution,
     build_adapted_chart,
-    forward_shift,
     pullback_f,
     pullback_pi,
     pushforward_projectable,
@@ -370,20 +369,35 @@ class TestPushPull:
 
 
 class TestShifts:
-    def test_forward_shift_third_component(self, acad):
-        assert forward_shift(Scalar.var("x3"), acad) == parse_scalar("u1 + 2*u2")
+    def check_shift(self, acad, g: Scalar, g_shifted: Scalar) -> None:
+        # f^*(dx3 + g dx4) = df3 + g(f) df4, with df3 = du1 + 2 du2 and
+        # df4 = (x3 + 1) dx1 + x1 dx3 + du2.  A span of one form fixes the
+        # form up to a factor, and du1 keeps the factor 1, so the span
+        # fixes the shifted coefficient g(f)
+        ch = acad.chart
+        x1, x3 = Scalar.var("x1"), Scalar.var("x3")
+        w = OneForm(ch, [ZERO, ZERO, ONE, g, ZERO, ZERO])
+        expect = OneForm(ch, [g_shifted * (x3 + 1), ZERO, g_shifted * x1,
+                              ZERO, ONE, g_shifted + 2])
+        got = pullback_f(Codistribution(ch, [w]), acad)
+        assert same_span(got, Codistribution(ch, [expect]))
 
-    def test_forward_shift_constant(self, acad):
+    def test_pullback_f_shifts_third_component(self, acad):
+        self.check_shift(acad, Scalar.var("x3"), parse_scalar("u1 + 2*u2"))
+
+    def test_pullback_f_constant_coefficient(self, acad):
         c = Scalar(Fraction(5, 2))
-        assert forward_shift(c, acad) == c
+        self.check_shift(acad, c, c)
 
-    def test_forward_shift_product_collapses(self, acad):
+    def test_pullback_f_product_collapses(self, acad):
         g = Scalar.var("x1") * (Scalar.var("x3") + 1)
-        assert forward_shift(g, acad) == parse_scalar("x2 + x3 + 3*x4")
+        self.check_shift(acad, g, parse_scalar("x2 + x3 + 3*x4"))
 
-    def test_forward_shift_rejects_inputs(self, acad):
+    def test_pullback_f_rejects_inputs(self, acad):
+        ch = acad.chart
+        w = OneForm(ch, [Scalar.var("u1"), ZERO, ZERO, ZERO, ZERO, ZERO])
         with pytest.raises(UnsupportedShift):
-            forward_shift(Scalar.var("u1"), acad)
+            pullback_f(Codistribution(ch, [w]), acad)
 
     @pytest.mark.parametrize("name", ["academic4", "rat4", "nonflat3"])
     def test_pullback_f_of_each_p_next_is_its_pplus(self, name):
@@ -479,11 +493,12 @@ class TestShifts:
             OneForm(ch, [ZERO, ONE, ZERO, Scalar(3), ZERO, ZERO])])
         P2 = backward_shift_codistribution(pplus, acad)
         pplus_xu = acad_chart.from_adapted(pplus)
+        shift = dict(zip(acad.state_names, acad.f))
         for w in P2.basis:
             # map dx_i -> df_i with coefficients shifted forward
             coeffs = [ZERO] * acad.chart.dim
             for i, x in enumerate(acad.state_names):
-                ci = forward_shift(w.coeffs[i], acad)
+                ci = w.coeffs[i].subs(shift)
                 if ci.is_zero():
                     continue
                 for b in range(acad.chart.dim):
