@@ -153,12 +153,10 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
     if not p.basis:
         return FirstIntegralSet([], "coordinate-pick")
 
-    rows, _ = rref(w.coeffs for w in p.basis)
-    forms = [OneForm(p.chart, r) for r in rows]
     integrals: list = []
     methods: list = []
     residual: list = []
-    for w in forms:
+    for w in p.basis:
         nonzero = [i for i, c in enumerate(w.coeffs) if not c.is_zero()]
         if len(nonzero) == 1 and w.coeffs[nonzero[0]] == ONE:
             integrals.append(Scalar.var(p.chart.names[nonzero[0]]))
@@ -310,8 +308,7 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
     if p2.dim == 0:
         return _terminal_step(sys, state_prefix, input_prefix)
 
-    input_jac = [[g.diff(u) for u in sys.input_names] for g in sys.f]
-    input_rank = generic_rank(input_jac)
+    input_rank = generic_rank(row[n:] for row in sys.jacobian)
     if input_rank != m:
         raise NormalizationFailed(
             f"the normalization route requires generic rank m = {m} of the "

@@ -14,8 +14,8 @@ lexicographic over name-sorted variables.  The printed form divides num
 and den by the leading coefficient of den, and is bit-stable across runs.
 
 Values are immutable; all operations are pure functions.  No floating
-point enters any computation except the explicit ``eval_float`` helper,
-which exists only for cross-checks against finite differences.
+point enters any computation: a constant is an int or a Fraction, and any
+other value raises ValueError.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class Poly:
     """Sparse multivariate polynomial over Z.
 
     Every coefficient is an int, never a Fraction, a float or a bool:
-    ``const``, ``from_terms`` and ``scale`` raise ValueError on a value
-    that is not an integer."""
+    ``const``, ``from_terms`` and ``scale`` take an int, a bool or an
+    integral Fraction, and raise ValueError on any other value."""
 
     __slots__ = ("terms", "_hash")
 
@@ -311,15 +311,6 @@ class Poly:
             total += c
         return total if scale == 1 else Fraction(total, scale)
 
-    def eval_float(self, point: Mapping[str, float]) -> float:
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = float(c)
-            for n, e in mono:
-                v *= point[n] ** e
-            total += v
-        return total
-
     # --------------------------------------------------------- printing
 
     def __str__(self) -> str:
@@ -333,13 +324,23 @@ _P0 = Poly({})
 _P1 = Poly({_MONO_ONE: 1})
 
 
+def _rational(v):
+    """v when it is an int (a bool included) or a Fraction; ValueError
+    naming its type otherwise."""
+    if not isinstance(v, (int, Fraction)):
+        raise ValueError(f"{v!r} is a {type(v).__name__}, not an int or "
+                         f"a Fraction")
+    return v
+
+
 def _as_int(c) -> int:
     """c as an int coefficient; ValueError unless c is an integer.  A bool
     becomes 0 or 1."""
-    value = c if type(c) is int else Fraction(c)
-    if value.denominator != 1:
+    if type(c) is int:
+        return c
+    if _rational(c).denominator != 1:
         raise ValueError(f"polynomial coefficient {c!r} is not an integer")
-    return value.numerator
+    return c.numerator
 
 
 def _terms_str(terms: dict, d: int = 1) -> str:
@@ -943,12 +944,6 @@ class Scalar:
             raise EvalSingular("denominator vanishes at the evaluation point")
         return Fraction(self.num.eval_fraction(point)) / d
 
-    def eval_float(self, point: Mapping[str, float]) -> float:
-        d = self.den.eval_float(point)
-        if d == 0.0:
-            raise EvalSingular("denominator vanishes at the evaluation point")
-        return self.num.eval_float(point) / d
-
     # --------------------------------------------------------- printing
 
     def __str__(self) -> str:
@@ -988,7 +983,7 @@ def _over_int(v) -> tuple:
     """v, a Poly, an int or a Fraction, as (Poly p, int q) with v = p/q."""
     if isinstance(v, Poly):
         return v, 1
-    return Poly.const(v.numerator), v.denominator
+    return Poly.const(_rational(v).numerator), v.denominator
 
 
 def _canonical(num: Poly, den: Poly) -> Scalar:

@@ -114,14 +114,11 @@ def _xi_derivative_closure(mixed_block: list, xi_names: tuple) -> tuple:
 def projectability_report(ann: Distribution,
                           n_states: int) -> ProjectabilityReport:
     """Build the derivative-row certificate for ann, a distribution on the
-    adapted chart given by its canonical reduced basis, as annihilator
-    builds it.  Its pivots ascend, so the fields with a th pivot come
-    first, each with 1 at its own pivot and 0 at the other pivots, and the
-    fields after them have xi-components only."""
+    adapted chart.  The pivots of its reduced basis ascend, so the fields
+    with a th pivot come first, each with 1 at its own pivot and 0 at the
+    other pivots, and the fields after them have xi-components only."""
     xi_names = ann.chart.names[n_states:]
-    leads = [next(j for j, c in enumerate(v.coeffs) if not c.is_zero())
-             for v in ann.basis]
-    theta_pivots = [p for p in leads if p < n_states]
+    theta_pivots = [p for p in ann.pivots if p < n_states]
     dbar = len(theta_pivots)
     nonpivot_theta = [i for i in range(n_states) if i not in theta_pivots]
     theta_fields = ann.basis[:dbar]
@@ -150,16 +147,14 @@ def projectability_report(ann: Distribution,
 
 
 def adapted_certificate(chart: AdaptedChart, P: Codistribution) -> tuple:
-    """P on the adapted chart, its annihilator there (the canonical
-    reduced basis, which projectability_report reads) and the
+    """P on the adapted chart, its annihilator there and the
     projectability certificate of that annihilator.
 
     Step k of both tests needs this for the same span: the distribution
     test for the annihilator of E_{k-1}, which by duality is P_k with the
     same canonical reduced basis, and the codistribution test for P_k.
     So it is computed once per chart and span and kept on the chart,
-    keyed by the basis.  The result depends on the span alone, so a
-    basis that is not the reduced one can only miss the cache."""
+    keyed by the canonical basis."""
     cert = chart.certificates.get(P.basis)
     if cert is None:
         P_adapted = chart.to_adapted(P)

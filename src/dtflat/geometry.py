@@ -5,7 +5,9 @@ Rank semantics are generic: a rank is computed over the field of rational
 functions, i.e. off the measure-zero locus where pivots vanish.  Every rank
 question goes through one incremental reduced echelon form (Echelon), whose
 rows are the canonical basis of their span (two equal spans reduce to the
-identical basis), so every derived basis is deterministic.
+identical basis), so every derived basis is deterministic.  Every Span
+holds that form, its reduced basis and pivots, so spans compare by their
+bases and no basis is reduced twice.
 """
 
 from __future__ import annotations
@@ -259,50 +261,55 @@ def generic_rank(rows: Iterable[Sequence[Scalar]]) -> int:
     return len(rref(rows)[0])
 
 
-def nullspace(rows: Iterable[Sequence[Scalar]]) -> list:
-    """Basis of the right kernel (see Echelon.kernel)."""
-    rows = list(rows)
-    return Echelon(rows).kernel(len(rows[0])) if rows else []
-
-
 # ---------------------------------------------------------- span carriers
 
 class Span:
-    """Span of rows with a generically independent basis.  A subclass
-    names its row class (element) and the span class of its annihilator
-    (dual)."""
+    """Span of rows, held in its one canonical form: basis is the reduced
+    row echelon basis of the span and pivots its ascending leading
+    columns.  Over the rational function field that form is unique, and
+    Scalars are canonical, so two spans on one chart are equal exactly
+    when their bases are, and no caller reduces a basis again.  A
+    subclass names its row class (element) and the span class of its
+    annihilator (dual)."""
 
-    __slots__ = ("chart", "basis")
+    __slots__ = ("chart", "basis", "pivots")
     element: type
     dual: type
 
     def __init__(self, chart: Chart, basis: Sequence[Row]):
+        """The span of a generically independent basis (ValueError when
+        it is dependent), which is kept in its reduced form."""
         basis = list(basis)
         kind = self.element.__name__
         for v in basis:
             if v.chart != chart:
                 raise ChartMismatch(f"basis {kind} on a different chart")
-        if basis and generic_rank([v.coeffs for v in basis]) != len(basis):
+        rows, pivots = rref([v.coeffs for v in basis])
+        if len(rows) != len(basis):
             raise ValueError(f"basis {kind}s are generically dependent")
+        self._hold(chart, rows, pivots)
+
+    def _hold(self, chart: Chart, rows, pivots) -> None:
         self.chart = chart
-        self.basis = tuple(basis)
+        self.basis = tuple(self.element(chart, r) for r in rows)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def span(cls, chart: Chart, rows: Sequence[Row]):
-        """Reduce an arbitrary generating set to the canonical basis.  The
-        reduced rows are independent by construction, so they are not
-        ranked again as in __init__."""
-        reduced, _ = rref([v.coeffs for v in rows])
-        return cls.reduced(chart, reduced)
+        """The span of an arbitrary generating set."""
+        out = object.__new__(cls)
+        out._hold(chart, *rref([v.coeffs for v in rows]))
+        return out
 
     @classmethod
     def reduced(cls, chart: Chart, rows: Sequence[Sequence[Scalar]]):
         """The span whose basis is these coefficient rows, which the caller
-        guarantees to be in reduced row echelon form (so independent and
-        canonical); they are taken as they are."""
+        guarantees to be in reduced row echelon form; they are taken as
+        they are, and the pivots are their leading columns."""
         out = object.__new__(cls)
-        out.chart = chart
-        out.basis = tuple(cls.element(chart, r) for r in rows)
+        out._hold(chart, rows, [
+            next(j for j, c in enumerate(r) if not c.is_zero())
+            for r in rows])
         return out
 
     @property
@@ -310,8 +317,12 @@ class Span:
         return len(self.basis)
 
     def echelon(self) -> Echelon:
-        """The reduced echelon form of the basis."""
-        return Echelon(v.coeffs for v in self.basis)
+        """A fresh Echelon holding the basis rows and pivots, which the
+        caller may grow; nothing is reduced."""
+        ech = Echelon()
+        ech.rows = [list(v.coeffs) for v in self.basis]
+        ech.pivots = list(self.pivots)
+        return ech
 
     def contains(self, v: Row) -> bool:
         _require_same_chart(self, v)
@@ -342,17 +353,11 @@ Distribution.dual = Codistribution
 
 
 def same_span(a, b) -> bool:
-    """Span equality by mutual membership: the comparison contract for all
-    golden values (elimination order legitimately changes printed bases).
-    Equal bases span the same space and are compared no further; two
-    canonical reduced bases are equal exactly when their spans are."""
+    """Span equality: the comparison contract for all golden values.  Both
+    bases are the canonical reduced ones, so they are equal exactly when
+    the spans are."""
     _require_same_chart(a, b)
-    if a.basis == b.basis:
-        return True
-    if a.dim != b.dim:
-        return False
-    ech = a.echelon()
-    return all(ech.contains(v.coeffs) for v in b.basis)
+    return a.basis == b.basis
 
 
 # ------------------------------------- Lie calculus of fields and 1-forms
@@ -460,9 +465,7 @@ def annihilator(space: Span) -> Span:
     codistribution (a distribution); kernel of the coefficient matrix."""
     chart = space.chart
     dual = space.dual
-    if not space.basis:
-        return dual(chart, [dual.element.unit(chart, n) for n in chart.names])
-    kernel = nullspace([b.coeffs for b in space.basis])
+    kernel = space.echelon().kernel(chart.dim)
     return dual.span(chart, [dual.element(chart, k) for k in kernel])
 
 
@@ -597,7 +600,7 @@ def is_involutive(d: Distribution, known: Distribution | None = None) -> bool:
         _require_same_chart(d, known)
         if not all(ech.contains(v.coeffs) for v in known.basis):
             raise ValueError("known is not a subdistribution of d")
-        base, old = known.basis, set(known.echelon().pivots)
+        base, old = known.basis, set(known.pivots)
     new = [VectorField(d.chart, r)
            for r, p in zip(ech.rows, ech.pivots) if p not in old]
     pairs = itertools.chain(itertools.product(base, new),

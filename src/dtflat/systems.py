@@ -50,7 +50,6 @@ from .geometry import (
     annihilator,
     combine,
     generic_rank,
-    rref,
     same_span,
 )
 
@@ -200,14 +199,6 @@ class AdaptedChart:
             [self.inverse[b].diff(a) for a in self.chart.names]
             for b in sys.chart.names]
 
-    # ------------------------------------------------------------ scalars
-
-    def scalar_to_adapted(self, g: Scalar) -> Scalar:
-        return g.subs(self._into)
-
-    def scalar_from_adapted(self, g: Scalar) -> Scalar:
-        return g.subs(self._out)
-
     # -------------------------------------------------------------- forms
 
     def form_to_adapted(self, w: OneForm) -> OneForm:
@@ -226,9 +217,9 @@ class AdaptedChart:
 
     def to_adapted(self, span: Codistribution) -> Codistribution:
         """A codistribution on (x, u), written on the adapted chart form by
-        form (scalars move with scalar_to_adapted, single forms with
-        form_to_adapted).  Only codistributions move: a distribution raises
-        ValueError, and a caller moves its annihilator instead."""
+        form with form_to_adapted.  Only codistributions move: a
+        distribution raises ValueError, and a caller moves its annihilator
+        instead."""
         return self._transport(span, True)
 
     def from_adapted(self, span: Codistribution) -> Codistribution:
@@ -252,10 +243,9 @@ class AdaptedChart:
         return out
 
 
-def build_adapted_chart(sys: DiscreteSystem,
-                        hint: AdaptedChartHint | None = None) -> AdaptedChart:
+def build_adapted_chart(sys: DiscreteSystem) -> AdaptedChart:
     """Select m coordinates as xi (lowest-index admissible subset first,
-    honoring hints) and invert th = f by a greedy pass of single-variable
+    honoring sys.hints) and invert th = f by a greedy pass of single-variable
     linear solves.
 
     The inverse G of the chart map F = (f, h) is proved from its solves,
@@ -281,7 +271,7 @@ def build_adapted_chart(sys: DiscreteSystem,
     - the transport moves every span into the chart and back.
     A hinted inverse has no solves behind it, so _verify_inverse composes
     it with F symbolically."""
-    hint = hint if hint is not None else sys.hints
+    hint = sys.hints
     names = sys.chart.names
     if hint is not None and hint.inverse is not None and not hint.h_vars:
         raise HintInvalid("an inverse hint requires the xi selection hint "
@@ -523,13 +513,11 @@ def backward_shift_codistribution(pplus: Codistribution,
     """Backward shift of a codistribution inside span{dth} with a
     xi-independent basis: rename th -> x.  The reduced echelon basis is
     canonical, so a xi-free basis exists exactly when that basis is
-    xi-free.  Reducing a basis built by Codistribution.span costs no
-    arithmetic, only tests for zero; renaming th -> x keeps its pivot
-    columns and its 1/0 entries, so the shifted basis is reduced as
-    well."""
+    xi-free.  Renaming th -> x keeps its pivot columns and its 1/0
+    entries, so the shifted basis is reduced as well."""
     if pplus.chart != sys.chart_adapted:
         raise ValueError("codistribution is not on the adapted chart")
-    rows, _ = rref(w.coeffs for w in pplus.basis)
+    rows = [w.coeffs for w in pplus.basis]
     xi_names = sys.chart_adapted.names[sys.n:]
     for row in rows:
         for j in range(sys.n, sys.n + sys.m):

@@ -1,10 +1,10 @@
 """Reference computations the tests compare the package against."""
 
 from dtflat.geometry import (
+    Echelon,
     Span,
     _require_same_chart,
     combine,
-    nullspace,
 )
 
 
@@ -27,4 +27,16 @@ def intersect(p: Span, q: Span) -> Span:
     p_rows = [w.coeffs for w in p.basis]
     return kind.span(chart, [
         p.element(chart, combine(vec[:len(p_rows)], p_rows))
-        for vec in nullspace(rows)])
+        for vec in Echelon(rows).kernel(len(rows[0]))])
+
+
+def same_span_by_membership(a: Span, b: Span) -> bool:
+    """Span equality by mutual membership, with no use of the canonical
+    form: equal dimensions, and every basis row of b reduces to zero
+    against a's basis.  geometry.same_span compares the canonical bases
+    instead, and is checked against this."""
+    _require_same_chart(a, b)
+    if a.dim != b.dim:
+        return False
+    ech = Echelon(v.coeffs for v in a.basis)
+    return all(ech.contains(v.coeffs) for v in b.basis)

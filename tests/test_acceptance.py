@@ -14,6 +14,7 @@ import pytest
 
 from corpus import academic4, base_corpus, random_flat_corpus, random_small_system
 from dtflat.decompose import decompose_step
+from dtflat.errors import EvalSingular
 from dtflat.exprs import ZERO, Scalar, parse_scalar
 from dtflat.flatness import (
     analyze,
@@ -287,8 +288,9 @@ def test_criterion_8_symbolic_kernel_soundness():
                     raise
         identities += 1
 
-    # derivative vs central finite differences at regular points
-    step_h = 1e-4
+    # derivative vs exact central finite differences at regular rational
+    # points, with a rational step
+    step_h = Fraction(1, 10 ** 4)
     checked = 0
     attempts = 0
     while checked < 50 and attempts < 4000:
@@ -299,20 +301,20 @@ def test_criterion_8_symbolic_kernel_soundness():
         if da.is_zero():
             continue
         d3 = da.diff(v).diff(v)
-        pt = {w: rng.uniform(0.3, 2.0) for w in vars_}
+        pt = {w: Fraction(rng.randint(30, 200), 100) for w in vars_}
         try:
-            up = a.eval_float({**pt, v: pt[v] + step_h})
-            dn = a.eval_float({**pt, v: pt[v] - step_h})
-            exact = da.eval_float(pt)
-            third = d3.eval_float(pt)
-        except Exception:
+            up = a.eval_at({**pt, v: pt[v] + step_h})
+            dn = a.eval_at({**pt, v: pt[v] - step_h})
+            exact = da.eval_at(pt)
+            third = d3.eval_at(pt)
+        except EvalSingular:
             continue
-        if abs(exact) < 1e-8:
+        if abs(exact) < Fraction(1, 10 ** 8):
             continue
-        if step_h ** 2 / 6 * abs(third) / abs(exact) > 1e-7:
+        if step_h ** 2 / 6 * abs(third) / abs(exact) > Fraction(1, 10 ** 7):
             continue
         fd = (up - dn) / (2 * step_h)
-        assert abs(fd - exact) / abs(exact) < 1e-6
+        assert abs(fd - exact) / abs(exact) < Fraction(1, 10 ** 6)
         checked += 1
     assert checked == 50
     report("8 (symbolic kernel soundness, 1000 identities + derivative "

@@ -248,16 +248,15 @@ class TestDecomposeStep:
         with pytest.raises(NormalizationFailed):
             step_of(s)
 
-    def test_p2_checked_and_reduced_once(self, acad, monkeypatch,
-                                         row_operations):
+    def test_p2_checked_and_reduced_once(self, acad, monkeypatch):
         # codistribution_step has passed P_2 through the Frobenius test and
         # built its basis reduced, so the first-integral search repeats
-        # neither the test nor the reduction: its echelon form of P_2 makes
-        # no row operation
+        # neither the test nor the reduction: it reads P_2's basis, and
+        # decompose_step runs no rref of its own
         import dtflat.decompose as decompose
         import dtflat.flatness as flatness
         import dtflat.geometry as geometry
-        frobenius, reductions, ranked = [], [], []
+        frobenius, reductions = [], []
 
         def counting(real, calls):
             def wrapped(arg):
@@ -265,25 +264,18 @@ class TestDecomposeStep:
                 return real(arg)
             return wrapped
 
-        def reduce(rows):
-            before = len(row_operations)
-            reductions.append(1)
-            try:
-                return geometry.rref(rows)
-            finally:
-                ranked.extend(row_operations[before:])
-
         frobenius_test = counting(geometry.is_integrable, frobenius)
         for module in (geometry, flatness, decompose):
             monkeypatch.setattr(module, "is_integrable", frobenius_test)
-        monkeypatch.setattr(decompose, "rref", reduce)
+        monkeypatch.setattr(decompose, "rref",
+                            counting(geometry.rref, reductions))
         P1 = Codistribution(acad.chart, [OneForm.unit(acad.chart, x)
                                          for x in acad.state_names])
         p2 = flatness.codistribution_step(
             acad, build_adapted_chart(acad), 1, P1).P_next
         decompose_step(acad, p2)
         assert len(frobenius) == 1
-        assert len(reductions) == 1 and row_operations and ranked == []
+        assert reductions == []
 
 
 def assert_straightened_by_reference(step):

@@ -30,6 +30,7 @@ from dtflat.geometry import (
     combine,
     same_span,
 )
+from oracles import same_span_by_membership
 
 
 # ------------------------------------------------- the sequential oracle
@@ -292,15 +293,123 @@ class TestSameSpan:
         assert same_span(a, b)
 
     def test_unreduced_basis_against_its_reduced_form(self):
+        # a span built from an unreduced basis holds the reduced one
         w1, w2 = self.basis()
-        unreduced = Codistribution(CH, [
+        unreduced = [
             OneForm(CH, [a + b for a, b in zip(w1.coeffs, w2.coeffs)]),
-            OneForm(CH, [x * b for b in w2.coeffs])])
-        reduced = Codistribution.span(CH, list(unreduced.basis))
-        assert unreduced.basis != reduced.basis
-        assert same_span(unreduced, reduced) and same_span(reduced, unreduced)
+            OneForm(CH, [x * b for b in w2.coeffs])]
+        built = Codistribution(CH, unreduced)
+        reduced = Codistribution.span(CH, unreduced)
+        assert built.basis == reduced.basis == (w1, w2)
+        assert built.pivots == reduced.pivots == (0, 1)
+        assert same_span(built, reduced) and same_span(reduced, built)
         other = Codistribution(CH, [w1, OneForm.unit(CH, "u")])
         assert not same_span(other, reduced)
+        assert not same_span_by_membership(other, reduced)
+
+
+@st.composite
+def generating_sets(draw):
+    """One to three rows on CH drawn like the entries above, sometimes
+    with a combination of them added, so that the set is dependent."""
+    kind = draw(st.sampled_from(["shared", "distinct", "constant"]))
+    den = draw(st.sampled_from(DENOMINATORS))
+    rows = [[draw(entries(kind, den)) for _ in CH.names]
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        rows.append(combine(draw(factors(len(rows))), rows))
+    return [OneForm(CH, r) for r in rows]
+
+
+class TestCanonicalSpan:
+    """Every Span holds the reduced basis of its span and its pivots, the
+    leading columns of that basis, however it was built; so same_span
+    compares bases, and agrees with mutual membership."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_form_per_span(self, data):
+        gens = data.draw(generating_sets())
+        spanned = Codistribution.span(CH, gens)
+        ref = SequentialEchelon(w.coeffs for w in gens)
+        assert [list(w.coeffs) for w in spanned.basis] == ref.rows
+        assert list(spanned.pivots) == ref.pivots
+        assert list(spanned.pivots) == [
+            next(j for j, c in enumerate(w.coeffs) if not c.is_zero())
+            for w in spanned.basis]
+        trusted = Codistribution.reduced(CH, ref.rows)
+        assert (trusted.basis, trusted.pivots) == (spanned.basis,
+                                                   spanned.pivots)
+        if len(ref.rows) == len(gens):
+            built = Codistribution(CH, gens)
+            assert built.basis == spanned.basis
+            assert built.pivots == spanned.pivots
+        else:
+            with pytest.raises(ValueError, match="dependent"):
+                Codistribution(CH, gens)
+        # the same span from other generators, and a span that may differ
+        mixed = combine(data.draw(factors(len(gens))),
+                        [w.coeffs for w in gens])
+        same = Codistribution.span(CH, [OneForm(CH, mixed)] + gens[::-1])
+        drawn = Codistribution.span(CH, data.draw(generating_sets()))
+        assert same_span(spanned, same) and same_span(same, spanned)
+        for a, b in [(spanned, same), (spanned, drawn), (drawn, spanned)]:
+            assert same_span(a, b) == same_span_by_membership(a, b)
+
+
+@pytest.fixture
+def reduced_rows(monkeypatch):
+    """The rows Echelon._reduce is given while the test runs."""
+    seen = []
+    real = Echelon._reduce
+
+    def spy(self, row):
+        seen.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(Echelon, "_reduce", spy)
+    return seen
+
+
+def reduced_own_rows(seen, span):
+    """The basis rows of span among the rows reduced."""
+    return [row for row in seen if any(row is w.coeffs for w in span.basis)]
+
+
+class TestOwnBasisNeverReduced:
+    """A Span's basis is reduced once, when the span is built; whatever
+    reads it later reduces none of its rows again."""
+
+    def test_echelon_and_same_span(self, reduced_rows):
+        a = Codistribution(CH, [OneForm(CH, [ONE, ZERO, y / (x + 1)]),
+                                OneForm(CH, [ZERO, ONE, x * y])])
+        b = Codistribution.reduced(CH, [w.coeffs for w in a.basis])
+        ech = a.echelon()
+        del reduced_rows[:]
+        again = a.echelon()
+        assert (again.rows, again.pivots) == (ech.rows, ech.pivots)
+        assert again.rows is not ech.rows
+        assert same_span(a, b) and reduced_rows == []
+
+    def test_annihilator_kernel(self, acad, reduced_rows):
+        P = acad.differentials
+        ker = geometry.annihilator(P)
+        assert ker.dim == acad.m
+        assert reduced_own_rows(reduced_rows, P) == []
+
+    def test_backward_shift_and_first_integrals(self, acad, acad_chart,
+                                                reduced_rows):
+        from dtflat.decompose import find_first_integrals
+        from dtflat.systems import backward_shift_codistribution
+        P1 = Codistribution(acad.chart, [OneForm.unit(acad.chart, v)
+                                         for v in acad.state_names])
+        step = flatness.codistribution_step(acad, acad_chart, 1, P1)
+        del reduced_rows[:]
+        p2 = backward_shift_codistribution(step.Pplus, acad)
+        assert reduced_rows == []
+        assert same_span(p2, step.P_next)
+        find_first_integrals(p2, acad)
+        assert reduced_own_rows(reduced_rows, p2) == []
 
 
 class TestConstantOperandsRunNoGcd:

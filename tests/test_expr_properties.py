@@ -1,5 +1,6 @@
 """Property tests for the kernel: canonical-form soundness, field axioms,
-calculus identities, and the float cross-check of the derivative.
+calculus identities, and the finite-difference cross-check of the
+derivative.
 
 The random expression generator is seeded, so every run exercises the same
 cases; hypothesis drives the structural laws where shrinking helps."""
@@ -125,8 +126,9 @@ def test_substitution_composition_seeded():
 
 
 def test_derivative_against_finite_differences():
+    # exact central differences at rational points, with a rational step
     rng = random.Random(2024)
-    step = 1e-4
+    step = Fraction(1, 10 ** 4)
     checked = 0
     for _ in range(250):
         a = random_scalar(rng)
@@ -136,22 +138,22 @@ def test_derivative_against_finite_differences():
             continue
         d3 = da.diff(v).diff(v)
         for _ in range(25):
-            pt = {name: rng.uniform(0.3, 2.0) for name in VARS}
+            pt = {name: Fraction(rng.randint(30, 200), 100) for name in VARS}
             try:
-                up = a.eval_float({**pt, v: pt[v] + step})
-                dn = a.eval_float({**pt, v: pt[v] - step})
-                exact = da.eval_float(pt)
-                third = d3.eval_float(pt)
+                up = a.eval_at({**pt, v: pt[v] + step})
+                dn = a.eval_at({**pt, v: pt[v] - step})
+                exact = da.eval_at(pt)
+                third = d3.eval_at(pt)
             except EvalSingular:
                 continue
-            if abs(exact) < 1e-8:
+            if abs(exact) < Fraction(1, 10 ** 8):
                 continue
             # regular point: the central-difference truncation term
             # (step^2 / 6) * f''' must be well below the tolerance
-            if step ** 2 / 6 * abs(third) / abs(exact) > 1e-7:
+            if step ** 2 / 6 * abs(third) / abs(exact) > Fraction(1, 10 ** 7):
                 continue
             fd = (up - dn) / (2 * step)
-            assert abs(fd - exact) / abs(exact) < 1e-6
+            assert abs(fd - exact) / abs(exact) < Fraction(1, 10 ** 6)
             checked += 1
             break
     assert checked >= 40

@@ -433,6 +433,18 @@ class TestExactCoefficients:
         with pytest.raises(ValueError):
             self.x.scale(value)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Scalar(0.5),
+        lambda: Scalar.of(0.5),
+        lambda: Scalar.var("x") + 0.5,
+        lambda: Poly.const(2.0),
+    ], ids=["Scalar", "Scalar.of", "Scalar.__add__", "Poly.const"])
+    def test_floats_are_refused_by_type(self, make):
+        # 2.0 is integral, and 0.5 has a numerator nowhere: each is refused
+        # for its type, not its value
+        with pytest.raises(ValueError, match="is a float"):
+            make()
+
 
 class TestHash:
     """A constant Scalar compares equal to its number, so it hashes as it:

@@ -36,7 +36,6 @@ from dtflat.geometry import (
     meet_annihilator,
     meet_coordinates,
     meet_kernel,
-    nullspace,
     rref,
     same_span,
 )
@@ -81,7 +80,7 @@ class TestRank:
 
     def test_nullspace_annihilates(self):
         rows = [[ONE, u, ZERO], [ZERO, ONE, u]]
-        for vec in nullspace(rows):
+        for vec in Echelon(rows).kernel(3):
             for row in rows:
                 total = ZERO
                 for a, b in zip(row, vec):
@@ -540,24 +539,30 @@ def closure_by_unscaled_rows(p0, d):
 
 def closure_case(seed):
     """One field v = d/dx3 + a d/du, whose first integrals are x1, x2 and
-    y = u - a*x3, and p0 = span{sum f_i dh_i} for k = 2 or 3 first
-    integrals h_i over one denominator and functions f_i that v does not
-    keep (f_0 with a denominator in u or x3).  The closure is span{dh_i}:
-    it grows from 1 to k rows, over k - 1 rounds."""
+    y = u - a*x3, and p0 = span{dx1 + sum f_i dh_i} for k - 1 = 1 or 2
+    first integrals h_i of x2 and y over one denominator q (a function of
+    them) and functions f_i that v does not keep (f_1 with a denominator
+    in u or x3).  No h_i depends on x1, so the row leads with 1 at x1 and
+    is reduced as it stands: f_1's denominator survives into p0's basis.
+    The closure is span{dx1, dh_i}: it grows from 1 to k rows, over
+    k - 1 rounds."""
     rng = random.Random(seed)
     chart = Chart(("x1", "x2", "x3", "u"))
     x1, x2, x3, uu = (Scalar.var(n) for n in chart.names)
     a = Scalar(rng.choice([-2, -1, 1, 2]))
     k = rng.randint(2, 3)
-    integrals = [x1, x2, uu - a * x3]
+    integrals = [x2, uu - a * x3]
     q = ONE + Scalar(rng.choice([1, 2])) * rng.choice(integrals)
-    dh = [d_scalar(chart, h / q) for h in rng.sample(integrals, k)]
+    dh = [d_scalar(chart, h / q) for h in rng.sample(integrals, k - 1)]
     fs = [ONE / rng.choice([uu, x3 + 1, uu * uu + 1])]
-    fs += [x3 ** i + Scalar(rng.choice([-2, -1, 1, 2])) for i in range(1, k)]
-    w = OneForm(chart, combine(fs, [h.coeffs for h in dh]))
+    fs += [x3 ** i + Scalar(rng.choice([-2, -1, 1, 2]))
+           for i in range(1, k - 1)]
+    dx1 = d_scalar(chart, x1)
+    w = OneForm(chart, combine([ONE] + fs,
+                               [dx1.coeffs] + [h.coeffs for h in dh]))
     field = VectorField(chart, [ZERO, ZERO, ONE, a])
     return (Codistribution(chart, [w]), Distribution(chart, [field]),
-            Codistribution(chart, dh))
+            Codistribution(chart, [dx1] + dh))
 
 
 class TestClearedClosure:
