@@ -253,7 +253,7 @@ class TriangularDecomposition:
 
     @property
     def terminal(self) -> bool:
-        return self.subsystem is None or self.subsystem.n == 0
+        return self.subsystem is None
 
 
 def _units(k: int) -> list:
@@ -293,84 +293,100 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
     """Transform one step into the triangular form: subsystem states from
     first integrals, inputs normalized so the chosen subsystem equations
     read new-state+ = new-input.  p2 is P_2 of sys, as the analysis found
-    it (from either test) or as decompose_cascade carried it down."""
+    it (from either test) or as decompose_cascade carried it down.
+
+    The one step path: when P_2 = 0 (the last level) the whole system is
+    the feedback part, under identity transformations, and every check
+    after the transformations is shared.  The rows g_i(f) come from
+    sys.shift, as in pullback_f, and each inverse gets one Substitution."""
     warnings: list = []
+    n, m, n2 = sys.n, sys.m, p2.dim
 
     # flat at this step: by duality dim E_1 + dim P_2 = n + m, so E_1
     # exceeds the span of the input directions exactly when P_2 is smaller
     # than P_1 = span{dx}
-    if p2.dim == sys.n:
+    if n2 == n:
         raise NormalizationFailed(
             "system is not forward-flat at this step (the distribution "
             "sequence stalls immediately); decomposition is undefined")
 
-    n, m = sys.n, sys.m
-    if p2.dim == 0:
-        return _terminal_step(sys, state_prefix, input_prefix)
-
-    input_rank = generic_rank(row[n:] for row in sys.jacobian)
-    if input_rank != m:
-        raise NormalizationFailed(
-            f"the normalization route requires generic rank m = {m} of the "
-            f"input Jacobian; it is {input_rank}")
-
-    # P_2 is integrable (codistribution_step checks it, the annihilator of
-    # the involutive E_1 is by Frobenius, and so are their moved tails)
-    integrals = find_first_integrals(p2, sys, integral_hints)
-    n2 = p2.dim
-    completion = _complete_states(
-        [d_scalar(sys.chart, g) for g in integrals.functions], sys)
-    state_funcs = list(integrals.functions) + [Scalar.var(x) for x in completion]
     state_names = [f"{state_prefix}{i}" for i in range(1, n + 1)]
-    state_inverse = triangular_solve(
-        [(g, Scalar.var(nm)) for nm, g in zip(state_names, state_funcs)],
-        list(sys.state_names))
-    if state_inverse is None:
-        raise NormalizationFailed(
-            "could not invert the state transformation by triangular "
-            "linear solves")
-
-    # dynamics of the new states, still with the original inputs
-    f_mid = []
-    for g in state_funcs:
-        f_mid.append(g.subs(dict(zip(sys.state_names, sys.f))).subs(state_inverse))
-
-    # choose the equations to normalize: lowest-index subsystem rows with
-    # independent input Jacobian rows
-    sub_rows = f_mid[:n2]
-    sub_jac = [[g.diff(u) for u in sys.input_names] for g in sub_rows]
-    normalized = _raise_rank([], sub_jac, m)
-    r2 = len(normalized)
-
-    # input transformation: normalized equations first, then original
-    # inputs completing an invertible map
     input_names = [f"{input_prefix}{j}" for j in range(1, m + 1)]
-    input_funcs = [sub_rows[i].subs({nm: g for nm, g in
-                                     zip(state_names, state_funcs)})
-                   for i in normalized]
-    jac_rows = [[g.diff(u) for u in sys.input_names] for g in input_funcs]
-    input_funcs += [Scalar.var(sys.input_names[j])
-                    for j in _raise_rank(jac_rows, _units(m), m)]
-    if len(input_funcs) != m:
-        raise NormalizationFailed(
-            "no invertible completion of the input transformation among "
-            "the coordinate inputs",
-            hint="the input Jacobian may be singular; check rank(df/du)")
+    if n2 == 0:
+        integrals = FirstIntegralSet([], "coordinate-pick")
+        old = [Scalar.var(v) for v in sys.chart.names]
+        new = [Scalar.var(v) for v in state_names + input_names]
+        state_funcs, input_funcs = old[:n], old[n:]
+        state_inverse = dict(zip(sys.state_names, new))
+        input_inverse = dict(zip(sys.input_names, new[n:]))
+        normalized = []
+        ren = dict(zip(sys.chart.names, state_names + input_names))
+        f_bar = [g.rename(ren) for g in sys.f]
+    else:
+        input_rank = generic_rank(row[n:] for row in sys.jacobian)
+        if input_rank != m:
+            raise NormalizationFailed(
+                f"the normalization route requires generic rank m = {m} of "
+                f"the input Jacobian; it is {input_rank}")
 
-    input_inverse = triangular_solve(
-        [(g.subs(state_inverse), Scalar.var(nm))
-         for nm, g in zip(input_names, input_funcs)],
-        list(sys.input_names))
-    if input_inverse is None:
-        raise NormalizationFailed(
-            "could not invert the input transformation by triangular "
-            "linear solves")
+        # P_2 is integrable (codistribution_step checks it, the annihilator
+        # of the involutive E_1 is by Frobenius, and so are their moved
+        # tails)
+        integrals = find_first_integrals(p2, sys, integral_hints)
+        completion = _complete_states(
+            [d_scalar(sys.chart, g) for g in integrals.functions], sys)
+        state_funcs = (list(integrals.functions)
+                       + [Scalar.var(x) for x in completion])
+        state_inverse = triangular_solve(
+            [(g, Scalar.var(nm)) for nm, g in zip(state_names, state_funcs)],
+            list(sys.state_names))
+        if state_inverse is None:
+            raise NormalizationFailed(
+                "could not invert the state transformation by triangular "
+                "linear solves")
 
-    # full transformed dynamics
-    f_bar = [g.subs(input_inverse) for g in f_mid]
+        # dynamics of the new states, still with the original inputs: row
+        # i is g_i(f) on (x, u), then moved to x-bar
+        shifted = [g.subs(sys.shift) for g in state_funcs]
+        into = Substitution(state_inverse)
+        f_mid = [g.subs(into) for g in shifted]
+
+        # choose the equations to normalize: lowest-index subsystem rows
+        # with independent input Jacobian rows
+        sub_jac = [[g.diff(u) for u in sys.input_names] for g in f_mid[:n2]]
+        normalized = _raise_rank([], sub_jac, m)
+
+        # input transformation: normalized equations first, then original
+        # inputs completing an invertible map; on (x, u) the row f_mid[i]
+        # is g_i(f) again, as the state maps are mutually inverse
+        input_funcs = [shifted[i] for i in normalized]
+        jac_rows = [[g.diff(u) for u in sys.input_names] for g in input_funcs]
+        input_funcs += [Scalar.var(sys.input_names[j])
+                        for j in _raise_rank(jac_rows, _units(m), m)]
+        if len(input_funcs) != m:
+            raise NormalizationFailed(
+                "no invertible completion of the input transformation among "
+                "the coordinate inputs",
+                hint="the input Jacobian may be singular; check rank(df/du)")
+
+        # u-bar on (x-bar, u): the normalized rows are f_mid's, and the
+        # completing inputs are free of the states
+        rows = [f_mid[i] for i in normalized] + input_funcs[len(normalized):]
+        input_inverse = triangular_solve(
+            [(g, Scalar.var(nm)) for nm, g in zip(input_names, rows)],
+            list(sys.input_names))
+        if input_inverse is None:
+            raise NormalizationFailed(
+                "could not invert the input transformation by triangular "
+                "linear solves")
+
+        # full transformed dynamics
+        out = Substitution(input_inverse)
+        f_bar = [g.subs(out) for g in f_mid]
+
+    r2 = len(normalized)
     u2_names = input_names[:r2]
     u1_names = input_names[r2:]
-    x1_names = state_names[n2:]
 
     for pos, i in enumerate(normalized):
         if f_bar[i] != Scalar.var(u2_names[pos]):
@@ -388,8 +404,8 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
         raise InternalInvariantError(
             "feedback input rank does not match the feedback dimension")
 
-    value_map = {nm: g for nm, g in zip(state_names, state_funcs)}
-    value_map.update({nm: g for nm, g in zip(input_names, input_funcs)})
+    value_map = dict(zip(state_names + input_names,
+                         state_funcs + input_funcs))
     transformed, equilibrium_note = _derived_system(
         state_names, input_names, f_bar, sys, value_map)
     if equilibrium_note:
@@ -397,14 +413,16 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
 
     _check_straightened(transformed, u1_names)
 
-    sub_inputs = list(x1_names) + list(u2_names)
-    dropped = [w for w in sub_inputs
-               if all(not f_bar[i].depends_on(w) for i in range(n2))]
-    sub_inputs = [w for w in sub_inputs if w not in dropped]
-    subsystem, sub_note = _derived_system(
-        state_names[:n2], sub_inputs, f_bar[:n2], sys, value_map)
-    if sub_note:
-        warnings.append(sub_note)
+    subsystem, dropped = None, []
+    if n2:
+        sub_inputs = state_names[n2:] + u2_names
+        dropped = [w for w in sub_inputs
+                   if all(not f_bar[i].depends_on(w) for i in range(n2))]
+        sub_inputs = [w for w in sub_inputs if w not in dropped]
+        subsystem, sub_note = _derived_system(
+            state_names[:n2], sub_inputs, f_bar[:n2], sys, value_map)
+        if sub_note:
+            warnings.append(sub_note)
 
     return TriangularDecomposition(
         state_transform=list(zip(state_names, state_funcs)),
@@ -420,47 +438,6 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
         transformed=transformed,
         dropped_inputs=dropped,
         warnings=warnings,
-    )
-
-
-def _terminal_step(sys: DiscreteSystem, state_prefix: str,
-                   input_prefix: str) -> TriangularDecomposition:
-    """The whole system is the feedback part: identity transformations,
-    no subsystem equations, every input unnormalized."""
-    n, m = sys.n, sys.m
-    state_names = [f"{state_prefix}{i}" for i in range(1, n + 1)]
-    input_names = [f"{input_prefix}{j}" for j in range(1, m + 1)]
-    ren_states = dict(zip(sys.state_names, state_names))
-    ren_inputs = dict(zip(sys.input_names, input_names))
-    f_bar = [g.rename({**ren_states, **ren_inputs}) for g in sys.f]
-    fb_jac = [[g.diff(u) for u in input_names] for g in f_bar]
-    if generic_rank(fb_jac) != n:
-        raise InternalInvariantError(
-            "terminal step: feedback input rank is below the state count")
-    value_map = {nm: Scalar.var(x)
-                 for nm, x in zip(state_names, sys.state_names)}
-    value_map.update({nm: Scalar.var(u)
-                      for nm, u in zip(input_names, sys.input_names)})
-    transformed, note = _derived_system(state_names, input_names, f_bar,
-                                        sys, value_map)
-    _check_straightened(transformed, input_names)
-    return TriangularDecomposition(
-        state_transform=[(nm, Scalar.var(x))
-                         for nm, x in zip(state_names, sys.state_names)],
-        state_inverse={x: Scalar.var(nm)
-                       for x, nm in zip(sys.state_names, state_names)},
-        input_transform=[(nm, Scalar.var(u))
-                         for nm, u in zip(input_names, sys.input_names)],
-        input_inverse={u: Scalar.var(nm)
-                       for u, nm in zip(sys.input_names, input_names)},
-        subsystem_f2=[],
-        feedback_f1=list(zip(state_names, f_bar)),
-        normalized_indices=[],
-        dims=(0, n, 0, m),
-        integrals=FirstIntegralSet([], "coordinate-pick"),
-        subsystem=None,
-        transformed=transformed,
-        warnings=[note] if note else [],
     )
 
 

@@ -155,6 +155,12 @@ class DiscreteSystem:
         per system (only the codistribution test asks for it)."""
         return annihilator(self.differentials)
 
+    @cached_property
+    def shift(self) -> Substitution:
+        """x -> f(x, u), one Substitution per system: pullback_f and
+        decompose_step share the powers of f it builds."""
+        return Substitution(dict(zip(self.state_names, self.f)))
+
     def __str__(self) -> str:
         rows = ", ".join(f"{x}+ = {g}" for x, g in zip(self.state_names, self.f))
         return f"DiscreteSystem(n={self.n}, m={self.m}: {rows})"
@@ -191,10 +197,11 @@ class AdaptedChart:
         # the result is too, and it lives as long as the chart
         self.certificates: dict = {}
         # one coefficient row per map component: row a is d(forward_a) on
-        # (x, u), row b is d(inverse_b) on (th, xi); forms move with them
-        self._jac_forward = [
-            [self.forward[a].diff(b) for b in sys.chart.names]
-            for a in self.chart.names]
+        # (x, u), the system's df_i or the unit row of h_j; row b is
+        # d(inverse_b) on (th, xi); forms move with them
+        self._jac_forward = list(sys.jacobian) + [
+            [ONE if v == h else ZERO for v in sys.chart.names]
+            for h in h_names]
         self._jac_inverse = [
             [self.inverse[b].diff(a) for a in self.chart.names]
             for b in sys.chart.names]
@@ -307,8 +314,9 @@ def build_adapted_chart(sys: DiscreteSystem) -> AdaptedChart:
         if inverse is None:
             failures.append((h_names, "no triangular linear solve order"))
             continue
-        _check_at_point(sys, h_names, inverse)
-        return AdaptedChart(sys, h_names, inverse)
+        chart = AdaptedChart(sys, h_names, inverse)
+        _check_at_point(chart)
+        return chart
 
     detail = "; ".join(f"xi={list(h)}: {why}" for h, why in failures[:6])
     raise InversionFailed(
@@ -434,18 +442,17 @@ _POINT_SEED = 20240817
 _POINT_TRIES = 8
 
 
-def _check_at_point(sys: DiscreteSystem, h_names: tuple,
-                    inverse: Mapping[str, Scalar]) -> None:
+def _check_at_point(chart: AdaptedChart) -> None:
     """G o F = id at one seeded rational point where no denominator of f
     or of the inverse vanishes, in exact Fraction arithmetic: the guard on
-    the expansion of the inverse (see build_adapted_chart)."""
-    forward = _forward_map(sys, h_names)
+    the expansion of the chart's inverse (see build_adapted_chart)."""
+    sys = chart.sys
     rng = random.Random(_POINT_SEED)
     for _ in range(_POINT_TRIES):
         p = {v: Fraction(rng.randint(-999, 999)) for v in sys.chart.names}
         try:
-            q = {a: g.eval_at(p) for a, g in forward.items()}
-            back = {v: g.eval_at(q) for v, g in inverse.items()}
+            q = {a: g.eval_at(p) for a, g in chart.forward.items()}
+            back = {v: g.eval_at(q) for v, g in chart.inverse.items()}
         except EvalSingular:
             continue
         wrong = [v for v in sys.chart.names if back[v] != p[v]]
@@ -556,7 +563,6 @@ def pullback_f(p: Codistribution, sys: DiscreteSystem) -> Codistribution:
                 raise UnsupportedShift(
                     f"forward shift is only modeled for state functions; "
                     f"{sorted(bad)} are not states")
-    shift = Substitution(dict(zip(sys.state_names, sys.f)))
     return Codistribution.span(sys.chart, [
-        OneForm(sys.chart, pullback(w.coeffs[:sys.n], shift, sys.jacobian))
+        OneForm(sys.chart, pullback(w.coeffs[:sys.n], sys.shift, sys.jacobian))
         for w in p.basis])

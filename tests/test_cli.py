@@ -48,6 +48,7 @@ GOLDENS = [
     ("pointrank", GOLDEN / "pointrank.sys", []),
     ("lcden", GOLDEN / "lcden.sys", ["--decompose"]),
     ("rat6", GOLDEN / "rat6.sys", []),
+    ("rat4-distribution", GOLDEN / "rat4.sys", ["--test", "distribution"]),
 ]
 
 
@@ -317,6 +318,12 @@ class TestRun:
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         assert_golden(tmp_path, capsys, name, path, flags)
 
+    def test_every_golden_has_an_entry(self):
+        stems = {p.stem for p in GOLDEN.glob("*.txt")}
+        assert stems == {p.stem for p in GOLDEN.glob("*.json")}
+        assert stems == {name for name, _, _ in GOLDENS}
+        assert len(GOLDENS) == len(stems)
+
     def test_rat7_report_digest(self, tmp_path):
         # rat7's JSON report is 161 KB, so only its sha256 is kept; the
         # tower's text is rat6.sys one level up
@@ -487,6 +494,44 @@ class TestRun:
         cascade = json.loads(out_path.read_text())["decomposition"]
         assert cascade["blocked"] is None
         assert cascade["depth"] == n
+
+    @pytest.mark.parametrize("dynamics, inputs, blocked, kept", [
+        # u1 and u2 enter only through their sum: level 1 is refused
+        (["x2 + u1 + u2", "u1 + u2"], "u1 u2",
+         "the normalization route requires generic rank m = 2 of the input "
+         "Jacobian; it is 1", []),
+        # level 2 completes the integral xb1 + xb2^2 by xb1, a map no
+        # triangular linear solve inverts; level 1 is kept
+        (["x2 - x3^2", "x3", "u1"], "u1",
+         "could not invert the state transformation by triangular linear "
+         "solves", [{"x2": 2, "x1": 1, "u2": 0, "u1": 1}]),
+    ])
+    def test_decompose_blocked_cascade(self, tmp_path, capsys, dynamics,
+                                       inputs, blocked, kept):
+        depth = len(kept)
+        n = len(dynamics)
+        states = " ".join(f"x{i}" for i in range(1, n + 1))
+        rows = "".join(f"  x{i}+ = {g}\n"
+                       for i, g in enumerate(dynamics, start=1))
+        zeros = " ".join(["0"] * (n + len(inputs.split())))
+        path = write(tmp_path, f"name: blocked\nstates: {states}\n"
+                     f"inputs: {inputs}\ndynamics:\n{rows}"
+                     f"equilibrium: {zeros}\n")
+        out_path = tmp_path / "report.json"
+        assert run([str(path), "--decompose", "--json", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "forward-flat: YES" in out
+        assert (f"-- triangular decomposition: depth {depth} "
+                f"(blocked: {blocked})\n") in out
+        for i, dims in enumerate(kept, start=1):
+            assert (f"  step {i}: dim(x2, x1, u2, u1) = "
+                    f"{tuple(dims.values())}\n") in out
+        assert f"  step {depth + 1}: " not in out
+        cascade = json.loads(out_path.read_text())["decomposition"]
+        assert cascade["blocked"] == blocked
+        assert cascade["depth"] == depth
+        assert [step["dims"] for step in cascade["steps"]] == kept
+        assert all(not step["terminal"] for step in cascade["steps"])
 
     def test_decompose_on_nonflat_warns(self, capsys):
         assert run([str(NONFLAT), "--decompose"]) == 0

@@ -42,8 +42,10 @@ from dtflat.geometry import (
     Distribution,
     OneForm,
     VectorField,
+    _clear_denominators,
     d_scalar,
     generic_rank,
+    is_closed,
     is_integrable,
     same_span,
 )
@@ -100,6 +102,18 @@ class TestFirstIntegrals:
         x1x3 = parse_scalar("x1*x3 + x1")
         ratio = g / x1x3
         assert ratio.is_const()
+
+    def test_monomial_integrating_factor(self):
+        # neither the form nor its cleared form is closed, so only the
+        # monomial integrating-factor loop can integrate it: 1/x2 does
+        s = mk(["x1", "x2"], ["u1"], ["x2", "u1"], name="chain")
+        ch = s.chart
+        w = form(ch, ("x1", 1), ("x2", parse_scalar("-x1/x2")))
+        assert not is_closed(w)
+        assert not is_closed(OneForm(ch, _clear_denominators(w.coeffs)))
+        got = find_first_integrals(Codistribution(ch, [w]), s)
+        assert got.method == "integrating-factor"
+        assert got.functions == [parse_scalar("x1/x2")]
 
     def test_nonintegrable_rejected(self):
         # the Frobenius test runs once the search leaves a form over, and
@@ -434,6 +448,31 @@ class TestCascade:
                 diffs = [d_scalar(sub.chart, g)
                          for g in nxt.integrals.functions]
                 assert same_span(Codistribution.span(sub.chart, diffs), p2)
+
+    @pytest.mark.parametrize("path, most", [
+        (DATA / "academic4.sys", 13),
+        (DATA / "mixed2.sys", 6),
+        (DATA / "golden" / "rat4.sys", 18),
+        (DATA / "golden" / "nlchain5.sys", 24),
+    ], ids=["academic4", "mixed2", "rat4", "nlchain5"])
+    def test_each_map_gets_one_substitution(self, monkeypatch, path, most):
+        # per step: one for the state inverse and one for the input
+        # inverse, besides the two triangular solves' and _carry's; the
+        # forward shift is one per system, shared with pullback_f.  A step
+        # that builds one per expression goes far over (35/11/42/62)
+        import dtflat.exprs as exprs
+        system = parse_system(path)[0]
+        verdict = analyze(system)
+        real, builds = exprs.Substitution.__init__, []
+
+        def spy(self, bindings):
+            builds.append(1)
+            real(self, bindings)
+
+        monkeypatch.setattr(exprs.Substitution, "__init__", spy)
+        cascade = decompose_cascade(system, verdict)
+        assert cascade.blocked is None
+        assert len(builds) <= most
 
     def test_not_flat_verdict_rejected(self):
         system = nonflat2()

@@ -209,6 +209,24 @@ class TestAdaptedChart:
         with pytest.raises(InversionFailed, match="does not solve"):
             decompose_step(acad, p2)
 
+    def test_chart_map_built_once(self, monkeypatch):
+        # the point check reads the chart's own forward map, and the
+        # forward Jacobian is the system's plus the xi unit rows
+        import dtflat.systems as systems
+        calls = []
+        real = systems._forward_map
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(systems, "_forward_map", spy)
+        chart = build_adapted_chart(rat_n(3))
+        assert calls == [chart.h_names]
+        assert chart._jac_forward == [
+            [chart.forward[a].diff(b) for b in chart.sys.chart.names]
+            for a in chart.chart.names]
+
     def test_only_a_hinted_inverse_is_composed(self, monkeypatch):
         import dtflat.systems as systems
         calls = []
@@ -423,6 +441,23 @@ class TestShifts:
         got = pullback_f(Codistribution(ch, [w]), acad)
         expect = OneForm(ch, [ZERO, ONE, ONE, Scalar(3), ZERO, ZERO])
         assert same_span(got, Codistribution(ch, [expect]))
+
+    def test_shift_built_once_per_system(self, monkeypatch):
+        import dtflat.exprs as exprs
+        s = mk(["x1", "x2"], ["u1"], ["x1*x2", "u1"])
+        builds = []
+        real = exprs.Substitution.__init__
+
+        def spy(self, bindings):
+            builds.append(dict(bindings))
+            real(self, bindings)
+
+        monkeypatch.setattr(exprs.Substitution, "__init__", spy)
+        p = Codistribution(s.chart, [OneForm(s.chart,
+                                             [ONE, Scalar.var("x1"), ZERO])])
+        assert same_span(pullback_f(p, s), pullback_f(p, s))
+        assert builds == [dict(zip(s.state_names, s.f))]
+        assert s.shift is s.shift
 
     def test_pullback_f_rejects_input_differentials(self, acad):
         ch = acad.chart
