@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,18 +31,27 @@ from .systems import AdaptedChartHint, DiscreteSystem, build_adapted_chart
 _SECTIONS = ("name", "states", "inputs", "dynamics", "equilibrium", "hints")
 
 
-@dataclass
 class SystemFile:
-    """Parsed content of a system definition file."""
+    """Parsed content of a system definition file; equations maps each
+    state to its update Scalar.  An omitted list or dict starts empty."""
 
-    name: str = ""
-    states: list = field(default_factory=list)
-    inputs: list = field(default_factory=list)
-    equations: dict = field(default_factory=dict)   # state -> Scalar
-    equilibrium: dict = field(default_factory=dict)
-    xi_hint: list = field(default_factory=list)
-    inverse_hint: dict = field(default_factory=dict)
-    integral_hints: list = field(default_factory=list)
+    __slots__ = ("name", "states", "inputs", "equations", "equilibrium",
+                 "xi_hint", "inverse_hint", "integral_hints")
+
+    def __init__(self, name: str = "", states: list | None = None,
+                 inputs: list | None = None, equations: dict | None = None,
+                 equilibrium: dict | None = None,
+                 xi_hint: list | None = None,
+                 inverse_hint: dict | None = None,
+                 integral_hints: list | None = None):
+        self.name = name
+        self.states = [] if states is None else states
+        self.inputs = [] if inputs is None else inputs
+        self.equations = {} if equations is None else equations
+        self.equilibrium = {} if equilibrium is None else equilibrium
+        self.xi_hint = [] if xi_hint is None else xi_hint
+        self.inverse_hint = {} if inverse_hint is None else inverse_hint
+        self.integral_hints = [] if integral_hints is None else integral_hints
 
 
 def _parse_rational(text: str, lineno: int) -> Fraction:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     EquilibriumMismatch,
@@ -53,10 +52,16 @@ from .systems import DiscreteSystem, pullback, pullback_f, triangular_solve
 
 # --------------------------------------------------------- first integrals
 
-@dataclass
 class FirstIntegralSet:
-    functions: list
-    method: str  # coordinate-pick | constant-combination | integrating-factor | user-hint
+    """First integrals of a codistribution and the method that found them:
+    coordinate-pick, constant-combination, integrating-factor or
+    user-hint."""
+
+    __slots__ = ("functions", "method")
+
+    def __init__(self, functions: list, method: str):
+        self.functions = functions
+        self.method = method
 
 
 _METHOD_ORDER = ["coordinate-pick", "constant-combination",
@@ -228,28 +233,50 @@ def _verify_integrals(s: FirstIntegralSet, p: Codistribution,
 
 # -------------------------------------------------------------- one step
 
-@dataclass
 class TriangularDecomposition:
     """One decomposition step in explicit coordinates.
 
     state_transform / input_transform list (new name, expression) pairs;
     the subsystem rows are those of the new-state block that depend only
     on (new states, feedback states, normalized inputs).
+
+    state_transform: x-bar as functions of x (subsystem block first).
+    state_inverse: x as functions of x-bar.
+    input_transform: u-bar as functions of (x, u) (normalized first).
+    input_inverse: u as functions of (x-bar, u-bar).
+    subsystem_f2, feedback_f1: (state name, expression) updates.
+    normalized_indices: positions in the subsystem block that read
+      new-state+ = input.
+    dims: (dim x2, dim x1, dim u2, dim u1).
     """
 
-    state_transform: list       # x-bar as functions of x (subsystem block first)
-    state_inverse: dict         # x as functions of x-bar
-    input_transform: list       # u-bar as functions of (x, u) (normalized first)
-    input_inverse: dict         # u as functions of (x-bar, u-bar)
-    subsystem_f2: list          # (state name, expression) updates
-    feedback_f1: list
-    normalized_indices: list    # positions in the subsystem block read new-state+ = input
-    dims: tuple                 # (dim x2, dim x1, dim u2, dim u1)
-    integrals: FirstIntegralSet
-    subsystem: DiscreteSystem | None
-    transformed: DiscreteSystem
-    dropped_inputs: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    __slots__ = ("state_transform", "state_inverse", "input_transform",
+                 "input_inverse", "subsystem_f2", "feedback_f1",
+                 "normalized_indices", "dims", "integrals", "subsystem",
+                 "transformed", "dropped_inputs", "warnings")
+
+    def __init__(self, state_transform: list, state_inverse: dict,
+                 input_transform: list, input_inverse: dict,
+                 subsystem_f2: list, feedback_f1: list,
+                 normalized_indices: list, dims: tuple,
+                 integrals: FirstIntegralSet,
+                 subsystem: DiscreteSystem | None,
+                 transformed: DiscreteSystem,
+                 dropped_inputs: list | None = None,
+                 warnings: list | None = None):
+        self.state_transform = state_transform
+        self.state_inverse = state_inverse
+        self.input_transform = input_transform
+        self.input_inverse = input_inverse
+        self.subsystem_f2 = subsystem_f2
+        self.feedback_f1 = feedback_f1
+        self.normalized_indices = normalized_indices
+        self.dims = dims
+        self.integrals = integrals
+        self.subsystem = subsystem
+        self.transformed = transformed
+        self.dropped_inputs = [] if dropped_inputs is None else dropped_inputs
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def terminal(self) -> bool:
@@ -498,10 +525,15 @@ def _p2_plus(sys: DiscreteSystem) -> tuple:
 
 # --------------------------------------------------------------- cascade
 
-@dataclass
 class CascadeResult:
-    steps: list
-    blocked: str | None = None
+    """The decomposition steps taken, and why the cascade stopped early
+    (None when it reached a terminal step)."""
+
+    __slots__ = ("steps", "blocked")
+
+    def __init__(self, steps: list, blocked: str | None = None):
+        self.steps = steps
+        self.blocked = blocked
 
     @property
     def depth(self) -> int:

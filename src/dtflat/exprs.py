@@ -24,8 +24,8 @@ import functools
 import heapq
 import math
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import (
     CoefficientVanishes,

@@ -15,8 +15,6 @@ vanish identically and the dimensions must be complementary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DualityViolation, InternalInvariantError
 from .exprs import ZERO
 from .geometry import (
@@ -50,11 +48,13 @@ from .systems import (
 
 # ------------------------------------------------ projectability certificate
 
-@dataclass(frozen=True)
 class ProjectabilityReport:
     """Certificate from one projectable-subdistribution computation.
     Frozen, as both tests' steps hold the one the chart keeps.
 
+    dbar: number of theta-pivot fields in the reduced annihilator.
+    dim: dimension of the annihilator.
+    theta_pivots: the pivot columns of those fields.
     mixed_block: non-pivot th-coefficients of the theta-pivot fields, one
       row per non-pivot th-coordinate, one column per theta-pivot field.
     independent_rows: the distinct nonzero xi-derivatives of the mixed
@@ -65,13 +65,24 @@ class ProjectabilityReport:
       free of all xi variables.
     """
 
-    dbar: int
-    dim: int
-    theta_pivots: list
-    mixed_block: list
-    independent_rows: list
-    rank: int
-    kernel_basis: list
+    __slots__ = ("dbar", "dim", "theta_pivots", "mixed_block",
+                 "independent_rows", "rank", "kernel_basis")
+
+    def __init__(self, dbar: int, dim: int, theta_pivots: list,
+                 mixed_block: list, independent_rows: list, rank: int,
+                 kernel_basis: list):
+        put = object.__setattr__
+        put(self, "dbar", dbar)
+        put(self, "dim", dim)
+        put(self, "theta_pivots", theta_pivots)
+        put(self, "mixed_block", mixed_block)
+        put(self, "independent_rows", independent_rows)
+        put(self, "rank", rank)
+        put(self, "kernel_basis", kernel_basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"ProjectabilityReport is frozen: cannot assign {name}")
 
     @property
     def projectable_dim(self) -> int:
@@ -221,16 +232,19 @@ def largest_projectable_subdistribution(dist: Distribution,
 
 # ---------------------------------------------------- the sequence driver
 
-@dataclass
 class SequenceResult:
     """One run of either test: the steps taken and the members of the
     sequence up to the stall (E_0 .. E_{kbar-1} or P_1 .. P_kbar).  kbar
     and flat are None when the iteration budget ran out first."""
 
-    steps: list
-    sequence: list
-    kbar: int | None
-    flat: bool | None
+    __slots__ = ("steps", "sequence", "kbar", "flat")
+
+    def __init__(self, steps: list, sequence: list, kbar: int | None,
+                 flat: bool | None):
+        self.steps = steps
+        self.sequence = sequence
+        self.kbar = kbar
+        self.flat = flat
 
     @property
     def dims(self) -> list:
@@ -272,23 +286,50 @@ def _iterate(sys: DiscreteSystem, chart: AdaptedChart | None, first, step,
 
 # ------------------------------------------------------ distribution test
 
-@dataclass
+def _renames_to(row, ren: dict, target) -> bool:
+    """Whether row, renamed by ren, equals target entry for entry, as far
+    as the shorter goes; a constant entry is compared as it is."""
+    return all((c if c.is_const() else c.rename(ren)) == t
+               for c, t in zip(row, target))
+
+
 class DistributionStep:
-    k: int
-    E_prev: Distribution          # E_{k-1} on (x, u)
-    D: Distribution               # D_{k-1} on (x, u)
-    D_adapted: Distribution
-    Delta: Distribution           # on the successor chart
-    E: Distribution               # E_k on (x, u)
-    report: ProjectabilityReport
+    """Step k of the distribution test.
+
+    E_prev: E_{k-1} on (x, u).
+    D: D_{k-1}, its largest projectable subdistribution, on (x, u).
+    D_adapted: D_{k-1} on the adapted chart.
+    Delta: the push-forward of D_{k-1}, on the successor chart.
+    E: E_k on (x, u).
+    report: the projectability certificate of D_{k-1}.
+    """
+
+    __slots__ = ("k", "E_prev", "D", "D_adapted", "Delta", "E", "report")
+
+    def __init__(self, k: int, E_prev: Distribution, D: Distribution,
+                 D_adapted: Distribution, Delta: Distribution,
+                 E: Distribution, report: ProjectabilityReport):
+        self.k = k
+        self.E_prev = E_prev
+        self.D = D
+        self.D_adapted = D_adapted
+        self.Delta = Delta
+        self.E = E
+        self.report = report
 
 
 def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
                       E_prev: Distribution) -> DistributionStep:
     D, D_adapted, report = largest_projectable_subdistribution(E_prev, chart)
+    # the push-forward is a rename th -> xp: renamed back, each image is
+    # the th-part of its field
+    back = {f"xp{i}": f"th{i}" for i in range(1, sys.n + 1)}
     images = []
     for v in D_adapted.basis:
         img = pushforward_projectable(v, sys)
+        if not _renames_to(img.coeffs, back, v.coeffs):
+            raise InternalInvariantError(
+                f"the push-forward of a field of D_{k-1} is not its th-part")
         if not img.is_zero():
             images.append(img)
     Delta = Distribution.span(sys.chart_plus, images)
@@ -320,16 +361,33 @@ def run_distribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None
 
 # ---------------------------------------------------- codistribution test
 
-@dataclass
 class CodistributionStep:
-    k: int
-    P: Codistribution             # P_k on (x, u)
-    intersection: Codistribution  # P_k intersected with span{df}, on (x, u)
-    added_forms: list             # rho-forms on the adapted chart
-    Pplus: Codistribution         # P_{k+1}^+ on the adapted chart
-    Pplus_xu: Codistribution      # P_{k+1}^+ on (x, u)
-    P_next: Codistribution        # P_{k+1} on (x, u)
-    report: ProjectabilityReport  # from the annihilator of P_k
+    """Step k of the codistribution test.
+
+    P: P_k on (x, u).
+    intersection: P_k intersected with span{df}, on (x, u).
+    added_forms: the rho-forms on the adapted chart.
+    Pplus: P_{k+1}^+ on the adapted chart.
+    Pplus_xu: P_{k+1}^+ on (x, u).
+    P_next: P_{k+1} on (x, u).
+    report: the projectability certificate from the annihilator of P_k.
+    """
+
+    __slots__ = ("k", "P", "intersection", "added_forms", "Pplus",
+                 "Pplus_xu", "P_next", "report")
+
+    def __init__(self, k: int, P: Codistribution,
+                 intersection: Codistribution, added_forms: list,
+                 Pplus: Codistribution, Pplus_xu: Codistribution,
+                 P_next: Codistribution, report: ProjectabilityReport):
+        self.k = k
+        self.P = P
+        self.intersection = intersection
+        self.added_forms = added_forms
+        self.Pplus = Pplus
+        self.Pplus_xu = Pplus_xu
+        self.P_next = P_next
+        self.report = report
 
 
 def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
@@ -365,7 +423,17 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
         raise InternalInvariantError(
             "adapted-chart closure and coordinate-free closure disagree")
 
+    # the backward shift is a rename th -> x: renamed back, P_{k+1} is
+    # P_{k+1}^+ form for form, with zeros in the input columns.  Then
+    # f^* P_{k+1} = from_adapted(P_{k+1}^+) = Pplus_xu, which the
+    # cross-check above compared with the closure
     P_next = backward_shift_codistribution(Pplus, sys)
+    back = {x: f"th{i}" for i, x in enumerate(sys.state_names, start=1)}
+    if len(P_next.basis) != len(Pplus.basis) or not all(
+            _renames_to(w.coeffs, back, wplus.coeffs)
+            for w, wplus in zip(P_next.basis, Pplus.basis)):
+        raise InternalInvariantError(
+            f"the backward shift of P_{k + 1}^+ is not a renaming")
     if not is_integrable(P_next):
         raise InternalInvariantError(f"P_{k + 1} is not integrable")
     inside = P.echelon()
@@ -389,26 +457,39 @@ def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = No
 
 # ------------------------------------------------------------ the verdict
 
-@dataclass
 class DualityCheck:
     """Dimensions recorded at one verified step; every check passed, since
     verify_duality raises on the first that fails."""
 
-    k: int
-    E_dim: int
-    P_dim: int
-    D_dim: int
-    sum_dim: int
+    __slots__ = ("k", "E_dim", "P_dim", "D_dim", "sum_dim")
+
+    def __init__(self, k: int, E_dim: int, P_dim: int, D_dim: int,
+                 sum_dim: int):
+        self.k = k
+        self.E_dim = E_dim
+        self.P_dim = P_dim
+        self.D_dim = D_dim
+        self.sum_dim = sum_dim
 
 
-@dataclass
 class FlatnessVerdict:
-    flat: bool | None
-    kbar: int | None
-    witness: str
-    distribution: SequenceResult | None
-    codistribution: SequenceResult | None
-    duality: list | None  # DualityCheck per step, when the verifier ran
+    """The result of analyze.  distribution and codistribution are the
+    runs of the tests selected; duality holds one DualityCheck per step
+    when the verifier ran, else None."""
+
+    __slots__ = ("flat", "kbar", "witness", "distribution",
+                 "codistribution", "duality")
+
+    def __init__(self, flat: bool | None, kbar: int | None, witness: str,
+                 distribution: SequenceResult | None,
+                 codistribution: SequenceResult | None,
+                 duality: list | None):
+        self.flat = flat
+        self.kbar = kbar
+        self.witness = witness
+        self.distribution = distribution
+        self.codistribution = codistribution
+        self.duality = duality
 
 
 def _certificates_agree(a: ProjectabilityReport, b: ProjectabilityReport) -> bool:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ChartMismatch, InvalidVariables
 from .exprs import (
@@ -30,17 +29,33 @@ from .exprs import (
 )
 
 
-@dataclass(frozen=True)
 class Chart:
-    """Ordered coordinate names; the order defines coefficient indexing."""
+    """Ordered coordinate names; the order defines coefficient indexing.
+    Frozen, and equal and hashed by its names."""
 
-    names: tuple
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        repeated = sorted({n for n in self.names if self.names.count(n) > 1})
+    def __init__(self, names: tuple):
+        repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise InvalidVariables(f"variables declared more than once: "
                                    f"{repeated}")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Chart is frozen: cannot assign {name}")
+
+    def __eq__(self, other) -> bool:
+        # every Lie-calculus and span operation compares charts, and they
+        # are nearly always the one object
+        if self is other:
+            return True
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,6 @@ canonical scalar syntax, so two runs on the same input are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -18,14 +17,22 @@ from .flatness import FlatnessVerdict, ProjectabilityReport
 from .systems import AdaptedChart, DiscreteSystem, _rank_at_point
 
 
-@dataclass
 class AnalysisReport:
-    system: DiscreteSystem
-    options: dict
-    chart: AdaptedChart | None
-    verdict: FlatnessVerdict
-    cascade: CascadeResult | None
-    warnings: list = field(default_factory=list)
+    """Everything one report renders: the system, the options it ran with,
+    its adapted chart, the verdict, the decomposition and the warnings."""
+
+    __slots__ = ("system", "options", "chart", "verdict", "cascade",
+                 "warnings")
+
+    def __init__(self, system: DiscreteSystem, options: dict,
+                 chart: AdaptedChart | None, verdict: FlatnessVerdict,
+                 cascade: CascadeResult | None, warnings: list | None = None):
+        self.system = system
+        self.options = options
+        self.chart = chart
+        self.verdict = verdict
+        self.cascade = cascade
+        self.warnings = [] if warnings is None else warnings
 
 
 # ----------------------------------------------------------- field slices

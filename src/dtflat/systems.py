@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import (
     CoefficientVanishes,
@@ -54,13 +53,28 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
 class AdaptedChartHint:
     """Optional user guidance for the adapted chart: which m coordinates to
-    keep, and optionally the full inverse map (verified before use)."""
+    keep, and optionally the full inverse map (verified before use).
+    Frozen, and equal and hashed by its two fields."""
 
-    h_vars: tuple = ()
-    inverse: Mapping[str, Scalar] | None = None
+    __slots__ = ("h_vars", "inverse")
+
+    def __init__(self, h_vars: tuple = (),
+                 inverse: Mapping[str, Scalar] | None = None):
+        object.__setattr__(self, "h_vars", h_vars)
+        object.__setattr__(self, "inverse", inverse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AdaptedChartHint is frozen: cannot assign {name}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AdaptedChartHint:
+            return NotImplemented
+        return (self.h_vars, self.inverse) == (other.h_vars, other.inverse)
+
+    def __hash__(self):
+        return hash((self.h_vars, self.inverse))
 
 
 class DiscreteSystem:
@@ -306,10 +320,7 @@ def build_adapted_chart(sys: DiscreteSystem) -> AdaptedChart:
             continue
         if hint is not None and hint.inverse is not None:
             inverse = {k: Scalar.of(v) for k, v in hint.inverse.items()}
-            problem = _verify_inverse(sys, h_names, inverse)
-            if problem:
-                raise HintInvalid(f"hinted inverse fails verification: {problem}")
-            return AdaptedChart(sys, h_names, inverse)
+            return _verify_inverse(sys, h_names, inverse)
         inverse = _invert_greedy(sys, h_names)
         if inverse is None:
             failures.append((h_names, "no triangular linear solve order"))
@@ -467,20 +478,29 @@ def _check_at_point(chart: AdaptedChart) -> None:
 
 
 def _verify_inverse(sys: DiscreteSystem, h_names: tuple,
-                    inverse: Mapping[str, Scalar]) -> str | None:
-    """Round trip for a hinted inverse: substituting th = f(x,u),
-    xi = h(x,u) into it must return each original coordinate exactly."""
-    forward = Substitution(_forward_map(sys, h_names))
+                    inverse: Mapping[str, Scalar]) -> AdaptedChart:
+    """The chart of a hinted inverse, once its round trip holds:
+    substituting th = f(x,u), xi = h(x,u) into it must return each
+    original coordinate exactly.  The inverse must give every original
+    coordinate in (th, xi) alone before the chart is built, and the round
+    trip reads the built chart's forward map."""
+    adapted = set(sys.chart_adapted.names)
     for v in sys.chart.names:
         expr = inverse.get(v)
         if expr is None:
-            return f"missing inverse expression for {v}"
-        extra = expr.vars() - set(sys.chart_adapted.names)
+            raise _hint_fails(f"missing inverse expression for {v}")
+        extra = expr.vars() - adapted
         if extra:
-            return f"inverse for {v} mentions {sorted(extra)}"
-        if expr.subs(forward) != Scalar.var(v):
-            return f"round trip fails for {v}"
-    return None
+            raise _hint_fails(f"inverse for {v} mentions {sorted(extra)}")
+    chart = AdaptedChart(sys, h_names, inverse)
+    for v in sys.chart.names:
+        if inverse[v].subs(chart._out) != Scalar.var(v):
+            raise _hint_fails(f"round trip fails for {v}")
+    return chart
+
+
+def _hint_fails(problem: str) -> HintInvalid:
+    return HintInvalid(f"hinted inverse fails verification: {problem}")
 
 
 # -------------------------------------------------------------- transport

@@ -3,7 +3,6 @@ example, hand-derived fixtures, scaling families, and randomized
 systems."""
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -277,6 +276,14 @@ class TestDuality:
                                     verdict.codistribution)
 
 
+def replace(record, **changes):
+    """A copy of a result record with the given fields changed.  Each
+    record's constructor takes its fields, the names in __slots__, so an
+    unknown field raises TypeError."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def _mutate_step(seq, k, **changes):
     """A copy of the sequence result with step k replaced field by field."""
     steps = list(seq.steps)
@@ -360,6 +367,48 @@ class TestCrossCheck:
         with pytest.raises(InternalInvariantError, match="adapted-chart closure "
                            "and coordinate-free closure disagree"):
             codistribution_step(acad, acad_chart, 1, P1)
+
+
+def _doubled(coeffs):
+    """The entries with every one other than 0 and 1 doubled: a reduced
+    row stays reduced, so only the comparison with the input can tell."""
+    return [c if c.is_zero() or c == ONE else c + c for c in coeffs]
+
+
+class TestShiftsAreRenamings:
+    """Each step renames what its shift produced back onto the adapted
+    chart and compares it with the input entry for entry, so a shift that
+    changes an entry fails the run instead of changing its report."""
+
+    def test_backward_shift_fault_is_caught(self, monkeypatch):
+        import dtflat.flatness as flatness
+        real = flatness.backward_shift_codistribution
+
+        def faulty(pplus, sys):
+            P = real(pplus, sys)
+            return Codistribution.reduced(
+                P.chart, [_doubled(w.coeffs) for w in P.basis])
+
+        monkeypatch.setattr(flatness, "backward_shift_codistribution", faulty)
+        system = parse_system(DATA / "mixed2.sys")[0]
+        with pytest.raises(InternalInvariantError,
+                           match="backward shift .* is not a renaming"):
+            analyze(system, test="codistribution")
+
+    @pytest.mark.parametrize("name", ["academic4", "mixed2"])
+    def test_pushforward_fault_is_caught(self, monkeypatch, name):
+        import dtflat.flatness as flatness
+        real = flatness.pushforward_projectable
+
+        def faulty(v, sys):
+            img = real(v, sys)
+            return VectorField(img.chart, _doubled(img.coeffs))
+
+        monkeypatch.setattr(flatness, "pushforward_projectable", faulty)
+        system = parse_system(DATA / f"{name}.sys")[0]
+        with pytest.raises(InternalInvariantError,
+                           match="push-forward .* is not its th-part"):
+            analyze(system, test="distribution")
 
 
 class TestIntersectionStep:

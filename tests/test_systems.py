@@ -227,6 +227,36 @@ class TestAdaptedChart:
             [chart.forward[a].diff(b) for b in chart.sys.chart.names]
             for a in chart.chart.names]
 
+    def test_hinted_chart_map_built_once(self, monkeypatch):
+        # the hinted inverse's round trip reads the built chart's forward
+        # map
+        import dtflat.systems as systems
+        calls = []
+        real = systems._forward_map
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(systems, "_forward_map", spy)
+        s = mk(["x1"], ["u1"], ["x1 + u1"])
+        inverse = {"x1": parse_scalar("xi1"), "u1": parse_scalar("th1 - xi1")}
+        chart = build_adapted_chart(hinted(s, h_vars=("x1",), inverse=inverse))
+        assert calls == [("x1",)]
+        assert chart.inverse == inverse
+
+    @pytest.mark.parametrize("inverse, problem", [
+        ({"x1": "xi1"}, "missing inverse expression for u1"),
+        ({"x1": "xi1", "u1": "th1 - u1"}, r"inverse for u1 mentions \['u1'\]"),
+        ({"x1": "xi1", "u1": "th1 + xi1"}, "round trip fails for u1"),
+    ])
+    def test_inverse_hint_names_its_fault(self, inverse, problem):
+        s = mk(["x1"], ["u1"], ["x1 + u1"])
+        inverse = {v: parse_scalar(e) for v, e in inverse.items()}
+        with pytest.raises(HintInvalid, match="hinted inverse fails "
+                           f"verification: {problem}$"):
+            build_adapted_chart(hinted(s, h_vars=("x1",), inverse=inverse))
+
     def test_only_a_hinted_inverse_is_composed(self, monkeypatch):
         import dtflat.systems as systems
         calls = []
