@@ -288,11 +288,10 @@ def _units(k: int) -> list:
     return [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
 
 
-def _raise_rank(rows: list, candidates: list, target: int) -> list:
+def _raise_rank(ech: Echelon, candidates: list, target: int) -> list:
     """Indices of the candidates that, tried in order, raise the generic
-    rank of rows by one each, until it reaches target.  One reduction step
-    per candidate tried."""
-    ech = Echelon(rows)
+    rank of ech by one each, until it reaches target; ech takes them in.
+    One reduction step per candidate tried."""
     picks = []
     for i, cand in enumerate(candidates):
         if len(ech.rows) == target:
@@ -302,15 +301,42 @@ def _raise_rank(rows: list, candidates: list, target: int) -> list:
     return picks
 
 
-def _complete_states(diffs: list, sys: DiscreteSystem) -> list:
-    """Lowest-index completion of a partial state transformation by
-    original state coordinates, keeping the Jacobian at full generic rank."""
-    rows = [d.coeffs[:sys.n] for d in diffs]
-    picks = _raise_rank(rows, _units(sys.n), sys.n)
-    if len(rows) + len(picks) != sys.n:
-        raise NormalizationFailed(
-            "no coordinate completion of the state transformation found")
-    return [sys.state_names[i] for i in picks]
+def _state_completions(p2: Codistribution, sys: DiscreteSystem):
+    """The sets of state coordinates x_i whose dx_i complete p2 to
+    span{dx}, as ascending index tuples in lexicographic order.
+
+    A rank completion depends only on the span, so p2's own echelon form
+    seeds it.  The completions are the bases of a matroid, and the greedy
+    lowest-index pick is the lexicographically least of them: it comes
+    first, and no set before it completes p2, so none is tried."""
+    units = _units(sys.n + sys.m)[:sys.n]
+    first = tuple(_raise_rank(p2.echelon(), units, sys.n))
+    yield first
+    for picks in itertools.combinations(range(sys.n), len(first)):
+        if picks > first:
+            ech = p2.echelon()
+            if all(ech.add(units[i]) for i in picks):
+                yield picks
+
+
+def _complete_states(p2: Codistribution, sys: DiscreteSystem,
+                     integrals: FirstIntegralSet, state_names: list) -> tuple:
+    """(state_funcs, state_inverse): the first integrals completed by the
+    first state coordinates, in _state_completions' order, whose map a
+    triangular linear solve inverts.  The lowest-index completion is tried
+    first, so a map it inverts is kept; only when it fails are the other
+    sets tried, at worst all C(n, n - dim p2) of them."""
+    for picks in _state_completions(p2, sys):
+        state_funcs = (list(integrals.functions)
+                       + [Scalar.var(sys.state_names[i]) for i in picks])
+        state_inverse = triangular_solve(
+            [(g, Scalar.var(nm)) for nm, g in zip(state_names, state_funcs)],
+            list(sys.state_names))
+        if state_inverse is not None:
+            return state_funcs, state_inverse
+    raise NormalizationFailed(
+        "could not invert the state transformation by triangular linear "
+        "solves")
 
 
 def decompose_step(sys: DiscreteSystem, p2: Codistribution,
@@ -360,17 +386,8 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
         # of the involutive E_1 is by Frobenius, and so are their moved
         # tails)
         integrals = find_first_integrals(p2, sys, integral_hints)
-        completion = _complete_states(
-            [d_scalar(sys.chart, g) for g in integrals.functions], sys)
-        state_funcs = (list(integrals.functions)
-                       + [Scalar.var(x) for x in completion])
-        state_inverse = triangular_solve(
-            [(g, Scalar.var(nm)) for nm, g in zip(state_names, state_funcs)],
-            list(sys.state_names))
-        if state_inverse is None:
-            raise NormalizationFailed(
-                "could not invert the state transformation by triangular "
-                "linear solves")
+        state_funcs, state_inverse = _complete_states(
+            p2, sys, integrals, state_names)
 
         # dynamics of the new states, still with the original inputs: row
         # i is g_i(f) on (x, u), then moved to x-bar
@@ -381,15 +398,17 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
         # choose the equations to normalize: lowest-index subsystem rows
         # with independent input Jacobian rows
         sub_jac = [[g.diff(u) for u in sys.input_names] for g in f_mid[:n2]]
-        normalized = _raise_rank([], sub_jac, m)
+        ech = Echelon()
+        normalized = _raise_rank(ech, sub_jac, m)
 
         # input transformation: normalized equations first, then original
-        # inputs completing an invertible map; on (x, u) the row f_mid[i]
-        # is g_i(f) again, as the state maps are mutually inverse
+        # inputs completing an invertible map.  On (x, u) the row f_mid[i]
+        # is g_i(f) again, as the state maps are mutually inverse, and its
+        # input Jacobian row is sub_jac[i] under that invertible map, so
+        # ech, which holds the normalized rows, ranks the completion
         input_funcs = [shifted[i] for i in normalized]
-        jac_rows = [[g.diff(u) for u in sys.input_names] for g in input_funcs]
         input_funcs += [Scalar.var(sys.input_names[j])
-                        for j in _raise_rank(jac_rows, _units(m), m)]
+                        for j in _raise_rank(ech, _units(m), m)]
         if len(input_funcs) != m:
             raise NormalizationFailed(
                 "no invertible completion of the input transformation among "

@@ -215,16 +215,7 @@ class Poly:
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if not other.terms:
-            return self
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) - c
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        return Poly(terms)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
@@ -1047,79 +1038,38 @@ def _derivative(s: Scalar, name: str) -> Scalar:
 
 
 # Sums of products.  An entry of a reduced row is a sum of products whose
-# second factors are entries of the same column of an echelon form, and
-# those often share one denominator D up to an integer factor.  A
-# polynomial over Q times n/(k*D), k an integer, is a polynomial over D,
-# so such a group is summed as polynomials and made canonical once.
-
-def _grouped(pairs: Iterable[tuple]) -> tuple:
-    """(groups, rest) of the pairs (a, b): groups maps a primitive
-    polynomial D to the triples (k, a, b) of the pairs whose a is a
-    polynomial (its den is an integer) and whose b has den k'*D, where
-    k = a.den*k', so that a*b = a.num*b.num/(k*D); rest holds the other
-    pairs."""
-    groups: dict = {}
-    rest = []
-    for a, b in pairs:
-        if a.den.is_const():
-            k, terms = _int_split(b.den.terms)
-            den = b.den if k == 1 else Poly(terms)
-            k *= a.den.const_value()
-            groups.setdefault(den, []).append((k, a, b))
-        else:
-            rest.append((a, b))
-    return groups, rest
-
-
-def _numerator(group: list) -> tuple:
-    """(N, k) with sum(a*b) = N/(k*D), for a group over one D."""
-    k = math.lcm(*(kab for kab, _, _ in group))
-    total = _P0
-    for kab, a, b in group:
-        total = total + _rescaled(a.num * b.num, k, kab)
-    return total, k
-
+# second factors are entries of the same column of an echelon form.
 
 def dot(pairs: Iterable[tuple]) -> Scalar:
-    """The sum of a*b over the pairs (a, b) of Scalars.
-
-    Each group of products whose a is a polynomial and whose b share a
-    denominator D up to an integer is summed as the polynomial N over k*D
-    and made canonical once, as Scalar(N, k*D), where adding the products
-    one at a time runs gcds against D for each product and each sum.  A
-    group of one product is a*b, so the memo and the constant path still
-    apply.  The groups are then added with Scalar.__add__."""
-    return _summed(*_grouped(pairs))
-
-
-def _summed(groups: dict, rest: list) -> Scalar:
-    """dot of the pairs that _grouped split into groups and rest."""
+    """The sum of a*b over the pairs (a, b) of Scalars, left to right."""
     total = _S0
-    for den, group in groups.items():
-        if len(group) > 1:
-            n, k = _numerator(group)
-            total = total + Scalar(n, _rescaled(den, k, 1))
-        else:
-            _, a, b = group[0]
-            total = total + a * b
-    for a, b in rest:
+    for a, b in pairs:
         total = total + a * b
     return total
 
 
-def equals_dot(c: Scalar, pairs: Iterable[tuple]) -> bool:
-    """c == dot(pairs).  When every a is a polynomial and every b has one
-    denominator D up to an integer, dot(pairs) is N/(k*D), and the
-    canonical c = p/q equals it exactly when p*k*D == q*N (q and D are
-    nonzero): no Scalar is built and no gcd runs.  Other pairs are
-    compared through dot."""
-    groups, rest = _grouped(pairs)
-    if rest or len(groups) > 1:
-        return c == _summed(groups, rest)
-    if not groups:
+def equals_dot(c: Scalar, pairs: list) -> bool:
+    """c == dot(pairs).  When every a is a polynomial and every b has
+    denominator k_b*D for one primitive D and integers k_b, dot(pairs) is
+    N/(k*D) with k the lcm of the a.den*k_b, and the canonical c = p/q
+    equals it exactly when p*k*D == q*N (q and D are nonzero): no Scalar is
+    built and no gcd runs.  Other pairs are compared through dot."""
+    den, group = None, []
+    for a, b in pairs:
+        if not a.den.is_const():
+            return c == dot(pairs)
+        kb, terms = _int_split(b.den.terms)
+        d = b.den if kb == 1 else Poly(terms)
+        if den is not None and d != den:
+            return c == dot(pairs)
+        den = d
+        group.append((kb * a.den.const_value(), a, b))
+    if not group:
         return c.is_zero()
-    (den, group), = groups.items()
-    n, k = _numerator(group)
+    k = math.lcm(*(kab for kab, _, _ in group))
+    n = _P0
+    for kab, a, b in group:
+        n = n + _rescaled(a.num * b.num, k, kab)
     den = _rescaled(den, k, 1)
     if c.den == den:
         return c.num == n
@@ -1167,14 +1117,13 @@ class Substitution:
     composition exactly.
     """
 
-    __slots__ = ("bindings", "_nums", "_dens", "_factors")
+    __slots__ = ("bindings", "_nums", "_dens")
 
     def __init__(self, bindings: Mapping[str, "Scalar"]):
         self.bindings = {k: Scalar.of(v) for k, v in bindings.items()}
         # a_v^k and b_v^k at index k, grown on demand
         self._nums = {k: [_P1, s.num] for k, s in self.bindings.items()}
         self._dens = {k: [_P1, s.den] for k, s in self.bindings.items()}
-        self._factors: dict = {}    # (v, e, d) -> a_v^e * b_v^(d - e)
 
     def apply(self, s: "Scalar") -> "Scalar":
         names = sorted(s.vars() & self.bindings.keys())
@@ -1208,22 +1157,14 @@ class Substitution:
         of p, one bound name per level of recursion."""
         if not names:
             return p
-        v, rest = names[0], names[1:]
+        v, rest, d = names[0], names[1:], degs[names[0]]
         total = _P0
         for e, coeff in _as_uni(p, v).items():
-            total = total + self._compose(coeff, rest, degs) \
-                * self._factor(v, e, degs[v])
-        return total
-
-    def _factor(self, v: str, e: int, d: int) -> Poly:
-        key = (v, e, d)
-        got = self._factors.get(key)
-        if got is None:
-            got = _power(self._nums[v], e)
+            factor = _power(self._nums[v], e)
             if d > e:
-                got = got * _power(self._dens[v], d - e)
-            self._factors[key] = got
-        return got
+                factor = factor * _power(self._dens[v], d - e)
+            total = total + self._compose(coeff, rest, degs) * factor
+        return total
 
 
 def _power(powers: list, k: int) -> Poly:

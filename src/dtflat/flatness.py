@@ -323,7 +323,7 @@ def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     D, D_adapted, report = largest_projectable_subdistribution(E_prev, chart)
     # the push-forward is a rename th -> xp: renamed back, each image is
     # the th-part of its field
-    back = {f"xp{i}": f"th{i}" for i in range(1, sys.n + 1)}
+    back = dict(zip(sys.chart_plus.names, sys.chart_adapted.names))
     images = []
     for v in D_adapted.basis:
         img = pushforward_projectable(v, sys)
@@ -428,7 +428,7 @@ def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
     # f^* P_{k+1} = from_adapted(P_{k+1}^+) = Pplus_xu, which the
     # cross-check above compared with the closure
     P_next = backward_shift_codistribution(Pplus, sys)
-    back = {x: f"th{i}" for i, x in enumerate(sys.state_names, start=1)}
+    back = dict(zip(sys.state_names, sys.chart_adapted.names))
     if len(P_next.basis) != len(Pplus.basis) or not all(
             _renames_to(w.coeffs, back, wplus.coeffs)
             for w, wplus in zip(P_next.basis, Pplus.basis)):

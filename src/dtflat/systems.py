@@ -99,10 +99,12 @@ class DiscreteSystem:
         self.hints = hints
 
         self.chart = Chart(self.state_names + self.input_names)
-        reserved = ({f"th{i}" for i in range(1, self.n + 1)}
-                    | {f"xi{j}" for j in range(1, self.m + 1)}
-                    | {f"xp{i}" for i in range(1, self.n + 1)})
-        clash = reserved & set(self.chart.names)
+        # the generated chart names: every other module zips these charts'
+        # names, and none spells them again
+        th = tuple(f"th{i}" for i in range(1, self.n + 1))
+        xi = tuple(f"xi{j}" for j in range(1, self.m + 1))
+        xp = tuple(f"xp{i}" for i in range(1, self.n + 1))
+        clash = set(th + xi + xp) & set(self.chart.names)
         if clash:
             raise InvalidVariables(
                 f"variable names {sorted(clash)} collide with generated "
@@ -114,10 +116,8 @@ class DiscreteSystem:
                 raise InvalidVariables(
                     f"undeclared variables in dynamics: {sorted(extra)}")
 
-        self.chart_plus = Chart(tuple(f"xp{i}" for i in range(1, self.n + 1)))
-        self.chart_adapted = Chart(
-            tuple(f"th{i}" for i in range(1, self.n + 1))
-            + tuple(f"xi{j}" for j in range(1, self.m + 1)))
+        self.chart_plus = Chart(xp)
+        self.chart_adapted = Chart(th + xi)
 
         self.jacobian = [[g.diff(v) for v in self.chart.names] for g in self.f]
         # span{df}: the row space of the update-map Jacobian as 1-forms
@@ -426,26 +426,25 @@ def _solve_one(e: Scalar, unsolved: list, solved: Substitution):
 def _invert_greedy(sys: DiscreteSystem, h_names: tuple):
     """Adapted-chart inversion: express every original coordinate in
     (th, xi).  Returns the inverse map or None."""
-    xi_of = {h: Scalar.var(f"xi{j}") for j, h in enumerate(h_names, start=1)}
+    adapted = sys.chart_adapted.names
+    xi_of = dict(zip(h_names, adapted[sys.n:]))
     unknowns = [v for v in sys.chart.names if v not in xi_of]
-    equations = [(g.subs(xi_of), Scalar.var(f"th{i}"))
-                 for i, g in enumerate(sys.f, start=1)]
+    equations = [(g.rename(xi_of), Scalar.var(th))
+                 for g, th in zip(sys.f, adapted)]
     solved = triangular_solve(equations, unknowns)
     if solved is None:
         return None
     inverse = dict(solved)
     for h, xi in xi_of.items():
-        inverse[h] = xi
+        inverse[h] = Scalar.var(xi)
     return inverse
 
 
 def _forward_map(sys: DiscreteSystem, h_names: tuple) -> dict:
     """The chart map F = (f, h): each adapted coordinate th_i, xi_j as a
     function on (x, u)."""
-    forward = {f"th{i}": g for i, g in enumerate(sys.f, start=1)}
-    forward.update((f"xi{j}", Scalar.var(h))
-                   for j, h in enumerate(h_names, start=1))
-    return forward
+    return dict(zip(sys.chart_adapted.names,
+                    sys.f + tuple(Scalar.var(h) for h in h_names)))
 
 
 # seed of the rational points at which _check_at_point evaluates G o F
@@ -510,13 +509,13 @@ def pushforward_projectable(v: VectorField, sys: DiscreteSystem) -> VectorField:
     and rename th -> xp; errors if any th-coefficient depends on xi."""
     if v.chart != sys.chart_adapted:
         raise ValueError("field is not on the adapted chart")
+    th_names = sys.chart_adapted.names[:sys.n]
     xi_names = sys.chart_adapted.names[sys.n:]
-    for i in range(sys.n):
+    for th, c in zip(th_names, v.coeffs):
         for xi in xi_names:
-            if v.coeffs[i].depends_on(xi):
-                raise NotProjectable(
-                    f"coefficient of d/dth{i + 1} depends on {xi}")
-    ren = {f"th{i}": f"xp{i}" for i in range(1, sys.n + 1)}
+            if c.depends_on(xi):
+                raise NotProjectable(f"coefficient of d/d{th} depends on {xi}")
+    ren = dict(zip(th_names, sys.chart_plus.names))
     return VectorField(sys.chart_plus,
                        [v.coeffs[i].rename(ren) for i in range(sys.n)])
 
@@ -526,7 +525,7 @@ def pullback_pi(delta: Distribution, sys: DiscreteSystem) -> Distribution:
     input coordinate fields."""
     if delta.chart != sys.chart_plus:
         raise ValueError("distribution is not on the successor chart")
-    ren = {f"xp{i}": sys.state_names[i - 1] for i in range(1, sys.n + 1)}
+    ren = dict(zip(sys.chart_plus.names, sys.state_names))
     fields = []
     for v in delta.basis:
         coeffs = [c.rename(ren) for c in v.coeffs] + [ZERO] * sys.m
@@ -556,7 +555,7 @@ def backward_shift_codistribution(pplus: Codistribution,
                 if c.depends_on(xi):
                     raise NotShiftable(
                         f"no xi-free basis: coefficient {c} depends on {xi}")
-    ren = {f"th{i}": sys.state_names[i - 1] for i in range(1, sys.n + 1)}
+    ren = dict(zip(sys.chart_adapted.names, sys.state_names))
     return Codistribution.reduced(sys.chart, [
         [c.rename(ren) for c in row[:sys.n]] + [ZERO] * sys.m
         for row in rows])

@@ -500,11 +500,6 @@ class TestRun:
         (["x2 + u1 + u2", "u1 + u2"], "u1 u2",
          "the normalization route requires generic rank m = 2 of the input "
          "Jacobian; it is 1", []),
-        # level 2 completes the integral xb1 + xb2^2 by xb1, a map no
-        # triangular linear solve inverts; level 1 is kept
-        (["x2 - x3^2", "x3", "u1"], "u1",
-         "could not invert the state transformation by triangular linear "
-         "solves", [{"x2": 2, "x1": 1, "u2": 0, "u1": 1}]),
     ])
     def test_decompose_blocked_cascade(self, tmp_path, capsys, dynamics,
                                        inputs, blocked, kept):
@@ -532,6 +527,27 @@ class TestRun:
         assert cascade["depth"] == depth
         assert [step["dims"] for step in cascade["steps"]] == kept
         assert all(not step["terminal"] for step in cascade["steps"])
+
+    def test_decompose_completes_by_a_later_coordinate(self, tmp_path,
+                                                       capsys):
+        # level 2 completes the integral xb1 + xb2^2 by xb1 first, a map no
+        # triangular linear solve inverts; the next completion, by xb2,
+        # inverts, and the cascade goes on to a terminal step
+        path = write(tmp_path, "name: later\nstates: x1 x2 x3\ninputs: u1\n"
+                     "dynamics:\n  x1+ = x2 - x3^2\n  x2+ = x3\n  x3+ = u1\n"
+                     "equilibrium: 0 0 0 0\n")
+        out_path = tmp_path / "report.json"
+        assert run([str(path), "--decompose", "--json", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "-- triangular decomposition: depth 3\n" in out
+        assert ("  step 2: dim(x2, x1, u2, u1) = (1, 1, 0, 1)\n"
+                "    xc1 = xb2^2 + xb1\n    xc2 = xb2\n") in out
+        cascade = json.loads(out_path.read_text())["decomposition"]
+        assert cascade["blocked"] is None and cascade["depth"] == 3
+        assert [step["terminal"] for step in cascade["steps"]] == \
+            [False, False, True]
+        assert cascade["steps"][1]["state_transform"] == \
+            [["xc1", "xb2^2 + xb1"], ["xc2", "xb2"]]
 
     def test_decompose_on_nonflat_warns(self, capsys):
         assert run([str(NONFLAT), "--decompose"]) == 0

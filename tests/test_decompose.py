@@ -474,6 +474,64 @@ class TestCascade:
         assert cascade.blocked is None
         assert len(builds) <= most
 
+    @pytest.mark.parametrize("path", [
+        DATA / "academic4.sys",
+        DATA / "mixed2.sys",
+        DATA / "golden" / "rat4.sys",
+        DATA / "golden" / "nlchain5.sys",
+    ], ids=["academic4", "mixed2", "rat4", "nlchain5"])
+    def test_completion_from_p2_is_the_integrals_lowest(self, monkeypatch,
+                                                         path):
+        # a rank completion depends only on the span, and the integrals'
+        # differentials span P_2: the completion seeded with P_2's echelon
+        # form is the lowest-index completion of the differentials, found
+        # here by ranks alone, at every level of the cascade
+        import dtflat.decompose as decompose
+        real, levels = decompose._complete_states, []
+
+        def spy(p2, sys, integrals, names):
+            levels.append((p2, sys, integrals))
+            return real(p2, sys, integrals, names)
+
+        monkeypatch.setattr(decompose, "_complete_states", spy)
+        system = parse_system(path)[0]
+        cascade = decompose_cascade(system, analyze(system))
+        assert cascade.blocked is None
+        assert len(levels) == cascade.depth - 1
+        for (p2, sys, integrals), step in zip(levels, cascade.steps):
+            rows = [d_scalar(sys.chart, g).coeffs[:sys.n]
+                    for g in integrals.functions]
+            lowest = []
+            for i in range(sys.n):
+                unit = [Scalar(int(j == i)) for j in range(sys.n)]
+                if generic_rank(rows + [unit]) > generic_rank(rows):
+                    rows.append(unit)
+                    lowest.append(i)
+            assert next(decompose._state_completions(p2, sys)) == \
+                tuple(lowest)
+            assert [g for _, g in step.state_transform[p2.dim:]] == \
+                [Scalar.var(sys.state_names[i]) for i in lowest]
+
+    def test_every_completion_is_tried_before_blocking(self, acad,
+                                                       acad_verdict,
+                                                       monkeypatch):
+        # P_2 = span{dx1, dx2 + 3 dx4, dx3} is completed by x2 or by x4,
+        # and by neither x1 nor x3; when no map inverts, both are tried,
+        # lowest first, and the cascade blocks at level 1
+        import dtflat.decompose as decompose
+        tried = []
+
+        def no_inverse(equations, unknowns):
+            tried.append([str(g) for g, _ in equations[3:]])
+
+        monkeypatch.setattr(decompose, "triangular_solve", no_inverse)
+        cascade = decompose_cascade(acad, acad_verdict)
+        assert cascade.depth == 0
+        assert cascade.blocked == ("could not invert the state "
+                                   "transformation by triangular linear "
+                                   "solves")
+        assert tried == [["x2"], ["x4"]]
+
     def test_not_flat_verdict_rejected(self):
         system = nonflat2()
         with pytest.raises(ValueError, match="forward-flat"):

@@ -224,6 +224,28 @@ class TestDot:
         expect = x + x / (x + 1) + 3 * y
         assert dot(pairs) == expect and equals_dot(expect, pairs)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_left_to_right_sum_and_the_one_group_test(self, data):
+        # several pairs over one shared denominator, over several, with
+        # rational or constant a and zeros: shapes the workloads send
+        # dot seldom or never
+        kind = data.draw(st.sampled_from(["shared", "distinct", "constant"]))
+        den = data.draw(st.sampled_from(DENOMINATORS))
+        pairs = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            a_kind = data.draw(st.sampled_from(["polynomial", "distinct",
+                                                "constant"]))
+            a = (data.draw(polynomials()) if a_kind == "polynomial"
+                 else data.draw(entries(a_kind, den)))
+            pairs.append((a, data.draw(entries(kind, den))))
+        total = ZERO
+        for a, b in pairs:
+            total = total + a * b
+        assert dot(pairs) == total
+        for c in (total, total + 1, data.draw(entries(kind, den))):
+            assert equals_dot(c, pairs) == (c == total)
+
 
 @pytest.fixture
 def gcd_calls(monkeypatch):

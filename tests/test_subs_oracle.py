@@ -126,6 +126,23 @@ def test_reused_substitution_matches_fresh_calls():
         assert s.subs(sub) == fresh
 
 
+def test_reused_substitution_with_nested_names():
+    # x1 is composed first and x2 under it: x2 occurs at degree 2 under
+    # x1^0, x1^1 and x1^2, so one Substitution builds the same powers of
+    # x2 for each exponent of x1, and again for the next expression
+    bindings = {"x1": parse_scalar("(x2 + 1)/(x3 - 2)"),
+                "x2": parse_scalar("x1*x3/(x1^2 + 3)"),
+                "x3": parse_scalar("x1 - x2")}
+    sub = Substitution(bindings)
+    for text in ["x1^2*x2^2 + x1*x2^2 + x2^2 - 2*x1*x2 + x3",
+                 "(x1*x2^2 - x2^2 + x3)/(x1^2*x2 + x2^2 + 1)",
+                 "x2^2*x3^2 + x1*x2^2*x3 - x1^2*x2^2"]:
+        s = parse_scalar(text)
+        got = s.subs(sub)
+        assert got == reference_subs(s, bindings) == s.subs(bindings)
+        assert same_as_sympy(got, sympy_subs(s, bindings))
+
+
 def test_rat4_inverse_round_trip():
     n = 4
     states = [f"x{i}" for i in range(1, n + 1)]
