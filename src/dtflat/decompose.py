@@ -84,10 +84,12 @@ def _rational_antiderivative(c: Scalar, name: str):
 
 
 def _potential(w: OneForm):
-    """A function g with dg = w, or None; assumes the form is closed."""
-    chart = w.chart
+    """A function g with dg = w for a closed form w, or None when an
+    antiderivative is not rational.  dg = w needs no check: the pass over
+    z_i adds an A with dA/dz_i the residual, and for an earlier z_j, dA/dz_j
+    is free of z_i by closedness and vanishes at z_i = 0, as A does."""
     g = ZERO
-    for idx, name in enumerate(chart.names):
+    for idx, name in enumerate(w.chart.names):
         residual = w.coeffs[idx] - g.diff(name)
         if residual.is_zero():
             continue
@@ -95,10 +97,7 @@ def _potential(w: OneForm):
         if anti is None:
             return None
         g = g + anti
-    check = d_scalar(chart, g)
-    if all((a - b).is_zero() for a, b in zip(check.coeffs, w.coeffs)):
-        return g
-    return None
+    return g
 
 
 def _integral_of_form(w: OneForm, factor_vars: list):
@@ -407,13 +406,10 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
         # input Jacobian row is sub_jac[i] under that invertible map, so
         # ech, which holds the normalized rows, ranks the completion
         input_funcs = [shifted[i] for i in normalized]
+        # the m unit rows span every row of length m, so they complete the
+        # independent rows in ech to rank m: input_funcs has m entries
         input_funcs += [Scalar.var(sys.input_names[j])
                         for j in _raise_rank(ech, _units(m), m)]
-        if len(input_funcs) != m:
-            raise NormalizationFailed(
-                "no invertible completion of the input transformation among "
-                "the coordinate inputs",
-                hint="the input Jacobian may be singular; check rank(df/du)")
 
         # u-bar on (x-bar, u): the normalized rows are f_mid's, and the
         # completing inputs are free of the states
@@ -491,14 +487,16 @@ def _derived_system(state_names, input_names, f, parent: DiscreteSystem,
                     value_map):
     """Construct a coordinate-transformed system; falls back to no
     equilibrium when the transformation or the transformed dynamics are
-    singular at the parent's point."""
+    singular at the parent's point.  value_map holds every new name, and a
+    system built without an equilibrium evaluates nothing, so only one
+    built with one can raise EvalSingular or EquilibriumMismatch."""
     equilibrium = None
     note = None
     if parent.equilibrium is not None:
         try:
             equilibrium = {nm: value_map[nm].eval_at(parent.equilibrium)
                            for nm in list(state_names) + list(input_names)}
-        except (EvalSingular, KeyError):
+        except EvalSingular:
             note = ("transformed coordinates are singular at the original "
                     "equilibrium; the derived system carries no equilibrium "
                     "and is analyzed generically")
@@ -506,8 +504,6 @@ def _derived_system(state_names, input_names, f, parent: DiscreteSystem,
         return DiscreteSystem(state_names, input_names, f, equilibrium,
                               name=f"{parent.name}/derived"), note
     except (EvalSingular, EquilibriumMismatch):
-        if equilibrium is None:
-            raise
         note = ("transformed dynamics are singular at the image of the "
                 "equilibrium; the derived system is analyzed generically")
         return DiscreteSystem(state_names, input_names, f, None,
@@ -563,6 +559,14 @@ class CascadeResult:
 _LEVEL_LETTERS = "bcdefghjklmnoqrstuvwyz"
 
 
+def _level_tags():
+    """The names of the cascade's levels, without end: b, ..., z, then
+    bb, bc, ..., zz, then bbb, and so on."""
+    for size in itertools.count(1):
+        yield from map("".join,
+                       itertools.product(_LEVEL_LETTERS, repeat=size))
+
+
 def _carry(tail, parent: DiscreteSystem, step: TriangularDecomposition):
     """The members in tail on step's subsystem: sum a_i dz_i on z = (x, u)
     becomes sum a_i(phi) dphi_i, phi the inverse maps, in dx_sub alone."""
@@ -593,7 +597,11 @@ def decompose_cascade(sys: DiscreteSystem, verdict,
     transformed system is triangular and P_2 = span{dxbar_sub}, so for
     k >= 2 the integrable P_k in P_2 is spanned by differentials of
     functions of xbar_sub alone, and the subsystem's sequence is the tail
-    of its parent's.  Each carried P_2 must pass f_sub^* P_2 = P_2^+."""
+    of its parent's.  Each carried P_2 must pass f_sub^* P_2 = P_2^+.
+
+    Every level but the last has fewer states than the one above it
+    (decompose_step refuses dim P_2 = n), so the cascade ends after at most
+    n levels and needs no depth limit."""
     if not verdict.flat:
         raise ValueError("only a system found forward-flat decomposes")
     tail = (verdict.codistribution.sequence[1:]
@@ -601,7 +609,7 @@ def decompose_cascade(sys: DiscreteSystem, verdict,
             else [annihilator(E) for E in verdict.distribution.sequence[1:]])
     steps: list = []
     current = sys
-    for level, letter in enumerate(_LEVEL_LETTERS):
+    for level, tag in enumerate(_level_tags()):
         if level and not same_span(pullback_f(tail[0], current),
                                    _p2_plus(current)[1]):
             raise InternalInvariantError(
@@ -609,8 +617,8 @@ def decompose_cascade(sys: DiscreteSystem, verdict,
         try:
             step = decompose_step(current, tail[0],
                                   integral_hints=integral_hints,
-                                  state_prefix=f"x{letter}",
-                                  input_prefix=f"u{letter}")
+                                  state_prefix=f"x{tag}",
+                                  input_prefix=f"u{tag}")
         except (IntegralsNotFound, NormalizationFailed) as exc:
             return CascadeResult(steps=steps, blocked=str(exc))
         steps.append(step)
@@ -618,5 +626,3 @@ def decompose_cascade(sys: DiscreteSystem, verdict,
             return CascadeResult(steps=steps)
         tail = _carry(tail[1:], current, step)
         current, integral_hints = step.subsystem, None
-    return CascadeResult(steps=steps,
-                         blocked="cascade exceeded the supported depth")

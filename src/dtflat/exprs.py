@@ -253,6 +253,8 @@ class Poly:
     # ------------------------------------------------------ calculus etc
 
     def diff(self, name: str) -> "Poly":
+        # lowering the exponent of name is one to one on the monomials
+        # that hold it, so no two terms meet and none cancels
         terms: dict = {}
         for mono, c in self.terms.items():
             for idx, (n, e) in enumerate(mono):
@@ -262,11 +264,7 @@ class Poly:
                     new = mono[:idx] + mono[idx + 1:]
                 else:
                     new = mono[:idx] + ((n, e - 1),) + mono[idx + 1:]
-                s = terms.get(new, 0) + c * e
-                if s:
-                    terms[new] = s
-                else:
-                    del terms[new]
+                terms[new] = c * e
                 break
         return Poly(terms)
 
@@ -703,11 +701,8 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
             f, g = g, _as_uni(rp, x)
         else:
             f, g = g, r
-    result = _from_uni(f, x)
-    cont = _content(result, x)
-    if not cont.is_const():
-        result = poly_divexact(result, cont)
-    return c * result
+    # f is pa, pb or a remainder divided by its content: primitive in x
+    return c * _from_uni(f, x)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

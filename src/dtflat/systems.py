@@ -55,26 +55,14 @@ from .geometry import (
 
 class AdaptedChartHint:
     """Optional user guidance for the adapted chart: which m coordinates to
-    keep, and optionally the full inverse map (verified before use).
-    Frozen, and equal and hashed by its two fields."""
+    keep, and optionally the full inverse map (verified before use)."""
 
     __slots__ = ("h_vars", "inverse")
 
     def __init__(self, h_vars: tuple = (),
                  inverse: Mapping[str, Scalar] | None = None):
-        object.__setattr__(self, "h_vars", h_vars)
-        object.__setattr__(self, "inverse", inverse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AdaptedChartHint is frozen: cannot assign {name}")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not AdaptedChartHint:
-            return NotImplemented
-        return (self.h_vars, self.inverse) == (other.h_vars, other.inverse)
-
-    def __hash__(self):
-        return hash((self.h_vars, self.inverse))
+        self.h_vars = h_vars
+        self.inverse = inverse
 
 
 class DiscreteSystem:
@@ -174,10 +162,6 @@ class DiscreteSystem:
         """x -> f(x, u), one Substitution per system: pullback_f and
         decompose_step share the powers of f it builds."""
         return Substitution(dict(zip(self.state_names, self.f)))
-
-    def __str__(self) -> str:
-        rows = ", ".join(f"{x}+ = {g}" for x, g in zip(self.state_names, self.f))
-        return f"DiscreteSystem(n={self.n}, m={self.m}: {rows})"
 
 
 def _rank_at_point(matrix, point) -> int | None:

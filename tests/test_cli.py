@@ -4,12 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from dtflat.cli import parse_system, parse_system_file, run
+from dtflat.cli import main, parse_system, parse_system_file, run
 from dtflat.errors import (
     DualityViolation,
     EquilibriumMismatch,
@@ -19,7 +20,8 @@ from dtflat.errors import (
     ParseError,
     SubmersivityFailed,
 )
-from dtflat.reporting import point_check
+from dtflat.exprs import Scalar
+from dtflat.reporting import equilibrium_singularity_warnings, point_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,7 +104,86 @@ def write(tmp_path, text, name="sys.sys"):
     return p
 
 
+_STATES = "states: x1\n"
+_INPUTS = "inputs: u1\n"
+_DYNAMICS = "dynamics:\n  x1+ = u1\n"
+_EQUILIBRIUM = "equilibrium: 0 0\n"
+_HEAD = _STATES + _INPUTS + _DYNAMICS
+
+# (file text, the ParseError's message): one case per message
+PARSE_ERRORS = {
+    "not-rational": (_HEAD + "equilibrium: x1=a u1=0\n",
+                     "line 5: not a rational number: 'a'"),
+    "zero-denominator": (_HEAD + "equilibrium: 1/0 0\n",
+                         "line 5: not a rational number: '1/0'"),
+    "before-any-section": ("x1\n" + _HEAD + _EQUILIBRIUM,
+                           "line 1: content before any section: 'x1'"),
+    "continuation": ("name:\n  chain\n" + _HEAD + _EQUILIBRIUM,
+                     "line 2: unexpected continuation line under 'name'"),
+    "no-states": (_INPUTS + _DYNAMICS + _EQUILIBRIUM,
+                  "missing states: declaration"),
+    "no-inputs": (_STATES + _DYNAMICS + _EQUILIBRIUM,
+                  "missing inputs: declaration"),
+    "undeclared-dynamics": (_HEAD + "  x2+ = u1\n" + _EQUILIBRIUM,
+                            "dynamics given for undeclared states: x2"),
+    "dynamics-line": (_STATES + _INPUTS + "dynamics:\n  x1 = u1\n"
+                      + _EQUILIBRIUM,
+                      "line 4: dynamics lines read '<state>+ = "
+                      "<expression>'"),
+    "duplicate-dynamics": (_HEAD + "  x1+ = u1\n" + _EQUILIBRIUM,
+                           "line 5: duplicate dynamics for x1"),
+    "hint-line": (_HEAD + _EQUILIBRIUM + "hints:\n  xi x1\n",
+                  "line 7: hint lines read 'xi: ...', 'inverse: v = expr' "
+                  "or 'integral: expr'"),
+    "inverse-line": (_HEAD + _EQUILIBRIUM + "hints:\n  inverse: x1\n",
+                     "line 7: inverse hint reads 'inverse: v = expression'"),
+    "unknown-hint": (_HEAD + _EQUILIBRIUM + "hints:\n  chart: x1\n",
+                     "line 7: unknown hint 'chart'"),
+    "undeclared-equilibrium": (_HEAD + "equilibrium: x1=0 u1=0 w=0\n",
+                               "line 5: equilibrium for undeclared variable "
+                               "'w'"),
+    "equilibrium-mix": (_HEAD + "equilibrium: x1=0 0\n",
+                        "mix of named and positional equilibrium values"),
+    "equilibrium-missing-value": (_HEAD + "equilibrium: x1=0\n",
+                                  "equilibrium missing values for u1"),
+    "no-equilibrium": (_HEAD, "missing equilibrium: declaration"),
+}
+
+
 class TestFileParsing:
+    @pytest.mark.parametrize("name", list(PARSE_ERRORS))
+    def test_parse_error(self, tmp_path, name):
+        text, message = PARSE_ERRORS[name]
+        with pytest.raises(ParseError) as err:
+            parse_system_file(write(tmp_path, text))
+        assert str(err.value) == message
+
+    def test_continuation_and_inline_forms(self, tmp_path):
+        # a section's first entry may share its header line, states,
+        # inputs and the equilibrium may go on over indented lines, and a
+        # hint may read key = value
+        sf = parse_system_file(write(tmp_path, """
+name: forms
+states: x1
+  x2
+inputs:
+  u1
+dynamics: x1+ = x2
+  x2+ = u1
+equilibrium:
+  x1=0
+  x2=0 u1=0
+hints: xi = x2
+  inverse = x1 = th2
+  integral = x1
+"""))
+        assert (sf.states, sf.inputs, sf.xi_hint) == (["x1", "x2"], ["u1"],
+                                                      ["x2"])
+        assert sf.equations == {"x1": Scalar.var("x2"), "x2": Scalar.var("u1")}
+        assert sf.equilibrium == {"x1": 0, "x2": 0, "u1": 0}
+        assert sf.inverse_hint == {"x1": Scalar.var("th2")}
+        assert sf.integral_hints == [Scalar.var("x1")]
+
     def test_academic_file(self):
         system, sf = parse_system(ACADEMIC)
         assert system.n == 4 and system.m == 2
@@ -415,6 +496,30 @@ class TestRun:
             "P_1: could not evaluate the basis near the equilibrium "
             "(denominators vanish)"]
 
+    def test_point_check_warns_when_the_rank_drops(self):
+        # span{dx1, (x1 - c) dx2} has dimension 2, with c the x1 of the
+        # point seed 0 samples, where the rank is 1
+        import random
+        rng = random.Random(0)
+        c = Fraction(rng.randint(1, 60), rng.randint(61, 120))
+        chart = SimpleNamespace(names=("x1", "x2"))
+        rows = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar.var("x1") - c]]
+        space = SimpleNamespace(chart=chart, dim=2, basis=[
+            SimpleNamespace(coeffs=row) for row in rows])
+        report = SimpleNamespace(
+            system=SimpleNamespace(equilibrium=None, chart=chart),
+            verdict=SimpleNamespace(
+                distribution=None,
+                codistribution=SimpleNamespace(
+                    steps=[SimpleNamespace(k=1, P=space)])))
+        assert point_check(report, seed=0) == [
+            "P_1: rank at the sampled point is 1, generic dimension is 2 "
+            "(singular locus)"]
+
+    def test_no_equilibrium_no_singularity_warnings(self):
+        report = SimpleNamespace(system=SimpleNamespace(equilibrium=None))
+        assert equilibrium_singularity_warnings(report) == []
+
     def test_seed_does_not_change_verdict(self, tmp_path):
         docs = []
         for seed in (1, 2):
@@ -428,6 +533,29 @@ class TestRun:
         assert run([str(NONFLAT), "--chart-hint", "x2"]) == 0
         out = capsys.readouterr().out
         assert "xi = (x2)" in out
+
+    @pytest.mark.parametrize("extra, hints, message", [
+        ([], "hints:\n  inverse: x1 = th1\n",
+         "an inverse hint requires the xi selection hint (the inverse is "
+         "expressed in th/xi coordinates)"),
+        (["--chart-hint", "x9"], "", "hinted xi variables not declared: "
+         "['x9']"),
+        (["--chart-hint", "x1,x2"], "", "need exactly m = 1 xi variables"),
+    ], ids=["inverse-without-xi", "undeclared", "count"])
+    def test_chart_hint_rejected(self, tmp_path, capsys, extra, hints,
+                                 message):
+        path = write(tmp_path, CHAIN.read_text(encoding="utf-8") + hints)
+        assert run([str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dtflat: error: {message}\n"
+
+    def test_main_exits_with_the_run_code(self, monkeypatch):
+        for path, code in ((CHAIN, 0), (CHAIN.with_name("none.sys"), 1)):
+            monkeypatch.setattr(sys, "argv", ["dtflat", str(path)])
+            with pytest.raises(SystemExit) as exc:
+                main()
+            assert exc.value.code == code
 
     def test_integrals_hint_flag(self, capsys):
         assert run([str(ACADEMIC), "--decompose", "--integrals-hint",
@@ -500,6 +628,13 @@ class TestRun:
         (["x2 + u1 + u2", "u1 + u2"], "u1 u2",
          "the normalization route requires generic rank m = 2 of the input "
          "Jacobian; it is 1", []),
+        # academic4 with u1 + 2*u2 squared in the first row: ub1 = that row
+        # is quadratic in u2, the input left once ub2 = u1 is solved
+        (["(x2 + x3 + 3*x4)/((u1 + 2*u2)^2 + 1)",
+          "x1*(x3 + 1)*(u1 + 2*u2 - 3) + x4 - 3*u2", "u1 + 2*u2",
+          "x1*(x3 + 1) + u2"], "u1 u2",
+         "could not invert the input transformation by triangular linear "
+         "solves", []),
     ])
     def test_decompose_blocked_cascade(self, tmp_path, capsys, dynamics,
                                        inputs, blocked, kept):

@@ -185,6 +185,40 @@ class TestFirstIntegrals:
         with pytest.raises(HintInvalid):
             find_first_integrals(p, s, hints=[parse_scalar("x1*x2")])
 
+    def rescue_p2(self):
+        """(system, P_2): x2*(x1 + 1)^2 is a first integral of P_2, but the
+        search finds none, as its integrating factor x2*(x1 + 1) is no
+        monomial."""
+        s = mk(["x1", "x2"], ["u1"], ["u1", "x1/(u1 + 1)^2"], name="rescue")
+        return s, analyze(s).codistribution.sequence[1]
+
+    def test_hints_rescue_a_residual_form(self):
+        s, p2 = self.rescue_p2()
+        with pytest.raises(IntegralsNotFound, match="heuristic search"):
+            find_first_integrals(p2, s)
+        got = find_first_integrals(p2, s, hints=[parse_scalar("x2*(x1 + 1)^2")])
+        assert got.method == "user-hint"
+        assert got.functions == [parse_scalar("x2*(x1 + 1)^2")]
+        cascade = decompose_cascade(s, analyze(s), integral_hints=got.functions)
+        assert cascade.blocked is None and cascade.depth == 2
+        assert cascade.steps[0].integrals.method == "user-hint"
+
+    @pytest.mark.parametrize("hints, problem", [
+        (["u1"], "integrals must be functions of the states: u1"),
+        (["x2*(x1 + 1)^2", "x1"],
+         "2 integrals for a 1-dimensional codistribution"),
+        (["1"], "integrals are functionally dependent"),
+    ], ids=["off-the-states", "count", "dependent"])
+    def test_rejected_hints(self, hints, problem):
+        s, p2 = self.rescue_p2()
+        with pytest.raises(HintInvalid) as err:
+            find_first_integrals(p2, s, hints=[parse_scalar(h) for h in hints])
+        assert str(err.value) == f"integral hints rejected: {problem}"
+
+    def test_zero_codistribution_has_no_integrals(self, acad):
+        got = find_first_integrals(Codistribution(acad.chart, []), acad)
+        assert (got.functions, got.method) == ([], "coordinate-pick")
+
     def test_log_type_failure_is_reported(self):
         s = mk(["x1", "x2"], ["u1"], ["x2", "u1"], name="chain")
         ch = s.chart
@@ -290,6 +324,58 @@ class TestDecomposeStep:
         decompose_step(acad, p2)
         assert len(frobenius) == 1
         assert reductions == []
+
+
+def _corrupt_input_inverse(monkeypatch, system, sub):
+    """triangular_solve with sub applied to every solution when it solves
+    for system's inputs (the input inverse of decompose_step)."""
+    import dtflat.decompose as decompose
+    real = decompose.triangular_solve
+
+    def solve(equations, unknowns):
+        out = real(equations, unknowns)
+        if unknowns == list(system.input_names):
+            out = {u: g.subs(sub) for u, g in out.items()}
+        return out
+    monkeypatch.setattr(decompose, "triangular_solve", solve)
+
+
+class TestStepChecksFire:
+    """Each check decompose_step makes of its transformed dynamics fires on
+    a fault in the transformation.  At level 1 of academic4 ub1 is
+    normalized and ub2 is the feedback input."""
+
+    def test_normalized_row_checked(self, acad, acad_verdict, monkeypatch):
+        _corrupt_input_inverse(monkeypatch, acad,
+                               {"ub1": Scalar.var("ub1") * 2})
+        with pytest.raises(InternalInvariantError, match="normalized equation "
+                           "0 does not read state\\+ = input"):
+            decompose_step(acad, acad_verdict.codistribution.sequence[1])
+
+    def test_feedback_rank_checked(self, acad, acad_verdict, monkeypatch):
+        _corrupt_input_inverse(monkeypatch, acad, {"ub2": ZERO})
+        with pytest.raises(InternalInvariantError, match="feedback input rank "
+                           "does not match the feedback dimension"):
+            decompose_step(acad, acad_verdict.codistribution.sequence[1])
+
+    def test_subsystem_inputs_checked(self, acad, acad_verdict, monkeypatch):
+        # the pick of the rows to normalize comes back empty, so every
+        # input is a completing one and the subsystem row that reads ub1
+        # is left to an unnormalized input
+        import dtflat.decompose as decompose
+        real, skipped = decompose._raise_rank, []
+
+        def no_rows_picked(ech, candidates, target):
+            if not ech.rows and not skipped:
+                skipped.append(candidates)
+                return []
+            return real(ech, candidates, target)
+
+        monkeypatch.setattr(decompose, "_raise_rank", no_rows_picked)
+        with pytest.raises(InternalInvariantError, match="subsystem row 0 "
+                           "depends on unnormalized input ub1"):
+            decompose_step(acad, acad_verdict.codistribution.sequence[1])
+        assert len(skipped) == 1
 
 
 def assert_straightened_by_reference(step):
@@ -531,6 +617,32 @@ class TestCascade:
                                    "transformation by triangular linear "
                                    "solves")
         assert tried == [["x2"], ["x4"]]
+
+    @pytest.mark.parametrize("n", [23, 24])
+    def test_no_depth_limit(self, n):
+        # a chain of n states decomposes in n levels: 22 one-letter tags
+        # b..z, then bb, bc
+        states = [f"x{i}" for i in range(1, n + 1)]
+        system = mk(states, ["u1"], states[1:] + ["u1"], name=f"chain{n}")
+        cascade = cascade_of(system)
+        assert cascade.blocked is None and cascade.depth == n
+        assert cascade.steps[-1].terminal
+        assert [st.state_transform[0][0] for st in cascade.steps[20:24]] == \
+            ["xy1", "xz1", "xbb1", "xbc1"][:n - 20]
+
+    def test_coordinates_singular_at_the_equilibrium(self):
+        # the integral x1/x2 of P_2 is singular at the equilibrium 0, so
+        # the derived systems carry none and each says so
+        system = mk(["x1", "x2"], ["u1"], ["x2*u1", "u1"], name="singular")
+        cascade = cascade_of(system)
+        assert cascade.blocked is None and cascade.depth == 2
+        assert cascade.steps[0].integrals.functions == [parse_scalar("x1/x2")]
+        assert cascade.steps[0].transformed.equilibrium is None
+        assert cascade.steps[0].subsystem.equilibrium is None
+        assert cascade.steps[0].warnings == [
+            "transformed coordinates are singular at the original "
+            "equilibrium; the derived system carries no equilibrium and is "
+            "analyzed generically"] * 2
 
     def test_not_flat_verdict_rejected(self):
         system = nonflat2()

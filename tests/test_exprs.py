@@ -220,6 +220,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1)", "col 3: unexpected token ')'"),
+        ("*x1", "col 1: unexpected token '*'"),
+        ("x1^y", "col 4: expected integer exponent"),
+        ("x1^-y", "col 5: expected integer exponent"),
+    ])
+    def test_misplaced_token_is_named(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("text, col", [("x1+", 4), ("", 1),
                                            ("(x1 + 2) * ", 12)])
     def test_end_of_input_is_named(self, text, col):
@@ -261,6 +272,42 @@ class TestPolyInternals:
     def test_rename(self):
         s = F1.rename({"x2": "th2", "u1": "v"})
         assert s == (Scalar.var("th2") + x3 + 3 * x4) / (Scalar.var("v") + 2 * u2 + 1)
+
+    def test_rename_onto_another_variable_rejected(self):
+        with pytest.raises(ValueError, match="rename collides"):
+            (x1 * x2).rename({"x1": "x2"})
+
+    def test_zero_cases(self):
+        zero = Poly({})
+        assert zero.const_value() == 0
+        assert Poly.variable("x1").scale(0) == zero
+        assert poly_gcd(zero, zero) == zero
+        assert exprs._mono_cmp((("x1", 2),), (("x1", 2),)) == 0
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(Poly.variable("x1"), zero)
+        with pytest.raises(DivisionByZeroScalar, match="zero polynomial"):
+            Scalar(1, 0)
+        with pytest.raises(DivisionByZeroScalar, match="negative power"):
+            Scalar(0) ** -1
+
+    def test_repr(self):
+        assert repr(Poly.variable("x1")) == "Poly(x1)"
+        assert repr(x1 / x2) == "Scalar(x1/x2)"
+
+    def test_gcd_past_the_heuristic(self):
+        # a common factor of degree 2001 needs more base-xi digits than
+        # the heuristic reconstructs, at every one of its evaluation
+        # points, so the pseudo-remainder sequence finds it
+        common = parse_scalar("x^2001 + 1").num
+        a = common * parse_scalar("x + 2").num
+        b = common * parse_scalar("x + 3").num
+        assert exprs._heu_gcd(a.terms, b.terms) is None
+        assert poly_gcd(a, b) == common
+
+    def test_solution_singular_in_the_denominator(self):
+        # x = 0 makes the denominator of (x + 1)/x vanish: no solution
+        x = Scalar.var("x")
+        assert not solves_linear((x + 1) / x, "x", Scalar(0))
 
 
 X, Y, Z = (((name, 1),) for name in ("x", "y", "z"))

@@ -4,6 +4,7 @@ systems."""
 
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +45,7 @@ from dtflat.geometry import (
     interior_product,
     is_integrable,
     is_involutive,
+    meet_kernel,
     rref,
     same_span,
     sum_codistributions,
@@ -409,6 +411,81 @@ class TestShiftsAreRenamings:
         with pytest.raises(InternalInvariantError,
                            match="push-forward .* is not its th-part"):
             analyze(system, test="distribution")
+
+
+def _faulty_kernel(fault):
+    """An _xi_derivative_closure whose echelon form hands
+    projectability_report fault(kernel, ncols, xi_names) as its kernel."""
+    def closure(block, xi_names):
+        rows, ech = _xi_derivative_closure(block, xi_names)
+        return rows, SimpleNamespace(
+            rows=ech.rows,
+            kernel=lambda ncols: fault(ech.kernel(ncols), ncols, xi_names))
+    return closure
+
+
+def _escaping_meet_kernel(dist, rows):
+    """meet_kernel with d/d(first coordinate) added, which E_0 =
+    span{d/du} does not hold."""
+    ch = dist.chart
+    return Distribution.span(ch, list(meet_kernel(dist, rows).basis)
+                             + [VectorField.unit(ch, ch.names[0])])
+
+
+# one fault per internal check of the two tests that the corpus never
+# fires: (the flatness name it replaces, its replacement, the message)
+STEP_FAULTS = {
+    "kernel-depends-on-xi": (
+        "_xi_derivative_closure", _faulty_kernel(
+            lambda basis, ncols, xi: [[c * Scalar.var(xi[0]) for c in vec]
+                                      for vec in basis]),
+        "kernel of the derivative matrix depends on xi"),
+    "kernel-bookkeeping": (
+        "_xi_derivative_closure", _faulty_kernel(
+            lambda basis, ncols, xi: basis + [[ZERO] * ncols]),
+        "kernel dimension bookkeeping is off"),
+    "core-dimension": (
+        "combine", lambda vec, rows: [ZERO] * len(rows[0]),
+        r"projectable dimension \d+ does not match"),
+    "escaped-input-span": (
+        "meet_kernel", _escaping_meet_kernel,
+        "projectable subdistribution escaped the input span"),
+    "intersection-dims": (
+        "meet_annihilator", lambda P, kernel: Codistribution(P.chart, []),
+        "intersection dimensions disagree between charts"),
+    "not-integrable": (
+        "is_integrable", lambda P: False, "P_2 is not integrable"),
+}
+
+
+class TestStepChecksFire:
+    """Each internal check of the two tests fires on a fault injected
+    into what it checks; on its own chart, as the fixture's keeps
+    certificates computed without the fault."""
+
+    @pytest.mark.parametrize("name", list(STEP_FAULTS))
+    def test_fault_is_caught(self, acad, monkeypatch, name):
+        import dtflat.flatness as flatness
+        attr, replacement, message = STEP_FAULTS[name]
+        monkeypatch.setattr(flatness, attr, replacement)
+        with pytest.raises(InternalInvariantError, match=f"^{message}"):
+            analyze(acad, build_adapted_chart(acad))
+
+    def test_nesting_checked(self):
+        # handed P = span{dx2} of chain2, which is no member of its
+        # sequence, the step finds P_+ = span{dx2} = span{dth1}, and its
+        # backward shift span{dx1} is not inside P
+        s = chain2()
+        P = Codistribution(s.chart, [OneForm.unit(s.chart, "x2")])
+        with pytest.raises(InternalInvariantError,
+                           match="nesting fails: P_2 not in P_1"):
+            codistribution_step(s, build_adapted_chart(s), 1, P)
+
+    def test_report_is_frozen(self, acad, acad_verdict):
+        report = acad_verdict.codistribution.steps[0].report
+        with pytest.raises(AttributeError, match="ProjectabilityReport is "
+                           "frozen: cannot assign rank"):
+            report.rank = 0
 
 
 class TestIntersectionStep:

@@ -54,6 +54,17 @@ def unit_w(chart, name):
     return OneForm.unit(chart, name)
 
 
+class TestChart:
+    def test_frozen(self):
+        with pytest.raises(AttributeError, match="Chart is frozen: cannot "
+                           "assign names"):
+            CH3.names = ("x1",)
+
+    def test_equal_to_charts_alone(self):
+        assert CH3 == Chart(("x1", "x2", "u"))
+        assert CH3 != ("x1", "x2", "u")
+
+
 class TestRank:
     def test_identity(self):
         k = 5

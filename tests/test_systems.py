@@ -112,6 +112,17 @@ class TestConstruction:
             DiscreteSystem(["x1"], ["u1"], [parse_scalar("x1 + u1")],
                            {"x1": Fraction(0)})
 
+    def test_one_update_per_state(self):
+        with pytest.raises(ValueError, match="one update expression per "
+                           "state"):
+            DiscreteSystem(["x1", "x2"], ["u1"], [parse_scalar("u1")], None)
+
+    def test_no_equilibrium_no_warnings(self):
+        # a derived system may carry no equilibrium; nothing is evaluated
+        s = DiscreteSystem(["x1"], ["u1"], [parse_scalar("x1*u1 + x1*x1")],
+                           None)
+        assert s.warnings == []
+
     def test_point_rank_drop_warns(self):
         # Jacobian rank drops to 0 at the origin but is 1 generically
         s = mk(["x1"], ["u1"], ["x1*u1 + x1*x1"])
@@ -195,6 +206,21 @@ class TestAdaptedChart:
         monkeypatch.setattr(systems, "triangular_solve", corrupted)
         with pytest.raises(InversionFailed, match="rational point"):
             build_adapted_chart(rat_n(3))
+
+    def test_singular_at_every_sampled_point(self):
+        # x1+ = u1 + 1/d(x1) with d vanishing at the x1 of each of the
+        # seeded points at which the inverse is checked: no point is left
+        import random
+        import dtflat.systems as systems
+        rng = random.Random(systems._POINT_SEED)
+        d = ONE
+        for _ in range(systems._POINT_TRIES):
+            d = d * (Scalar.var("x1") - rng.randint(-999, 999))
+            rng.randint(-999, 999)      # the value of u1
+        s = DiscreteSystem(["x1"], ["u1"], [Scalar.var("u1") + ONE / d], None)
+        with pytest.raises(InversionFailed, match="singular at 8 rational "
+                           "points"):
+            build_adapted_chart(s)
 
     def test_wrong_local_solution_fails_decompose_step(self, acad,
                                                        acad_verdict,
@@ -369,6 +395,28 @@ class TestTransport:
 
 
 class TestPushPull:
+    @pytest.mark.parametrize("move, arg, message", [
+        (lambda a, acad: build_adapted_chart(acad).form_to_adapted(a),
+         lambda acad: OneForm.unit(acad.chart_adapted, "th1"),
+         "form is not on the system chart"),
+        (lambda a, acad: build_adapted_chart(acad).form_from_adapted(a),
+         lambda acad: OneForm.unit(acad.chart, "x1"),
+         "form is not on the adapted chart"),
+        (pushforward_projectable, lambda acad: VectorField.unit(acad.chart,
+                                                                "x1"),
+         "field is not on the adapted chart"),
+        (pullback_pi, lambda acad: Distribution(
+            acad.chart, [VectorField.unit(acad.chart, "x1")]),
+         "distribution is not on the successor chart"),
+        (backward_shift_codistribution, lambda acad: Codistribution(
+            acad.chart, [OneForm.unit(acad.chart, "x1")]),
+         "codistribution is not on the adapted chart"),
+    ], ids=["form-to", "form-from", "pushforward", "pullback-pi",
+            "backward-shift"])
+    def test_wrong_chart_rejected(self, acad, move, arg, message):
+        with pytest.raises(ValueError, match=message):
+            move(arg(acad), acad)
+
     def test_projectable_pushforward(self, acad):
         ch = acad.chart_adapted
         v = VectorField(ch, [ZERO, Scalar(-3), ZERO, ONE, ZERO, ZERO])
