@@ -19,6 +19,7 @@ from .decompose import decompose_cascade
 from .errors import DtflatError, HintInvalid, NonRationalExpression, ParseError
 from .exprs import Scalar, clear_memo, parse_scalar
 from .flatness import analyze
+from .records import Record
 from .reporting import (
     AnalysisReport,
     equilibrium_singularity_warnings,
@@ -31,27 +32,12 @@ from .systems import AdaptedChartHint, DiscreteSystem, build_adapted_chart
 _SECTIONS = ("name", "states", "inputs", "dynamics", "equilibrium", "hints")
 
 
-class SystemFile:
+class SystemFile(Record):
     """Parsed content of a system definition file; equations maps each
-    state to its update Scalar.  An omitted list or dict starts empty."""
+    state to its update Scalar."""
 
     __slots__ = ("name", "states", "inputs", "equations", "equilibrium",
                  "xi_hint", "inverse_hint", "integral_hints")
-
-    def __init__(self, name: str = "", states: list | None = None,
-                 inputs: list | None = None, equations: dict | None = None,
-                 equilibrium: dict | None = None,
-                 xi_hint: list | None = None,
-                 inverse_hint: dict | None = None,
-                 integral_hints: list | None = None):
-        self.name = name
-        self.states = [] if states is None else states
-        self.inputs = [] if inputs is None else inputs
-        self.equations = {} if equations is None else equations
-        self.equilibrium = {} if equilibrium is None else equilibrium
-        self.xi_hint = [] if xi_hint is None else xi_hint
-        self.inverse_hint = {} if inverse_hint is None else inverse_hint
-        self.integral_hints = [] if integral_hints is None else integral_hints
 
 
 def _parse_rational(text: str, lineno: int) -> Fraction:
@@ -73,46 +59,36 @@ def _expr(text: str, lineno: int) -> Scalar:
 def parse_system_file(path) -> SystemFile:
     """Parse the line-oriented format with sections name/states/inputs/
     dynamics/equilibrium/hints; errors carry line positions."""
-    text = Path(path).read_text(encoding="utf-8")
-    sf = SystemFile()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the fault decode, so their lines can be counted
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}", line=line) from None
+    sf = SystemFile(name="", states=[], inputs=[], equations={},
+                    equilibrium={}, xi_hint=[], inverse_hint={},
+                    integral_hints=[])
     section = None
     eq_tokens: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         head, _, rest = stripped.partition(":")
-        if head.strip() in _SECTIONS and _looks_like_header(line):
+        # headers start at column zero; indented "xi: ..." lines inside
+        # hints would otherwise shadow sections
+        header = head.strip() in _SECTIONS and not raw[:1].isspace()
+        if header:
             section = head.strip()
-            rest = rest.strip()
-            if not rest:
+            stripped = rest.strip()
+            if not stripped:
                 continue
-            if section == "name":
-                sf.name = rest
-            elif section == "states":
-                sf.states = rest.split()
-            elif section == "inputs":
-                sf.inputs = rest.split()
-            elif section == "equilibrium":
-                eq_tokens.append((rest, lineno))
-            elif section in ("dynamics", "hints"):
-                _parse_body_line(sf, section, rest, lineno)
-            continue
-        if section is None:
+        elif section is None:
             raise ParseError(f"content before any section: {stripped!r}",
                              line=lineno)
-        if section == "equilibrium":
-            eq_tokens.append((stripped, lineno))
-        elif section in ("dynamics", "hints"):
-            _parse_body_line(sf, section, stripped, lineno)
-        elif section == "states":
-            sf.states.extend(stripped.split())
-        elif section == "inputs":
-            sf.inputs.extend(stripped.split())
-        else:
-            raise ParseError(f"unexpected continuation line under "
-                             f"{section!r}", line=lineno)
+        _section_line(sf, section, stripped, lineno, header, eq_tokens)
 
     if not sf.states:
         raise ParseError("missing states: declaration")
@@ -129,10 +105,22 @@ def parse_system_file(path) -> SystemFile:
     return sf
 
 
-def _looks_like_header(line: str) -> bool:
-    # headers start at column zero; indented "xi: ..." lines inside hints
-    # would otherwise shadow sections
-    return not line[:1].isspace()
+def _section_line(sf: SystemFile, section: str, text: str, lineno: int,
+                  header: bool, eq_tokens: list):
+    """One non-empty line of a section, after its header or below it: a
+    states or inputs header replaces the list, a line below extends it."""
+    if section == "equilibrium":
+        eq_tokens.append((text, lineno))
+    elif section in ("dynamics", "hints"):
+        _parse_body_line(sf, section, text, lineno)
+    elif section in ("states", "inputs"):
+        names = text.split()
+        setattr(sf, section, names if header else getattr(sf, section) + names)
+    elif header:
+        sf.name = text
+    else:
+        raise ParseError(f"unexpected continuation line under {section!r}",
+                         line=lineno)
 
 
 def _parse_body_line(sf: SystemFile, section: str, stripped: str, lineno: int):
@@ -302,7 +290,7 @@ def run(argv: list) -> int:
             "seed": args.seed,
         }
         report = AnalysisReport(system=system, options=options, chart=chart,
-                                verdict=verdict, cascade=cascade)
+                                verdict=verdict, cascade=cascade, warnings=[])
         report.warnings.extend(system.warnings)
         if args.decompose and not verdict.flat:
             report.warnings.append(

@@ -47,21 +47,18 @@ from .geometry import (
     same_span,
     sum_codistributions,
 )
+from .records import Record
 from .systems import DiscreteSystem, pullback, pullback_f, triangular_solve
 
 
 # --------------------------------------------------------- first integrals
 
-class FirstIntegralSet:
+class FirstIntegralSet(Record):
     """First integrals of a codistribution and the method that found them:
     coordinate-pick, constant-combination, integrating-factor or
     user-hint."""
 
     __slots__ = ("functions", "method")
-
-    def __init__(self, functions: list, method: str):
-        self.functions = functions
-        self.method = method
 
 
 _METHOD_ORDER = ["coordinate-pick", "constant-combination",
@@ -155,7 +152,7 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
                 raise ValueError("codistribution is not inside span{dx}")
     state_set = set(sys.state_names)
     if not p.basis:
-        return FirstIntegralSet([], "coordinate-pick")
+        return FirstIntegralSet(functions=[], method="coordinate-pick")
 
     integrals: list = []
     methods: list = []
@@ -196,15 +193,15 @@ def find_first_integrals(p: Codistribution, sys: DiscreteSystem,
             hint="supply integral hints (functions of the states whose "
                  "differentials span the codistribution)")
 
-    result = FirstIntegralSet(integrals,
-                              max(methods, key=_METHOD_ORDER.index))
+    result = FirstIntegralSet(functions=integrals,
+                              method=max(methods, key=_METHOD_ORDER.index))
     _verify_integrals(result, p, sys)
     return result
 
 
 def _integrals_from_hints(p, sys, hints) -> FirstIntegralSet:
     functions = [Scalar.of(h) for h in hints]
-    result = FirstIntegralSet(functions, "user-hint")
+    result = FirstIntegralSet(functions=functions, method="user-hint")
     try:
         _verify_integrals(result, p, sys)
     except InternalInvariantError as exc:
@@ -232,7 +229,7 @@ def _verify_integrals(s: FirstIntegralSet, p: Codistribution,
 
 # -------------------------------------------------------------- one step
 
-class TriangularDecomposition:
+class TriangularDecomposition(Record):
     """One decomposition step in explicit coordinates.
 
     state_transform / input_transform list (new name, expression) pairs;
@@ -253,29 +250,6 @@ class TriangularDecomposition:
                  "input_inverse", "subsystem_f2", "feedback_f1",
                  "normalized_indices", "dims", "integrals", "subsystem",
                  "transformed", "dropped_inputs", "warnings")
-
-    def __init__(self, state_transform: list, state_inverse: dict,
-                 input_transform: list, input_inverse: dict,
-                 subsystem_f2: list, feedback_f1: list,
-                 normalized_indices: list, dims: tuple,
-                 integrals: FirstIntegralSet,
-                 subsystem: DiscreteSystem | None,
-                 transformed: DiscreteSystem,
-                 dropped_inputs: list | None = None,
-                 warnings: list | None = None):
-        self.state_transform = state_transform
-        self.state_inverse = state_inverse
-        self.input_transform = input_transform
-        self.input_inverse = input_inverse
-        self.subsystem_f2 = subsystem_f2
-        self.feedback_f1 = feedback_f1
-        self.normalized_indices = normalized_indices
-        self.dims = dims
-        self.integrals = integrals
-        self.subsystem = subsystem
-        self.transformed = transformed
-        self.dropped_inputs = [] if dropped_inputs is None else dropped_inputs
-        self.warnings = [] if warnings is None else warnings
 
     @property
     def terminal(self) -> bool:
@@ -365,7 +339,7 @@ def decompose_step(sys: DiscreteSystem, p2: Codistribution,
     state_names = [f"{state_prefix}{i}" for i in range(1, n + 1)]
     input_names = [f"{input_prefix}{j}" for j in range(1, m + 1)]
     if n2 == 0:
-        integrals = FirstIntegralSet([], "coordinate-pick")
+        integrals = FirstIntegralSet(functions=[], method="coordinate-pick")
         old = [Scalar.var(v) for v in sys.chart.names]
         new = [Scalar.var(v) for v in state_names + input_names]
         state_funcs, input_funcs = old[:n], old[n:]
@@ -540,15 +514,11 @@ def _p2_plus(sys: DiscreteSystem) -> tuple:
 
 # --------------------------------------------------------------- cascade
 
-class CascadeResult:
+class CascadeResult(Record):
     """The decomposition steps taken, and why the cascade stopped early
     (None when it reached a terminal step)."""
 
     __slots__ = ("steps", "blocked")
-
-    def __init__(self, steps: list, blocked: str | None = None):
-        self.steps = steps
-        self.blocked = blocked
 
     @property
     def depth(self) -> int:
@@ -623,6 +593,6 @@ def decompose_cascade(sys: DiscreteSystem, verdict,
             return CascadeResult(steps=steps, blocked=str(exc))
         steps.append(step)
         if step.terminal:
-            return CascadeResult(steps=steps)
+            return CascadeResult(steps=steps, blocked=None)
         tail = _carry(tail[1:], current, step)
         current, integral_hints = step.subsystem, None

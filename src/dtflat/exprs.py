@@ -1350,4 +1350,8 @@ class _Parser:
 def parse_scalar(text: str) -> Scalar:
     """Parse the expression syntax: integers, rationals p/q, variables,
     + - * / ^ with integer exponents, and parentheses."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        # the parser descends once per parenthesis and per sign
+        raise ParseError("expression nested too deeply") from None

@@ -36,6 +36,7 @@ from .geometry import (
     same_span,
     sum_codistributions,
 )
+from .records import Record
 from .systems import (
     AdaptedChart,
     DiscreteSystem,
@@ -48,7 +49,7 @@ from .systems import (
 
 # ------------------------------------------------ projectability certificate
 
-class ProjectabilityReport:
+class ProjectabilityReport(Record):
     """Certificate from one projectable-subdistribution computation.
     Frozen, as both tests' steps hold the one the chart keeps.
 
@@ -67,18 +68,6 @@ class ProjectabilityReport:
 
     __slots__ = ("dbar", "dim", "theta_pivots", "mixed_block",
                  "independent_rows", "rank", "kernel_basis")
-
-    def __init__(self, dbar: int, dim: int, theta_pivots: list,
-                 mixed_block: list, independent_rows: list, rank: int,
-                 kernel_basis: list):
-        put = object.__setattr__
-        put(self, "dbar", dbar)
-        put(self, "dim", dim)
-        put(self, "theta_pivots", theta_pivots)
-        put(self, "mixed_block", mixed_block)
-        put(self, "independent_rows", independent_rows)
-        put(self, "rank", rank)
-        put(self, "kernel_basis", kernel_basis)
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -232,19 +221,12 @@ def largest_projectable_subdistribution(dist: Distribution,
 
 # ---------------------------------------------------- the sequence driver
 
-class SequenceResult:
+class SequenceResult(Record):
     """One run of either test: the steps taken and the members of the
     sequence up to the stall (E_0 .. E_{kbar-1} or P_1 .. P_kbar).  kbar
     and flat are None when the iteration budget ran out first."""
 
     __slots__ = ("steps", "sequence", "kbar", "flat")
-
-    def __init__(self, steps: list, sequence: list, kbar: int | None,
-                 flat: bool | None):
-        self.steps = steps
-        self.sequence = sequence
-        self.kbar = kbar
-        self.flat = flat
 
     @property
     def dims(self) -> list:
@@ -293,7 +275,7 @@ def _renames_to(row, ren: dict, target) -> bool:
                for c, t in zip(row, target))
 
 
-class DistributionStep:
+class DistributionStep(Record):
     """Step k of the distribution test.
 
     E_prev: E_{k-1} on (x, u).
@@ -305,17 +287,6 @@ class DistributionStep:
     """
 
     __slots__ = ("k", "E_prev", "D", "D_adapted", "Delta", "E", "report")
-
-    def __init__(self, k: int, E_prev: Distribution, D: Distribution,
-                 D_adapted: Distribution, Delta: Distribution,
-                 E: Distribution, report: ProjectabilityReport):
-        self.k = k
-        self.E_prev = E_prev
-        self.D = D
-        self.D_adapted = D_adapted
-        self.Delta = Delta
-        self.E = E
-        self.report = report
 
 
 def distribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
@@ -361,7 +332,7 @@ def run_distribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = None
 
 # ---------------------------------------------------- codistribution test
 
-class CodistributionStep:
+class CodistributionStep(Record):
     """Step k of the codistribution test.
 
     P: P_k on (x, u).
@@ -375,19 +346,6 @@ class CodistributionStep:
 
     __slots__ = ("k", "P", "intersection", "added_forms", "Pplus",
                  "Pplus_xu", "P_next", "report")
-
-    def __init__(self, k: int, P: Codistribution,
-                 intersection: Codistribution, added_forms: list,
-                 Pplus: Codistribution, Pplus_xu: Codistribution,
-                 P_next: Codistribution, report: ProjectabilityReport):
-        self.k = k
-        self.P = P
-        self.intersection = intersection
-        self.added_forms = added_forms
-        self.Pplus = Pplus
-        self.Pplus_xu = Pplus_xu
-        self.P_next = P_next
-        self.report = report
 
 
 def codistribution_step(sys: DiscreteSystem, chart: AdaptedChart, k: int,
@@ -457,39 +415,20 @@ def run_codistribution_test(sys: DiscreteSystem, chart: AdaptedChart | None = No
 
 # ------------------------------------------------------------ the verdict
 
-class DualityCheck:
+class DualityCheck(Record):
     """Dimensions recorded at one verified step; every check passed, since
     verify_duality raises on the first that fails."""
 
     __slots__ = ("k", "E_dim", "P_dim", "D_dim", "sum_dim")
 
-    def __init__(self, k: int, E_dim: int, P_dim: int, D_dim: int,
-                 sum_dim: int):
-        self.k = k
-        self.E_dim = E_dim
-        self.P_dim = P_dim
-        self.D_dim = D_dim
-        self.sum_dim = sum_dim
 
-
-class FlatnessVerdict:
+class FlatnessVerdict(Record):
     """The result of analyze.  distribution and codistribution are the
     runs of the tests selected; duality holds one DualityCheck per step
     when the verifier ran, else None."""
 
     __slots__ = ("flat", "kbar", "witness", "distribution",
                  "codistribution", "duality")
-
-    def __init__(self, flat: bool | None, kbar: int | None, witness: str,
-                 distribution: SequenceResult | None,
-                 codistribution: SequenceResult | None,
-                 duality: list | None):
-        self.flat = flat
-        self.kbar = kbar
-        self.witness = witness
-        self.distribution = distribution
-        self.codistribution = codistribution
-        self.duality = duality
 
 
 def _certificates_agree(a: ProjectabilityReport, b: ProjectabilityReport) -> bool:

@@ -13,26 +13,17 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .decompose import CascadeResult
-from .flatness import FlatnessVerdict, ProjectabilityReport
-from .systems import AdaptedChart, DiscreteSystem, _rank_at_point
+from .flatness import ProjectabilityReport
+from .records import Record
+from .systems import _rank_at_point
 
 
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything one report renders: the system, the options it ran with,
     its adapted chart, the verdict, the decomposition and the warnings."""
 
     __slots__ = ("system", "options", "chart", "verdict", "cascade",
                  "warnings")
-
-    def __init__(self, system: DiscreteSystem, options: dict,
-                 chart: AdaptedChart | None, verdict: FlatnessVerdict,
-                 cascade: CascadeResult | None, warnings: list | None = None):
-        self.system = system
-        self.options = options
-        self.chart = chart
-        self.verdict = verdict
-        self.cascade = cascade
-        self.warnings = [] if warnings is None else warnings
 
 
 # ----------------------------------------------------------- field slices

@@ -51,18 +51,15 @@ from .geometry import (
     generic_rank,
     same_span,
 )
+from .records import Record
 
 
-class AdaptedChartHint:
+class AdaptedChartHint(Record):
     """Optional user guidance for the adapted chart: which m coordinates to
     keep, and optionally the full inverse map (verified before use)."""
 
     __slots__ = ("h_vars", "inverse")
-
-    def __init__(self, h_vars: tuple = (),
-                 inverse: Mapping[str, Scalar] | None = None):
-        self.h_vars = h_vars
-        self.inverse = inverse
+    defaults = {"h_vars": (), "inverse": None}
 
 
 class DiscreteSystem:

@@ -145,12 +145,25 @@ class NoDeadline:
         settings.load_profile("reach")
 
 
-def run_tests() -> int:
+class KeepTrace:
+    """A pytest plugin: a test that recurses to the interpreter's limit
+    makes the trace function raise RecursionError, and CPython then turns
+    the trace off, so every test starts with it set again."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def pytest_runtest_setup(self, item):
+        sys.settrace(self.trace)
+
+
+def run_tests(trace) -> int:
     """Tier-1 in process, its report on stderr; pytest's exit code."""
     import pytest
     with contextlib.redirect_stdout(sys.stderr):
         return pytest.main(["-q", "-p", "no:cacheprovider",
-                            str(ROOT / "tests")], plugins=[NoDeadline()])
+                            str(ROOT / "tests")],
+                           plugins=[NoDeadline(), KeepTrace(trace)])
 
 
 def main(argv: list) -> int:
@@ -168,7 +181,7 @@ def main(argv: list) -> int:
         run_workloads()
         if "tests" in sources:
             counter.source = "tests"
-            failed = run_tests()
+            failed = run_tests(counter.call)
     finally:
         sys.settrace(None)
 

@@ -29,6 +29,7 @@ ACADEMIC = DATA / "academic4.sys"
 NONFLAT = DATA / "nonflat2.sys"
 CHAIN = DATA / "chain2.sys"
 GOLDEN = DATA / "golden"
+WORKFLOW = DATA.parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 # (name, input, flags) of tests/data/golden/NAME.txt and NAME.json, the
@@ -183,6 +184,24 @@ hints: xi = x2
         assert sf.equilibrium == {"x1": 0, "x2": 0, "u1": 0}
         assert sf.inverse_hint == {"x1": Scalar.var("th2")}
         assert sf.integral_hints == [Scalar.var("x1")]
+
+    def test_repeated_headers(self, tmp_path):
+        # a states or inputs header with names replaces the list, an empty
+        # one keeps it; dynamics and equilibrium lines accumulate
+        sf = parse_system_file(write(tmp_path, """
+states: w
+states: x1
+inputs: u1
+inputs:
+  u2
+dynamics: x1+ = u1
+equilibrium: x1=0
+dynamics:
+equilibrium: u1=0 u2=0
+"""))
+        assert (sf.states, sf.inputs) == (["x1"], ["u1", "u2"])
+        assert sf.equations == {"x1": Scalar.var("u1")}
+        assert sf.equilibrium == {"x1": 0, "u1": 0, "u2": 0}
 
     def test_academic_file(self):
         system, sf = parse_system(ACADEMIC)
@@ -399,6 +418,21 @@ class TestRun:
     def test_reports_match_golden(self, tmp_path, capsys, name, path, flags):
         assert_golden(tmp_path, capsys, name, path, flags)
 
+    def test_ci_goldens_job_checks_every_golden(self):
+        # the goldens job repeats GOLDENS by hand, one `check NAME INPUT
+        # FLAGS` line each, with INPUT under $golden or the repository
+        lines = [line.split() for line in WORKFLOW.read_text().splitlines()]
+        golden = next(w[0].partition("=")[2] for w in lines
+                      if w[:1] and w[0].startswith("golden="))
+        root = WORKFLOW.parent.parent.parent
+        checks = [(name, (root / path.replace("$golden", golden)).resolve(),
+                   tuple(flags))
+                  for _, name, path, *flags in
+                  (w for w in lines if w[:1] == ["check"])]
+        assert len(set(checks)) == len(checks) == len(GOLDENS)
+        assert set(checks) == {(name, path.resolve(), tuple(flags))
+                               for name, path, flags in GOLDENS}
+
     def test_every_golden_has_an_entry(self):
         stems = {p.stem for p in GOLDEN.glob("*.txt")}
         assert stems == {p.stem for p in GOLDEN.glob("*.json")}
@@ -584,6 +618,30 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == (f"dtflat: error: line 4: col {col}: "
                                 f"unexpected end of expression\n")
+
+    @pytest.mark.parametrize("rhs", ["(" * 5000 + "u1" + ")" * 5000,
+                                     "-" * 5000 + "u1"],
+                             ids=["parentheses", "signs"])
+    def test_deep_expression_exits_one_without_traceback(self, tmp_path,
+                                                         capsys, rhs):
+        p = write(tmp_path, "states: x1\ninputs: u1\ndynamics:\n"
+                            f"  x1+ = {rhs}\nequilibrium: 0 0\n")
+        assert run([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("dtflat: error: line 4: expression nested "
+                                "too deeply\n")
+
+    def test_file_not_utf8_exits_one_without_traceback(self, tmp_path,
+                                                       capsys):
+        p = tmp_path / "latin1.sys"
+        p.write_bytes(b"states: x1\r\ninputs: u1\n\ndynamics:\n"
+                      b"  x1+ = u1  # caf\xe9\nequilibrium: 0 0\n")
+        assert run([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("dtflat: error: line 5: not UTF-8 text: "
+                                "invalid continuation byte at byte 51\n")
 
     def test_integrals_hint_cut_short_names_its_end(self, capsys):
         assert run([str(ACADEMIC), "--decompose", "--integrals-hint",

@@ -231,6 +231,22 @@ class TestParsing:
             parse_scalar(text)
         assert str(err.value) == message
 
+    def test_nesting_within_the_stack_parses(self):
+        assert parse_scalar("(" * 50 + "x1" + ")" * 50) == x1
+        assert parse_scalar("-" * 101 + "x1") == -x1
+
+    def test_recursion_limit_is_a_parse_error(self, monkeypatch):
+        # the recursion itself is run from the command line tests; here
+        # the limit is only signalled, so that a statement trace (which
+        # the real limit switches off) sees the handler run
+        def too_deep(self):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(exprs._Parser, "parse", too_deep)
+        with pytest.raises(ParseError) as err:
+            parse_scalar("x1")
+        assert str(err.value) == "expression nested too deeply"
+        assert err.value.__suppress_context__
+
     @pytest.mark.parametrize("text, col", [("x1+", 4), ("", 1),
                                            ("(x1 + 2) * ", 12)])
     def test_end_of_input_is_named(self, text, col):

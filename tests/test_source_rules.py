@@ -1,8 +1,10 @@
 """Rules every module of the package keeps, read from its syntax tree:
 no floating point (no float name, call or literal), exceptions caught
-narrowly (no bare except, no except Exception or BaseException), and no
+narrowly (no bare except, no except Exception or BaseException), no
 import of dataclasses or typing, which would make every run pay for
-generated code and the modules behind it at start-up."""
+generated code and the modules behind it at start-up, and no written-out
+__init__ that only copies its parameters into attributes: that is the work
+of the records' one initializer, dtflat.records.Record."""
 
 import ast
 import subprocess
@@ -15,6 +17,31 @@ SRC_ROOT = Path(__file__).parent.parent / "src"
 SRC = sorted((SRC_ROOT / "dtflat").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 SLOW_IMPORTS = {"dataclasses", "typing"}
+
+
+def copies_parameters(func: ast.FunctionDef) -> bool:
+    """Whether the body, docstring aside, only assigns two or more of the
+    function's parameters to attributes of the same name (self.a = a)."""
+    args = func.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    body = func.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]
+    if len(names) < 3 or len(body) < 2:
+        return False
+    owner, params = names[0], set(names[1:])
+    for stmt in body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            return False
+        target, value = stmt.targets[0], stmt.value
+        if not (isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == owner
+                and isinstance(value, ast.Name) and value.id in params
+                and value.id == target.attr):
+            return False
+    return True
 
 
 def violations(tree: ast.AST) -> list:
@@ -39,6 +66,9 @@ def violations(tree: ast.AST) -> list:
             for module in modules:
                 if module and module.split(".")[0] in SLOW_IMPORTS:
                     found.append((node.lineno, f"import of {module}"))
+        elif (isinstance(node, ast.FunctionDef) and node.name == "__init__"
+              and copies_parameters(node)):
+            found.append((node.lineno, "written-out __init__"))
     return found
 
 
@@ -63,6 +93,10 @@ def test_module_keeps_the_rules(path):
     ("from dataclasses import dataclass", "import of dataclasses"),
     ("import typing", "import of typing"),
     ("from typing import Mapping", "import of typing"),
+    ("class A:\n    def __init__(self, a, b):\n        self.a = a\n"
+     "        self.b = b", "written-out __init__"),
+    ("class A:\n    def __init__(self, a, *, b=None):\n        \"\"\"A.\"\"\"\n"
+     "        self.b = b\n        self.a = a", "written-out __init__"),
 ])
 def test_each_rule_is_seen(source, rule):
     assert [r for _, r in violations(ast.parse(source))] == [rule]
@@ -71,6 +105,19 @@ def test_each_rule_is_seen(source, rule):
 def test_narrow_code_passes():
     source = ("try:\n    f(1, 2)\nexcept (ValueError, KeyError) as exc:\n"
               "    raise RuntimeError(str(exc)) from None\n")
+    assert violations(ast.parse(source)) == []
+
+
+@pytest.mark.parametrize("body", [
+    "self.terms = terms",                       # one field, as Poly's
+    "self.a = a\n        self.b = b\n        self.n = 0",
+    "self.a = a\n        self.b = [] if b is None else b",
+    "self.a = a\n        self.c = b",
+    "super().__init__(a)\n        self.a = a\n        self.b = b",
+], ids=["one-field", "more-state", "default", "renamed", "super"])
+def test_initializers_that_do_more_pass(body):
+    source = ("class A:\n    def __init__(self, a, b=None, terms=None):\n"
+              f"        {body}\n")
     assert violations(ast.parse(source)) == []
 
 
